@@ -1,12 +1,15 @@
 """Command line front end: one pipeline stage per invocation, or run-all.
 
 Exit codes: 0 success, 1 validation problem (config, dataset, stage order),
-2 runtime failure (gateway, training, merging).
+2 runtime failure (gateway, training, merging), 141 (128 + SIGPIPE) when the
+reader of stdout goes away early, as in `cfc run-all ... | head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 
 from .pipeline import (
@@ -47,19 +50,25 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             print(emit_report(rc))
-            return 0
-        with artifacts_lock(rc.artifacts_dir):
-            if args.command == "run-all":
-                executed = run_all(rc, strict=args.strict)
-                for stage, ran in executed.items():
-                    print(f"{stage}: {'done' if ran else 'cached'}")
-            else:
-                ran = run_stage(rc, args.command, strict=args.strict)
-                print(f"{args.command}: {'done' if ran else 'cached'}")
-        if args.command in ("run-all", "eval"):
-            print()
-            print(emit_report(rc))
+        else:
+            with artifacts_lock(rc.artifacts_dir):
+                if args.command == "run-all":
+                    executed = run_all(rc, strict=args.strict)
+                    for stage, ran in executed.items():
+                        print(f"{stage}: {'done' if ran else 'cached'}")
+                else:
+                    ran = run_stage(rc, args.command, strict=args.strict)
+                    print(f"{args.command}: {'done' if ran else 'cached'}")
+            if args.command in ("run-all", "eval"):
+                print()
+                print(emit_report(rc))
+        sys.stdout.flush()          # a closed pipe must fail here, not at exit
         return 0
+    except BrokenPipeError:
+        # end quietly, like a process killed by SIGPIPE; stdout now points at
+        # devnull so the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,8 +16,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import SparseMatrix, load_features, save_features, spmm
+from .graph import load_features, save_features, spmm
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def initial_label_matrix(num_nodes: int, class_count: int,
     return LabelMatrix(values, frozenset(train_labels), class_count)
 
 
-def label_propagate(rw_adj: SparseMatrix, init: LabelMatrix,
+def label_propagate(rw_adj: sp.csr_array, init: LabelMatrix,
                     cfg: PropagationConfig) -> np.ndarray:
     """Run cfg.steps rounds of Y <- D^{-1} A Y with clamping.
 
@@ -106,10 +107,10 @@ def label_propagate(rw_adj: SparseMatrix, init: LabelMatrix,
     are reset to their initial values rather than decaying to zero.
     """
     n = init.num_nodes
-    if rw_adj.rows != n or rw_adj.cols != n:
+    if rw_adj.shape != (n, n):
         raise ValueError("walk matrix shape does not match the label matrix")
     clamped = sorted(init.clamp_ids)
-    isolated = rw_adj.zero_rows()
+    isolated = np.flatnonzero(np.diff(rw_adj.indptr) == 0)
     y = init.values.copy()
     for _ in range(cfg.steps):
         y = spmm(rw_adj, y)

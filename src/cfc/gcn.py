@@ -16,8 +16,13 @@ logistic outputs and the loss with the mean per-class binary cross-entropy;
 the closed-set threshold baselines train with it. backward assumes A_hat is
 symmetric, which both normalizations used with this model satisfy.
 
+X may be a dense array or a scipy.sparse CSR array (bag-of-words features);
+both enter only through X W0 and X^T (...), so a sparse X skips its zeros.
+
 Training is full-batch Adam with early stopping on validation accuracy and a
-binary checkpoint format (magic CFCW).
+binary checkpoint format (magic CFCW). Each epoch takes its gradients from
+the forward pass computed after the previous update, so an epoch costs one
+forward and one backward pass: four sparse products.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import SparseMatrix, spmm
+from .graph import spmm
 
 LOG_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"CFCW"
@@ -89,6 +95,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class ForwardCache:
     h1: np.ndarray                 # (N, hidden), post-relu
+    ah1: np.ndarray                # (N, hidden), A_hat H1
     z_real: np.ndarray             # (N, out)
     z_synth: np.ndarray | None     # (S, out) or None
 
@@ -130,20 +137,23 @@ def _check_synth(params: GCNParams, synth, head: str):
         raise ValueError("synthetic embeddings must live in the hidden space")
 
 
-def forward(params: GCNParams, a_hat: SparseMatrix, x: np.ndarray,
-            synth=None, head: str = "softmax") -> ForwardCache:
+def forward(params: GCNParams, a_hat: sp.csr_array,
+            x: np.ndarray | sp.csr_array, synth=None,
+            head: str = "softmax") -> ForwardCache:
     """Full forward pass; synthetic rows get logits x_s W1 directly."""
     _check_synth(params, synth, head)
     if x.shape[1] != params.w0.shape[0]:
         raise ValueError("feature dimension does not match W0")
     squash = _row_softmax if head == "softmax" else _sigmoid
     h1 = np.maximum(spmm(a_hat, x @ params.w0), 0.0)
-    z_real = squash(spmm(a_hat, h1) @ params.w1)
+    ah1 = spmm(a_hat, h1)
+    z_real = squash(ah1 @ params.w1)
     z_synth = squash(synth.embeddings @ params.w1) if synth is not None else None
-    return ForwardCache(h1=h1, z_real=z_real, z_synth=z_synth)
+    return ForwardCache(h1=h1, ah1=ah1, z_real=z_real, z_synth=z_synth)
 
 
-def hidden_states(params: GCNParams, a_hat: SparseMatrix, x: np.ndarray) -> np.ndarray:
+def hidden_states(params: GCNParams, a_hat: sp.csr_array,
+                  x: np.ndarray | sp.csr_array) -> np.ndarray:
     """H1 = relu(A_hat X W0): the representation space mixup operates in."""
     return np.maximum(spmm(a_hat, x @ params.w0), 0.0)
 
@@ -180,10 +190,14 @@ def loss(cache: ForwardCache, y: np.ndarray, train_ids, head: str = "softmax") -
     return float(bce.sum() / (len(ids) * out_dim))
 
 
-def backward(params: GCNParams, a_hat: SparseMatrix, x: np.ndarray,
-             y: np.ndarray, train_ids, synth=None, weight_decay: float = 0.0,
-             head: str = "softmax") -> tuple[np.ndarray, np.ndarray]:
+def backward(params: GCNParams, a_hat: sp.csr_array,
+             x: np.ndarray | sp.csr_array, y: np.ndarray, train_ids,
+             synth=None, weight_decay: float = 0.0, head: str = "softmax",
+             cache: ForwardCache | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of loss(...) + weight_decay/2 (|W0|^2 + |W1|^2).
+
+    cache, when given, must be forward(params, a_hat, x, synth, head); it
+    saves recomputing that pass.
 
     Softmax plus cross-entropy collapses to dlogits = (Z - onehot) / M on the
     masked rows; the sigmoid head gives (Z - onehot) / (M * out). From there:
@@ -196,7 +210,8 @@ def backward(params: GCNParams, a_hat: SparseMatrix, x: np.ndarray,
     """
     _check_synth(params, synth, head)
     ids = list(train_ids)
-    cache = forward(params, a_hat, x, synth, head)
+    if cache is None:
+        cache = forward(params, a_hat, x, synth, head)
     n, out_dim = cache.z_real.shape
     synth_count = 0 if cache.z_synth is None else cache.z_synth.shape[0]
     m = len(ids) + synth_count
@@ -210,8 +225,7 @@ def backward(params: GCNParams, a_hat: SparseMatrix, x: np.ndarray,
         denom = m if head == "softmax" else len(ids) * out_dim
         dlogits[ids] = (cache.z_real[ids] - onehot) / denom
 
-    ah1 = spmm(a_hat, cache.h1)
-    gw1 = ah1.T @ dlogits
+    gw1 = cache.ah1.T @ dlogits
     if synth_count:
         onehot_s = np.zeros((synth_count, out_dim), dtype=np.float64)
         onehot_s[:, -1] = 1.0
@@ -228,14 +242,14 @@ def backward(params: GCNParams, a_hat: SparseMatrix, x: np.ndarray,
     return gw0, gw1
 
 
-def predict(params: GCNParams, a_hat: SparseMatrix, x: np.ndarray,
-            head: str = "softmax") -> np.ndarray:
+def predict(params: GCNParams, a_hat: sp.csr_array,
+            x: np.ndarray | sp.csr_array, head: str = "softmax") -> np.ndarray:
     """Class probabilities for every real node."""
     return forward(params, a_hat, x, None, head).z_real
 
 
-def train(a_hat: SparseMatrix, x: np.ndarray, y: np.ndarray, train_ids,
-          val_ids, out_dim: int, synth=None,
+def train(a_hat: sp.csr_array, x: np.ndarray | sp.csr_array, y: np.ndarray,
+          train_ids, val_ids, out_dim: int, synth=None,
           cfg: TrainConfig = TrainConfig()) -> tuple[GCNParams, list[dict]]:
     """Full-batch Adam training loop.
 
@@ -264,9 +278,10 @@ def train(a_hat: SparseMatrix, x: np.ndarray, y: np.ndarray, train_ids,
     best_loss = np.inf
     stale = 0
 
+    cache = forward(params, a_hat, x, synth, cfg.head)
     for epoch in range(1, cfg.epochs + 1):
         grads = backward(params, a_hat, x, y, train_ids, synth,
-                         cfg.weight_decay, cfg.head)
+                         cfg.weight_decay, cfg.head, cache)
         new_w = []
         for k, (w, g) in enumerate(zip((params.w0, params.w1), grads)):
             mom[k] = ADAM_BETA1 * mom[k] + (1 - ADAM_BETA1) * g

@@ -1,4 +1,11 @@
-"""Graph container, CSR sparse matrices, adjacency normalizations and data splits.
+"""Graph container, adjacency normalizations and data splits.
+
+Sparse matrices are scipy.sparse CSR arrays (float64) in canonical form:
+column indices strictly increasing inside each row, no duplicates and no
+stored zeros. Both normalizations are built in numpy from the canonical edge
+list, and spmm is the one sparse @ dense product the model code calls, so
+its summation order (stored column order, row by row) fixes the rounding of
+every propagation.
 
 Functions:
     load_graph: read a node/edge JSONL pair (plus optional feature file) into a Graph
@@ -14,93 +21,16 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 FEATURE_MAGIC = b"CFCF"
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """CSR matrix (float64). Column indices are strictly increasing inside each
-    row and explicit zeros are never stored."""
-
-    rows: int
-    cols: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimension")
-        if self.indptr.shape != (self.rows + 1,):
-            raise ValueError("indptr must have rows+1 entries")
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
-            raise ValueError("indptr endpoints inconsistent with indices")
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values length mismatch")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= self.cols):
-            raise ValueError("column index out of range")
-        for r in range(self.rows):
-            seg = self.indices[self.indptr[r]:self.indptr[r + 1]]
-            if len(seg) > 1 and np.any(np.diff(seg) <= 0):
-                raise ValueError(f"row {r}: column indices not strictly increasing")
-        if np.any(self.values == 0.0):
-            raise ValueError("explicit zero stored in sparse matrix")
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> "SparseMatrix":
-        """Build from an iterable of (i, j, value). Duplicate coordinates are an error."""
-        by_row: dict[int, dict[int, float]] = {}
-        for i, j, v in entries:
-            row = by_row.setdefault(int(i), {})
-            if int(j) in row:
-                raise ValueError(f"duplicate entry at ({i}, {j})")
-            if v != 0.0:
-                row[int(j)] = float(v)
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        idx: list[int] = []
-        val: list[float] = []
-        for r in range(rows):
-            cols_here = sorted(by_row.get(r, {}).items())
-            idx.extend(c for c, _ in cols_here)
-            val.extend(v for _, v in cols_here)
-            indptr[r + 1] = len(idx)
-        return cls(rows, cols, indptr,
-                   np.asarray(idx, dtype=np.int64),
-                   np.asarray(val, dtype=np.float64))
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseMatrix":
-        dense = np.asarray(dense, dtype=np.float64)
-        entries = [(i, j, dense[i, j])
-                   for i in range(dense.shape[0])
-                   for j in range(dense.shape[1])
-                   if dense[i, j] != 0.0]
-        return cls.from_entries(dense.shape[0], dense.shape[1], entries)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.float64)
-        for r in range(self.rows):
-            lo, hi = self.indptr[r], self.indptr[r + 1]
-            out[r, self.indices[lo:hi]] = self.values[lo:hi]
-        return out
-
-    def zero_rows(self) -> np.ndarray:
-        """Indices of rows with no stored entries."""
-        return np.flatnonzero(np.diff(self.indptr) == 0)
-
-
-def spmm(m: SparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """Sparse @ dense. dense must be 2-D with m.cols rows.
+def spmm(m: sp.csr_array, dense: np.ndarray) -> np.ndarray:
+    """Sparse @ dense. dense must be 2-D with m.shape[1] rows.
 
     Summation order inside a row follows the stored column order, so repeated
     calls on identical inputs are bitwise reproducible.
@@ -108,14 +38,10 @@ def spmm(m: SparseMatrix, dense: np.ndarray) -> np.ndarray:
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2:
         raise ValueError("dense operand must be 2-D")
-    if dense.shape[0] != m.cols:
-        raise ValueError(f"shape mismatch: sparse is {m.rows}x{m.cols}, dense has {dense.shape[0]} rows")
-    out = np.zeros((m.rows, dense.shape[1]), dtype=np.float64)
-    if m.nnz == 0:
-        return out
-    row_of = np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.indptr))
-    np.add.at(out, row_of, m.values[:, None] * dense[m.indices])
-    return out
+    if dense.shape[0] != m.shape[1]:
+        raise ValueError(f"shape mismatch: sparse is {m.shape[0]}x{m.shape[1]}, "
+                         f"dense has {dense.shape[0]} rows")
+    return m @ dense
 
 
 def canonical_edges(edges) -> tuple[tuple[int, int], ...]:
@@ -174,16 +100,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def neighbors(self) -> list[list[int]]:
-        """Sorted adjacency lists (no self loops)."""
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        for lst in adj:
-            lst.sort()
-        return adj
 
     def nodes_of_class(self, name: str) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if lab == name]
@@ -330,31 +246,39 @@ def save_graph(g: Graph, nodes_path: str, edges_path: str,
         save_features(features_path, g.features)
 
 
-def sym_normalize_adjacency(g: Graph) -> SparseMatrix:
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_array:
+    """n x n CSR from coordinates without duplicates, entries sorted by
+    (row, column)."""
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_array((vals[order], cols[order], indptr), shape=(n, n))
+
+
+def _both_directions(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    return np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+
+
+def sym_normalize_adjacency(g: Graph) -> sp.csr_array:
     """Symmetric GCN propagation matrix: self loops added, entry (i, j) equals
     1/sqrt((deg_i + 1) (deg_j + 1))."""
-    adj = g.neighbors()
-    dhat = np.array([len(a) + 1 for a in adj], dtype=np.float64)
-    inv_sqrt = 1.0 / np.sqrt(dhat)
-    entries = []
-    for i, nbrs in enumerate(adj):
-        for j in sorted(nbrs + [i]):
-            entries.append((i, j, inv_sqrt[i] * inv_sqrt[j]))
-    return SparseMatrix.from_entries(g.num_nodes, g.num_nodes, entries)
+    n = g.num_nodes
+    src, dst = _both_directions(g)
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(src, minlength=n) + 1.0)
+    loops = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([src, loops])
+    cols = np.concatenate([dst, loops])
+    return _csr(n, rows, cols, inv_sqrt[rows] * inv_sqrt[cols])
 
 
-def rw_normalize_adjacency(g: Graph) -> SparseMatrix:
+def rw_normalize_adjacency(g: Graph) -> sp.csr_array:
     """Row-stochastic propagation matrix D^{-1} A without self loops. Isolated
     nodes keep an empty row (their rows multiply to zero, callers reset them)."""
-    adj = g.neighbors()
-    entries = []
-    for i, nbrs in enumerate(adj):
-        if not nbrs:
-            continue
-        w = 1.0 / len(nbrs)
-        for j in nbrs:
-            entries.append((i, j, w))
-    return SparseMatrix.from_entries(g.num_nodes, g.num_nodes, entries)
+    n = g.num_nodes
+    src, dst = _both_directions(g)
+    deg = np.bincount(src, minlength=n)
+    return _csr(n, src, dst, 1.0 / deg[src])
 
 
 @dataclass(frozen=True)

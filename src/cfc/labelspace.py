@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .coarse import (
     ParseError,
@@ -341,6 +340,8 @@ def cluster_accuracy(assignments, true_labels: dict) -> float:
     ti = {t: k for k, t in enumerate(true_names)}
     for node, label in pairs:
         table[pi[label], ti[true_labels[node]]] += 1
+    # imported here: scipy.optimize is most of the import time of cfc.cli
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(table, maximize=True)
     return float(table[rows, cols].sum() / len(pairs))
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__
 from .coarse import CoarseConfig, CoarseDetectError, coarse_detect, \
@@ -68,6 +69,11 @@ RESOLVED_FILE = "resolved.json"
 LOCK_FILE = ".lock"
 
 SIGMOID_FIXED_TAU = 0.5
+
+# The model input X is multiplied as a CSR copy when at most this share of
+# its entries is nonzero (bag-of-words features). Denser X stays an array:
+# there a BLAS product beats the sparse one several times over.
+SPARSE_FEATURE_DENSITY = 0.10
 
 METHOD_ORDER = ("CFC", "GCN_softmax", "GCN_softmax_tau",
                 "GCN_sigmoid", "GCN_sigmoid_tau")
@@ -419,11 +425,9 @@ def _scoped_config(rc: RunConfig, stage: str) -> dict:
     raise AssertionError(f"unknown stage {stage}")
 
 
-def _stage_inputs(rc: RunConfig, stage: str) -> dict:
-    inputs = {"config": _json_hash(_scoped_config(rc, stage))}
-    inputs["dataset"] = _json_hash([_file_hash(rc.nodes_path),
-                                    _file_hash(rc.edges_path),
-                                    _file_hash(rc.features_path)])
+def _stage_inputs(rc: RunConfig, stage: str, dataset_hash: str) -> dict:
+    inputs = {"config": _json_hash(_scoped_config(rc, stage)),
+              "dataset": dataset_hash}
     for name in _CONSUMES[stage]:
         inputs[name] = _file_hash(rc.artifact(name))
     uses_gateway = stage in ("coarse", "classify-ood")
@@ -438,13 +442,26 @@ def _stage_inputs(rc: RunConfig, stage: str) -> dict:
 
 
 class _Runtime:
-    """Per-command cache of expensive shared state (graph, split, A-hat)."""
+    """Per-command cache of expensive shared state (dataset hash, graph,
+    split, A-hat, model input)."""
 
     def __init__(self, rc: RunConfig):
         self.rc = rc
+        self._dataset_hash: str | None = None
         self._graph: Graph | None = None
         self._split: SplitAssignment | None = None
         self._a_hat = None
+        self._x = None
+
+    @property
+    def dataset_hash(self) -> str:
+        """Hash of the three dataset files, read once per command."""
+        if self._dataset_hash is None:
+            rc = self.rc
+            self._dataset_hash = _json_hash([_file_hash(rc.nodes_path),
+                                             _file_hash(rc.edges_path),
+                                             _file_hash(rc.features_path)])
+        return self._dataset_hash
 
     @property
     def graph(self) -> Graph:
@@ -461,6 +478,16 @@ class _Runtime:
         if self._a_hat is None:
             self._a_hat = sym_normalize_adjacency(self.graph)
         return self._a_hat
+
+    @property
+    def x(self):
+        """Model input X: the feature matrix, or a CSR copy of it (see
+        SPARSE_FEATURE_DENSITY)."""
+        if self._x is None:
+            f = self.graph.features
+            sparse = np.count_nonzero(f) <= SPARSE_FEATURE_DENSITY * f.size
+            self._x = sp.csr_array(f) if sparse else f
+        return self._x
 
     def split(self) -> SplitAssignment:
         if self._split is None:
@@ -574,7 +601,7 @@ def _stage_train_prelim(rt: _Runtime) -> None:
     y = rt.id_train_targets()
     cfg = replace(rc.train_cfg, seed=rc.seed + 2)
     try:
-        params, _ = train(rt.a_hat, rt.graph.features, y, split.train_ids,
+        params, _ = train(rt.a_hat, rt.x, y, split.train_ids,
                           rt.id_val_ids(), out_dim=len(split.id_classes),
                           cfg=cfg)
     except TrainingDiverged as exc:
@@ -590,8 +617,8 @@ def _stage_augment(rt: _Runtime) -> None:
         raise StageError("no denoised OOD candidates survive; nothing to "
                          "augment (coarse stage found too few OOD nodes)")
     params = load_checkpoint(rc.artifact(PRELIM_CKPT))
-    hidden = hidden_states(params, rt.a_hat, rt.graph.features)
-    probs = predict(params, rt.a_hat, rt.graph.features)
+    hidden = hidden_states(params, rt.a_hat, rt.x)
+    probs = predict(params, rt.a_hat, rt.x)
     confidence = {i: float(probs[i].max()) for i in split.train_ids}
     boundary = select_boundary_nodes(confidence, rc.mixup_cfg.boundary_count)
     center = ood_center(hidden, survivors)
@@ -616,7 +643,7 @@ def _stage_train_fine(rt: _Runtime) -> None:
     train_ids = sorted(set(split.train_ids) | set(survivors))
     cfg = replace(rc.train_cfg, seed=rc.seed + 3)
     try:
-        params, _ = train(rt.a_hat, g.features, y, train_ids, split.val_ids,
+        params, _ = train(rt.a_hat, rt.x, y, train_ids, split.val_ids,
                           out_dim=c + 1, synth=synth, cfg=cfg)
     except TrainingDiverged as exc:
         raise StageError(f"fine training diverged: {exc}") from exc
@@ -637,7 +664,7 @@ def _stage_detect(rt: _Runtime) -> None:
     rc = rt.rc
     split = rt.split()
     params = load_checkpoint(rc.artifact(FINE_CKPT))
-    probs = predict(params, rt.a_hat, rt.graph.features)
+    probs = predict(params, rt.a_hat, rt.x)
     ood_index = probs.shape[1] - 1
     with open(rc.artifact(DETECT_FILE), "w", encoding="utf-8") as fh:
         for i in sorted(split.test_ids):
@@ -726,16 +753,16 @@ def _stage_eval(rt: _Runtime) -> None:
                if ood_pairs else None)
 
     prelim = load_checkpoint(rc.artifact(PRELIM_CKPT))
-    probs_soft = predict(prelim, rt.a_hat, g.features)
+    probs_soft = predict(prelim, rt.a_hat, rt.x)
 
     y = rt.id_train_targets()
     sig_cfg = replace(rc.train_cfg, head="sigmoid", seed=rc.seed + 4)
     try:
-        sigmoid_params, _ = train(rt.a_hat, g.features, y, split.train_ids,
+        sigmoid_params, _ = train(rt.a_hat, rt.x, y, split.train_ids,
                                   rt.id_val_ids(), out_dim=c, cfg=sig_cfg)
     except TrainingDiverged as exc:
         raise StageError(f"sigmoid baseline training diverged: {exc}") from exc
-    probs_sig = predict(sigmoid_params, rt.a_hat, g.features, head="sigmoid")
+    probs_sig = predict(sigmoid_params, rt.a_hat, rt.x, head="sigmoid")
 
     val_ids = sorted(split.val_ids)
     truth_val = np.array([cindex.get(g.labels[i], c) for i in val_ids])
@@ -849,7 +876,7 @@ def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:
         if not _stage_complete(rc, manifest, upstream):
             raise ConfigError(f"missing artifact: {upstream}")
 
-    inputs = _stage_inputs(rc, stage)
+    inputs = _stage_inputs(rc, stage, rt.dataset_hash)
     input_hash = _json_hash(inputs)
     entry = manifest["stages"].get(stage)
     if entry is not None and entry["input_hash"] == input_hash and \

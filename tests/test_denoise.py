@@ -96,7 +96,7 @@ def test_propagation_matches_dense_oracle(rng):
         rw = rw_normalize_adjacency(g)
         for steps in (0, 1, 3, 7):
             got = label_propagate(rw, init, PropagationConfig(steps=steps))
-            want = dense_propagate(rw.to_dense(), init.values, init.clamp_ids, steps)
+            want = dense_propagate(rw.toarray(), init.values, init.clamp_ids, steps)
             npt.assert_allclose(got, want, atol=1e-12)
 
 

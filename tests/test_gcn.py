@@ -1,9 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from cfc.denoise import SyntheticOODSet
 from cfc.gcn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ForwardCache,
     GCNParams,
     TrainConfig,
@@ -18,7 +22,7 @@ from cfc.gcn import (
     save_checkpoint,
     train,
 )
-from cfc.graph import Graph, SparseMatrix, canonical_edges, sym_normalize_adjacency
+from cfc.graph import Graph, canonical_edges, sym_normalize_adjacency
 from conftest import random_graph
 
 
@@ -97,7 +101,7 @@ def test_forward_matches_dense_oracle():
     for seed in range(5):
         params, a_hat, x, y, ids, synth = make_instance(seed, with_synth=True)
         cache = forward(params, a_hat, x, synth)
-        h1, z_real, z_synth = dense_forward_oracle(params, a_hat.to_dense(), x, synth)
+        h1, z_real, z_synth = dense_forward_oracle(params, a_hat.toarray(), x, synth)
         npt.assert_allclose(cache.h1, h1, atol=1e-12)
         npt.assert_allclose(cache.z_real, z_real, atol=1e-12)
         npt.assert_allclose(cache.z_synth, z_synth, atol=1e-12)
@@ -134,7 +138,8 @@ def test_loss_matches_hand_computation():
                        [0.1, 0.8, 0.1],
                        [0.3, 0.3, 0.4]])
     z_synth = np.array([[0.25, 0.25, 0.5]])
-    cache = ForwardCache(h1=np.zeros((3, 2)), z_real=z_real, z_synth=z_synth)
+    cache = ForwardCache(h1=np.zeros((3, 2)), ah1=np.zeros((3, 2)),
+                         z_real=z_real, z_synth=z_synth)
     y = np.array([0, 1, 0])
     got = loss(cache, y, [0, 1])
     want = -(np.log(0.7) + np.log(0.8) + np.log(0.5)) / 3.0
@@ -142,7 +147,7 @@ def test_loss_matches_hand_computation():
 
 
 def test_loss_validates_targets():
-    cache = ForwardCache(h1=np.zeros((2, 2)),
+    cache = ForwardCache(h1=np.zeros((2, 2)), ah1=np.zeros((2, 2)),
                          z_real=np.full((2, 2), 0.5), z_synth=None)
     with pytest.raises(ValueError, match="outside"):
         loss(cache, np.array([0, 5]), [1])
@@ -152,7 +157,8 @@ def test_loss_validates_targets():
 
 def test_sigmoid_loss_matches_hand_computation():
     z = np.array([[0.9, 0.2]])
-    cache = ForwardCache(h1=np.zeros((1, 1)), z_real=z, z_synth=None)
+    cache = ForwardCache(h1=np.zeros((1, 1)), ah1=np.zeros((1, 1)),
+                         z_real=z, z_synth=None)
     got = loss(cache, np.array([0]), [0], head="sigmoid")
     want = -(np.log(0.9) + np.log(0.8)) / 2.0
     assert abs(got - want) < 1e-15
@@ -266,6 +272,69 @@ def test_predict_with_zero_weights_breaks_ties_low():
     probs = predict(params, a_hat, x)
     npt.assert_allclose(probs, 1.0 / 3.0, atol=1e-15)
     assert np.all(probs.argmax(axis=1) == 0)
+
+
+def reference_train(a_hat, x, y, train_ids, out_dim, synth, cfg):
+    """The loop train replaced: each epoch runs backward, which makes its own
+    forward pass, then a fresh forward pass after the Adam update. Without a
+    validation set the final parameters are returned."""
+    params = init_params(x.shape[1], cfg.hidden_dim, out_dim, cfg.seed)
+    mom = [np.zeros_like(params.w0), np.zeros_like(params.w1)]
+    vel = [np.zeros_like(params.w0), np.zeros_like(params.w1)]
+    losses = []
+    for epoch in range(1, cfg.epochs + 1):
+        grads = backward(params, a_hat, x, y, train_ids, synth,
+                         cfg.weight_decay, cfg.head)
+        new_w = []
+        for k, (w, g) in enumerate(zip((params.w0, params.w1), grads)):
+            mom[k] = ADAM_BETA1 * mom[k] + (1 - ADAM_BETA1) * g
+            vel[k] = ADAM_BETA2 * vel[k] + (1 - ADAM_BETA2) * g * g
+            m_hat = mom[k] / (1 - ADAM_BETA1 ** epoch)
+            v_hat = vel[k] / (1 - ADAM_BETA2 ** epoch)
+            new_w.append(w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        params = GCNParams(w0=new_w[0], w1=new_w[1])
+        cache = forward(params, a_hat, x, synth, cfg.head)
+        losses.append(loss(cache, y, train_ids, cfg.head))
+    return params, losses
+
+
+@pytest.mark.parametrize("head, with_synth",
+                         [("softmax", False), ("softmax", True), ("sigmoid", False)])
+def test_train_matches_backward_then_forward_loop(head, with_synth):
+    _, a_hat, x, y, ids, synth = make_instance(3, n=12, with_synth=with_synth)
+    cfg = TrainConfig(hidden_dim=4, epochs=25, seed=5, head=head)
+    got, history = train(a_hat, x, y, ids, [], out_dim=3, synth=synth, cfg=cfg)
+    want, losses = reference_train(a_hat, x, y, ids, 3, synth, cfg)
+    assert np.array_equal(got.w0, want.w0)
+    assert np.array_equal(got.w1, want.w1)
+    assert [row["loss"] for row in history] == losses
+
+
+def bag_of_words_instance(seed, n=40, d=60, words=3):
+    """Random graph with binary features, `words` ones per row (5% dense)."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n=n, p=0.1, with_features=False)
+    x = np.zeros((n, d))
+    for i in range(n):
+        x[i, rng.choice(d, size=words, replace=False)] = 1.0
+    return sym_normalize_adjacency(g), x, rng.integers(0, 3, size=n)
+
+
+def test_sparse_features_train_like_dense():
+    for seed in range(3):
+        a_hat, x, y = bag_of_words_instance(seed)
+        x_csr = sp.csr_array(x)
+        ids, val_ids = list(range(0, 40, 2)), list(range(1, 40, 4))
+        cfg = TrainConfig(hidden_dim=8, epochs=40, seed=seed)
+        dense, h_dense = train(a_hat, x, y, ids, val_ids, out_dim=3, cfg=cfg)
+        sparse, h_sparse = train(a_hat, x_csr, y, ids, val_ids, out_dim=3, cfg=cfg)
+        assert len(h_sparse) == len(h_dense)
+        npt.assert_allclose(sparse.w0, dense.w0, rtol=0, atol=1e-12)
+        npt.assert_allclose(sparse.w1, dense.w1, rtol=0, atol=1e-12)
+        npt.assert_allclose(predict(sparse, a_hat, x_csr), predict(dense, a_hat, x),
+                            rtol=0, atol=1e-12)
+        npt.assert_allclose(hidden_states(sparse, a_hat, x_csr),
+                            hidden_states(dense, a_hat, x), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- checkpoints

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from cfc.graph import (
     Graph,
-    SparseMatrix,
     canonical_edges,
     load_features,
     load_graph,
@@ -45,32 +45,80 @@ def dense_rw_normalize(n, edges):
     return out
 
 
+def loop_normalizations(n, edges):
+    """The entry-by-entry construction both normalizations replaced: sorted
+    adjacency lists, (row, column, value) triples in row-major order."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    inv_sqrt = 1.0 / np.sqrt(np.array([len(a) + 1 for a in adj], dtype=np.float64))
+    sym = [(i, j, inv_sqrt[i] * inv_sqrt[j])
+           for i in range(n) for j in sorted(adj[i] + [i])]
+    rw = [(i, j, 1.0 / len(adj[i])) for i in range(n) for j in sorted(adj[i])]
+    return sym, rw
+
+
+def loop_spmm(m, dense):
+    """The np.add.at product spmm replaced."""
+    out = np.zeros((m.shape[0], dense.shape[1]))
+    row_of = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    np.add.at(out, row_of, m.data[:, None] * dense[m.indices])
+    return out
+
+
+def triples(m):
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return list(zip(rows.tolist(), m.indices.tolist(), m.data.tolist()))
+
+
+def normalized(rng, count, **kw):
+    """(graph, sym, rw) for count random graphs, some with isolated nodes."""
+    for _ in range(count):
+        g = random_graph(rng, with_features=False, **kw)
+        yield g, sym_normalize_adjacency(g), rw_normalize_adjacency(g)
+
+
 # ---------------------------------------------------------------- sparse matrix
 
 def test_sparse_from_dense_roundtrip(rng):
-    for _ in range(20):
-        dense = rng.standard_normal((5, 7))
-        dense[rng.random((5, 7)) < 0.5] = 0.0
-        m = SparseMatrix.from_dense(dense)
-        npt.assert_array_equal(m.to_dense(), dense)
+    # canonical CSR is what scipy builds from the dense matrix, bit for bit
+    for _, sym, rw in normalized(rng, 20, p=0.2):
+        for m in (sym, rw):
+            back = sp.csr_array(m.toarray())
+            npt.assert_array_equal(back.indptr, m.indptr)
+            npt.assert_array_equal(back.indices, m.indices)
+            npt.assert_array_equal(back.data, m.data)
 
 
-def test_sparse_rejects_duplicate_entries():
-    with pytest.raises(ValueError, match="duplicate"):
-        SparseMatrix.from_entries(2, 2, [(0, 1, 1.0), (0, 1, 2.0)])
+def test_normalized_csr_has_no_duplicate_entries(rng):
+    for _, sym, rw in normalized(rng, 20, p=0.3):
+        for m in (sym, rw):
+            coords = {(i, j) for i, j, _ in triples(m)}
+            assert len(coords) == m.nnz
 
 
-def test_sparse_never_stores_zeros():
-    m = SparseMatrix.from_entries(2, 2, [(0, 1, 0.0), (1, 0, 3.0)])
-    assert m.nnz == 1
+def test_sparse_never_stores_zeros(rng):
+    for g, sym, rw in normalized(rng, 20, p=0.1):
+        assert np.all(sym.data != 0.0) and np.all(rw.data != 0.0)
+        assert sym.nnz == 2 * g.num_edges + g.num_nodes
+        assert rw.nnz == 2 * g.num_edges
 
 
-def test_sparse_rejects_unsorted_columns():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SparseMatrix(1, 3,
-                     np.array([0, 2]),
-                     np.array([2, 0]),
-                     np.array([1.0, 1.0]))
+def test_normalized_csr_columns_sorted(rng):
+    for _, sym, rw in normalized(rng, 20, p=0.3):
+        for m in (sym, rw):
+            for r in range(m.shape[0]):
+                seg = m.indices[m.indptr[r]:m.indptr[r + 1]]
+                assert np.all(np.diff(seg) > 0)
+            assert m.has_canonical_format
+
+
+def test_normalizations_match_entrywise_loop_reference(rng):
+    for g, sym, rw in normalized(rng, 30, p=0.2):
+        want_sym, want_rw = loop_normalizations(g.num_nodes, g.edges)
+        assert triples(sym) == want_sym
+        assert triples(rw) == want_rw
 
 
 def test_spmm_matches_dense_oracle(rng):
@@ -78,20 +126,27 @@ def test_spmm_matches_dense_oracle(rng):
         r, c, k = (int(x) for x in rng.integers(1, 12, size=3))
         dense = rng.standard_normal((r, c))
         dense[rng.random((r, c)) < 0.6] = 0.0   # leaves some rows empty
-        m = SparseMatrix.from_dense(dense)
+        m = sp.csr_array(dense)
         x = rng.standard_normal((c, k))
         npt.assert_allclose(spmm(m, x), dense @ x, rtol=0, atol=1e-12)
 
 
+def test_spmm_matches_add_at_loop_bitwise(rng):
+    for g, sym, rw in normalized(rng, 20, p=0.2):
+        x = rng.standard_normal((g.num_nodes, 7))
+        for m in (sym, rw):
+            assert np.array_equal(spmm(m, x), loop_spmm(m, x))
+
+
 def test_spmm_shape_mismatch():
-    m = SparseMatrix.from_dense(np.eye(3))
+    m = sp.csr_array(np.eye(3))
     with pytest.raises(ValueError, match="shape mismatch"):
         spmm(m, np.zeros((4, 2)))
 
 
 def test_spmm_is_reproducible(rng):
     dense = rng.standard_normal((30, 30))
-    m = SparseMatrix.from_dense(dense)
+    m = sp.csr_array(dense)
     x = rng.standard_normal((30, 8))
     first = spmm(m, x)
     assert np.array_equal(first, spmm(m, x))
@@ -106,37 +161,37 @@ def triangle():
 
 def test_sym_normalize_triangle_is_third_everywhere():
     # every node has degree 2, so with self loops each entry is 1/3
-    got = sym_normalize_adjacency(triangle()).to_dense()
+    got = sym_normalize_adjacency(triangle()).toarray()
     npt.assert_allclose(got, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
 
 def test_rw_normalize_path_middle_row():
     g = Graph(3, canonical_edges([(0, 1), (1, 2)]),
               ("a", "b", "c"), ("x", "x", "x"), ("x",))
-    got = rw_normalize_adjacency(g).to_dense()
+    got = rw_normalize_adjacency(g).toarray()
     npt.assert_allclose(got[1], [0.5, 0.0, 0.5], atol=1e-15)
 
 
 def test_normalizations_match_dense_oracle(rng):
     for _ in range(30):
         g = random_graph(rng, with_features=False)
-        npt.assert_allclose(sym_normalize_adjacency(g).to_dense(),
+        npt.assert_allclose(sym_normalize_adjacency(g).toarray(),
                             dense_sym_normalize(g.num_nodes, g.edges), atol=1e-13)
-        npt.assert_allclose(rw_normalize_adjacency(g).to_dense(),
+        npt.assert_allclose(rw_normalize_adjacency(g).toarray(),
                             dense_rw_normalize(g.num_nodes, g.edges), atol=1e-13)
 
 
 def test_sym_normalize_is_symmetric(rng):
     for _ in range(10):
         g = random_graph(rng, with_features=False)
-        dense = sym_normalize_adjacency(g).to_dense()
+        dense = sym_normalize_adjacency(g).toarray()
         npt.assert_allclose(dense, dense.T, atol=0)
 
 
 def test_rw_rows_sum_to_one_or_zero(rng):
     for _ in range(10):
         g = random_graph(rng, p=0.1, with_features=False)
-        sums = rw_normalize_adjacency(g).to_dense().sum(axis=1)
+        sums = rw_normalize_adjacency(g).toarray().sum(axis=1)
         assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
 
 
@@ -144,7 +199,7 @@ def test_isolated_node_has_zero_row():
     g = Graph(3, canonical_edges([(0, 1)]), ("a", "b", "c"),
               ("x", "x", "x"), ("x",))
     m = rw_normalize_adjacency(g)
-    assert list(m.zero_rows()) == [2]
+    assert list(np.flatnonzero(np.diff(m.indptr) == 0)) == [2]
 
 
 # ---------------------------------------------------------------- graph loading

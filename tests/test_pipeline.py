@@ -11,16 +11,24 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 import fixture_tools
+from cfc import pipeline
+from cfc.gcn import load_checkpoint
+from cfc.graph import save_features
 from cfc.pipeline import (
     ASSIGN_FILE,
     COARSE_FILE,
     COARSE_PARTIAL_FILE,
     DENOISED_FILE,
     EVAL_FILE,
+    FINE_CKPT,
     MANIFEST_FILE,
+    PRELIM_CKPT,
     RESOLVED_FILE,
     SPLIT_FILE,
     STAGE_ORDER,
@@ -218,6 +226,45 @@ def test_eval_json_reproducible(primary, fix, tmp_path):
     assert doc["cluster_accuracy"] is not None
 
 
+def test_run_all_hashes_each_dataset_file_once(fix, tmp_path, monkeypatch):
+    seen = []
+    file_hash = pipeline._file_hash
+
+    def counting(path):
+        seen.append(path)
+        return file_hash(path)
+
+    monkeypatch.setattr(pipeline, "_file_hash", counting)
+    rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
+    assert all(run_all(rc).values())
+    assert not any(run_all(rc).values())
+    for path in (rc.nodes_path, rc.edges_path, rc.features_path):
+        assert seen.count(path) == 2        # once per command, cold and cached
+
+
+def test_sparse_features_take_the_csr_path(tmp_path, monkeypatch):
+    paths = fixture_tools.write_fixture(str(tmp_path))
+    dense = fixture_tools.build_graph(0).features
+    feats = np.where(dense > 0.5, dense, 0.0)     # 7% nonzero
+    save_features(paths["features"], feats)
+
+    arts = {}
+    for name, rule in (("csr", pipeline.SPARSE_FEATURE_DENSITY), ("dense", 0.0)):
+        monkeypatch.setattr(pipeline, "SPARSE_FEATURE_DENSITY", rule)
+        rc = validate_config(paths["config"], artifacts_override=str(tmp_path / name))
+        x = pipeline._Runtime(rc).x
+        assert sp.issparse(x) == (name == "csr")
+        npt.assert_array_equal(x.toarray() if sp.issparse(x) else x, feats)
+        assert all(run_all(rc).values())
+        arts[name] = rc
+
+    for ckpt in (PRELIM_CKPT, FINE_CKPT):
+        got = load_checkpoint(arts["csr"].artifact(ckpt))
+        want = load_checkpoint(arts["dense"].artifact(ckpt))
+        npt.assert_allclose(got.w0, want.w0, rtol=0, atol=1e-12)
+        npt.assert_allclose(got.w1, want.w1, rtol=0, atol=1e-12)
+
+
 def test_artifact_deletion_reruns_only_that_stage(fix, tmp_path):
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
     run_all(rc)
@@ -322,9 +369,44 @@ def test_report_needs_a_finished_eval(fix, tmp_path):
 # ------------------------------------------------------------ command line
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _child_env():
+    """The environment with this checkout's src first on PYTHONPATH, as an
+    absolute path: children run from other directories."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
 def _cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "cfc.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=_child_env())
+
+
+def test_import_cli_leaves_scipy_optimize_unloaded():
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cfc.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
+
+
+def test_cli_closed_stdout_exits_like_sigpipe(fix, tmp_path):
+    # `cfc run-all | head -1` with the reader gone before the first line
+    art = str(tmp_path / "a")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cfc.cli", "run-all", "--config", fix["config"],
+         "--artifacts", art],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=str(tmp_path),
+        env=_child_env())
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 141, err
+    assert err == b""
+    assert os.path.isfile(os.path.join(art, EVAL_FILE))
 
 
 def test_cli_run_all_report_and_caching(tmp_path):
