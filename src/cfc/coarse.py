@@ -8,23 +8,24 @@ and then includes those candidates in each rejection prompt. Nodes rejected
 with confidence at or above the threshold become OOD candidates; the suggested
 categories of all rejected nodes feed the downstream label-space merge.
 
-Prompt templates are text files with {{PLACEHOLDER}} markers; the packaged
-defaults can be overridden by pointing template_dir at a directory holding
-files of the same names.
+Every prompt goes through LLMGateway.ask_all, which fans the test nodes out
+concurrently, re-asks replies that do not parse and, in live mode, answers
+prompts already paid for from the reply cache. Prompt templates are text
+files with {{PLACEHOLDER}} markers; the packaged defaults can be overridden
+by pointing template_dir at a directory holding files of the same names.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .gateway import GatewayError, LLMGateway
+from .gateway import LLMGateway, ParseError
 
 DEFAULT_TEXT_BUDGET = 4000
 TRUNCATION_MARKER = "..."
@@ -38,16 +39,8 @@ TEMPLATE_FILES = {
 }
 
 
-class ParseError(ValueError):
-    """LLM reply did not contain the expected JSON payload."""
-
-
 class CoarseDetectError(RuntimeError):
-    """Detection aborted partway; .partial holds the finished annotations."""
-
-    def __init__(self, message: str, partial: "tuple[Annotation, ...]" = ()):
-        super().__init__(message)
-        self.partial = partial
+    """The hard_reject setup prompts gave no usable answer."""
 
 
 @dataclass(frozen=True)
@@ -225,7 +218,7 @@ def build_candidate_ood_prompt(id_labels, major_category: str, n: int,
 # --------------------------------------------------------------- reply parsing
 
 def first_json_value(raw: str):
-    """Decode the first JSON array or object embedded anywhere in raw."""
+    """Decode the first JSON array or object found anywhere in raw."""
     decoder = json.JSONDecoder()
     for pos, ch in enumerate(raw):
         if ch in "[{":
@@ -273,7 +266,7 @@ def _parse_confidence(value) -> float:
 def parse_detection_response(raw: str) -> tuple[bool, float, str]:
     """Extract (is_id, confidence, category) from a detection reply.
 
-    The reply must embed a JSON object with an answer field; True means the
+    The reply must contain a JSON object with an answer field; True means the
     node belongs to the known label space. Confidence is clamped to [0, 1] and
     defaults to 0 when absent. The category is normalized and falls back to
     'unspecified' when the model omitted it.
@@ -322,24 +315,21 @@ def parse_candidate_labels(raw: str) -> tuple[str, ...]:
 
 # --------------------------------------------------------------- detection
 
-def _detect_single(gateway: LLMGateway, prompt: str, retries: int):
-    raw = ""
-    for _ in range(retries + 1):
-        raw = gateway.complete(prompt).response_text
-        try:
-            return parse_detection_response(raw), raw
-        except ParseError:
-            continue
-    return None, raw
+def _ask_setup(gateway: LLMGateway, prompt: str, parse, retries: int, what: str):
+    [(value, raw)] = gateway.ask_all([prompt], parse, retries)
+    if value is None:
+        raise CoarseDetectError(f"{what} reply never parsed: {raw[:200]!r}")
+    return value
 
 
 def _hard_mode_setup(cfg: CoarseConfig, gateway: LLMGateway):
-    major_raw = gateway.complete(
-        build_major_category_prompt(cfg.id_labels, cfg.template_dir)).response_text
-    major = parse_major_category(major_raw)
-    cand_raw = gateway.complete(build_candidate_ood_prompt(
-        cfg.id_labels, major, cfg.candidate_count, cfg.template_dir)).response_text
-    candidates = parse_candidate_labels(cand_raw)
+    retries = cfg.max_parse_retries
+    major = _ask_setup(gateway, build_major_category_prompt(
+        cfg.id_labels, cfg.template_dir), parse_major_category, retries,
+        "major-category")
+    candidates = _ask_setup(gateway, build_candidate_ood_prompt(
+        cfg.id_labels, major, cfg.candidate_count, cfg.template_dir),
+        parse_candidate_labels, retries, "candidate-label")
     norm_ids = {normalize_category(l) for l in cfg.id_labels}
     usable = tuple(c for c in candidates if c not in norm_ids)
     if not usable:
@@ -350,11 +340,10 @@ def _hard_mode_setup(cfg: CoarseConfig, gateway: LLMGateway):
 def coarse_detect(g, query_ids, cfg: CoarseConfig, gateway: LLMGateway) -> CoarseResult:
     """Run the configured rejection prompt over query_ids.
 
-    Per-node calls run concurrently up to the gateway's in-flight cap; results
-    are assembled in node-id order so the outcome does not depend on timing.
-    A reply that still fails to parse after max_parse_retries extra attempts
-    degrades to a conservative ID verdict with confidence 0. A gateway failure
-    aborts with CoarseDetectError carrying everything that finished.
+    Annotations come back in node-id order whatever order the concurrent
+    replies arrive in. A reply that still fails to parse after
+    max_parse_retries extra attempts degrades to a conservative ID verdict
+    with confidence 0. A gateway failure raises GatewayError.
     """
     ids = sorted({int(i) for i in query_ids})
     if not ids:
@@ -381,45 +370,25 @@ def coarse_detect(g, query_ids, cfg: CoarseConfig, gateway: LLMGateway) -> Coars
         return build_hard_reject_prompt(text, cfg.id_labels, candidates,
                                         cfg.text_budget, cfg.template_dir)
 
-    annotations: dict[int, Annotation] = {}
-    failures: list[tuple[int, Exception]] = []
-    with ThreadPoolExecutor(max_workers=gateway.cfg.max_concurrent) as pool:
-        futures = {i: pool.submit(_detect_single, gateway, prompt_for(i),
-                                  cfg.max_parse_retries) for i in ids}
-        for i in ids:
-            try:
-                parsed, raw = futures[i].result()
-            except (GatewayError, CoarseDetectError) as exc:
-                failures.append((i, exc))
-                continue
-            if parsed is None:
-                annotations[i] = Annotation(i, True, 0.0, "", raw)
-            else:
-                is_id, conf, category = parsed
-                annotations[i] = Annotation(i, is_id, conf, category, raw)
+    replies = gateway.ask_all([prompt_for(i) for i in ids],
+                              parse_detection_response, cfg.max_parse_retries)
+    annotations = [Annotation(i, True, 0.0, "", raw) if parsed is None
+                   else Annotation(i, *parsed, raw)
+                   for i, (parsed, raw) in zip(ids, replies)]
+    return _coarse_result(cfg.mode, cfg.confidence_threshold, annotations,
+                          major, candidates)
 
-    done = tuple(annotations[i] for i in sorted(annotations))
-    if failures:
-        node, exc = failures[0]
-        raise CoarseDetectError(
-            f"gateway failed on node {node}: {exc} "
-            f"({len(done)}/{len(ids)} nodes finished)", partial=done)
 
-    ood_ids = tuple(a.node_id for a in done
-                    if not a.is_id and a.confidence >= cfg.confidence_threshold)
+def _coarse_result(mode: str, tau: float, annotations, major, candidates) -> CoarseResult:
+    """The result over annotations sorted by node id: the OOD set follows
+    from tau, the category log from every rejected node."""
+    anns = tuple(sorted(annotations, key=lambda a: a.node_id))
+    ood_ids = tuple(a.node_id for a in anns if not a.is_id and a.confidence >= tau)
     log: dict[str, int] = {}
-    for a in done:
+    for a in anns:
         if not a.is_id and a.category:
             log[a.category] = log.get(a.category, 0) + 1
-    return CoarseResult(
-        mode=cfg.mode,
-        confidence_threshold=cfg.confidence_threshold,
-        annotations=done,
-        ood_ids=ood_ids,
-        category_log=log,
-        major_category=major,
-        candidate_ood_labels=candidates,
-    )
+    return CoarseResult(mode, tau, anns, ood_ids, log, major, tuple(candidates))
 
 
 # --------------------------------------------------------------- persistence
@@ -458,19 +427,6 @@ def load_coarse_result(path: str) -> CoarseResult:
                 raise ValueError(f"{path}:{lineno}: unknown record kind")
     if header is None:
         raise ValueError(f"{path}: missing header record")
-    anns.sort(key=lambda a: a.node_id)
-    tau = header["confidence_threshold"]
-    ood_ids = tuple(a.node_id for a in anns if not a.is_id and a.confidence >= tau)
-    log: dict[str, int] = {}
-    for a in anns:
-        if not a.is_id and a.category:
-            log[a.category] = log.get(a.category, 0) + 1
-    return CoarseResult(
-        mode=header["mode"],
-        confidence_threshold=tau,
-        annotations=tuple(anns),
-        ood_ids=ood_ids,
-        category_log=log,
-        major_category=header.get("major_category"),
-        candidate_ood_labels=tuple(header.get("candidate_ood_labels") or ()),
-    )
+    return _coarse_result(header["mode"], header["confidence_threshold"], anns,
+                          header.get("major_category"),
+                          header.get("candidate_ood_labels") or ())

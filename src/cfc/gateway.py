@@ -1,5 +1,11 @@
-"""Gateway to an OpenAI-compatible chat/embedding endpoint, plus a deterministic
-mock mode for offline runs and tests.
+"""Gateway to an OpenAI-compatible chat endpoint, plus a deterministic mock
+mode for offline runs and tests.
+
+LLMGateway.ask_all is the one concurrent fan-out: it asks a batch of prompts
+through a thread pool, re-asks a prompt whose reply does not parse, and stops
+at the first gateway failure. In live mode it also keeps a content-addressed
+reply cache (append-only JSONL), so answers already paid for are never bought
+twice, whether a stage reruns after an edit or after a crash.
 
 Mock fixtures are JSONL rule files. Each line is
     {"match": "hash:<hex>" | "substr:<text>", "response": "<reply>"}
@@ -17,9 +23,8 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 API_KEY_ENV = "CFC_LLM_API_KEY"
 BASE_URL_ENV = "CFC_LLM_BASE_URL"
@@ -29,6 +34,10 @@ RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 class GatewayError(RuntimeError):
     """Raised when a request cannot be satisfied (after retries, or mock miss)."""
+
+
+class ParseError(ValueError):
+    """LLM reply did not contain the expected JSON payload."""
 
 
 @dataclass(frozen=True)
@@ -41,7 +50,6 @@ class GatewayConfig:
     request_timeout: float = 30.0
     max_concurrent: int = 4
     mock_fixture_path: str | None = None
-    embed_dim: int = 64                   # mock embedding dimension
 
     def __post_init__(self):
         if self.mode not in ("mock", "live"):
@@ -52,8 +60,6 @@ class GatewayConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,28 @@ def _load_fixture(path: str) -> tuple[dict[str, str], list[tuple[str, str]]]:
     return by_hash, substr
 
 
+def _load_cache(path: str) -> dict[str, str]:
+    """Reply cache: key -> reply. A torn final line (a kill mid-append) is
+    dropped and cut off the file, so the next append starts a whole line."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return {}
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+    cache: dict[str, str] = {}
+    for lineno, line in enumerate(data[:end].decode("utf-8").splitlines(), start=1):
+        try:
+            rec = json.loads(line)
+            cache[rec["key"]] = rec["response"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise GatewayError(f"{path}:{lineno}: malformed cache line") from exc
+    return cache
+
+
 def _requests_transport(url: str, payload: dict, headers: dict, timeout: float):
     import requests
 
@@ -120,20 +148,88 @@ def _requests_transport(url: str, payload: dict, headers: dict, timeout: float):
 
 class LLMGateway:
     """Thread-safe client. A semaphore caps in-flight requests at
-    cfg.max_concurrent; the optional exchange log is append-only JSONL."""
+    cfg.max_concurrent; the optional exchange log and, in live mode, the
+    optional reply cache are append-only JSONL."""
 
     def __init__(self, cfg: GatewayConfig, transport=None, sleep_fn=time.sleep,
-                 log_path: str | None = None):
+                 log_path: str | None = None, cache_path: str | None = None):
         self.cfg = cfg
         self._transport = transport or _requests_transport
         self._sleep = sleep_fn
         self._log_path = log_path
+        # mock replies are already a local lookup: nothing to cache
+        self._cache_path = cache_path if cfg.mode == "live" else None
+        self._cache = _load_cache(self._cache_path) if self._cache_path else {}
         self._sem = threading.Semaphore(cfg.max_concurrent)
-        self._log_lock = threading.Lock()
+        self._write_lock = threading.Lock()
         self._fixture_hash: dict[str, str] = {}
         self._fixture_substr: list[tuple[str, str]] = []
         if cfg.mode == "mock" and cfg.mock_fixture_path:
             self._fixture_hash, self._fixture_substr = _load_fixture(cfg.mock_fixture_path)
+
+    # ------------------------------------------------------------- fan-out
+
+    def ask_all(self, prompts, parse, retries: int = 0) -> list[tuple]:
+        """Ask every prompt; returns (parse(reply) or None, reply) per prompt,
+        in prompt order.
+
+        A reply on which parse raises ParseError is asked again, up to retries
+        more times; if none parses, the value is None and the reply is the
+        last one. Prompts run concurrently up to cfg.max_concurrent. After the
+        first failure no further prompt is started, and a failure is raised
+        once the prompts in flight have finished. A cached reply is answered
+        without calling complete(), so exchange logs hold real endpoint calls
+        only.
+        """
+        results: list = [None] * len(prompts)
+        todo = []
+        for k, prompt in enumerate(prompts):
+            reply = self._cache.get(self._cache_key(prompt))
+            if reply is not None:
+                try:
+                    results[k] = (parse(reply), reply)
+                    continue
+                except ParseError:
+                    pass
+            todo.append(k)
+
+        failed = threading.Event()
+
+        def ask(prompt: str):
+            if failed.is_set():         # after a failure, start nothing new
+                return None
+            try:
+                return self._ask(prompt, parse, retries)
+            except BaseException:
+                failed.set()
+                raise
+
+        with ThreadPoolExecutor(max_workers=self.cfg.max_concurrent) as pool:
+            futures = {k: pool.submit(ask, prompts[k]) for k in todo}
+        for k, fut in futures.items():
+            results[k] = fut.result()
+        return results
+
+    def _ask(self, prompt: str, parse, retries: int) -> tuple:
+        reply = ""
+        for _ in range(retries + 1):
+            reply = self.complete(prompt).response_text
+            try:
+                value = parse(reply)
+            except ParseError:
+                continue
+            # only parsed replies are kept, so a parse retry reaches the endpoint
+            if self._cache_path is not None:
+                key = self._cache_key(prompt)
+                self._append(self._cache_path, {"key": key, "response": reply})
+                self._cache[key] = reply
+            return value, reply
+        return None, reply
+
+    def _cache_key(self, prompt: str) -> str:
+        # the base URL is left out: the same model answers wherever it is served
+        ident = [self.cfg.model_name, float(self.cfg.temperature), prompt]
+        return hashlib.sha256(json.dumps(ident).encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------- chat
 
@@ -210,50 +306,15 @@ class LLMGateway:
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"unexpected completion payload shape: {exc}") from exc
 
-    # ------------------------------------------------------------- embeddings
-
-    def embed(self, texts: list[str], batch_size: int = 64) -> np.ndarray:
-        """Embed texts in order. Mock mode returns deterministic unit vectors
-        seeded from each text's hash; live mode calls /embeddings in batches."""
-        if not texts:
-            raise ValueError("embed needs at least one text")
-        if self.cfg.mode == "mock":
-            return np.stack([self._mock_embedding(t) for t in texts])
-        url = self._resolve_base_url() + "/embeddings"
-        out: list[list[float]] = []
-        dim = None
-        for lo in range(0, len(texts), batch_size):
-            chunk = texts[lo:lo + batch_size]
-            with self._sem:
-                body, _ = self._post_with_retries(
-                    url, {"model": self.cfg.model_name, "input": chunk})
-            try:
-                data = sorted(body["data"], key=lambda d: d["index"])
-                vecs = [d["embedding"] for d in data]
-            except (KeyError, TypeError) as exc:
-                raise GatewayError(f"unexpected embedding payload shape: {exc}") from exc
-            if len(vecs) != len(chunk):
-                raise GatewayError(f"asked for {len(chunk)} embeddings, got {len(vecs)}")
-            for v in vecs:
-                if dim is None:
-                    dim = len(v)
-                elif len(v) != dim:
-                    raise GatewayError("inconsistent embedding dimensions in response")
-                out.append([float(x) for x in v])
-        return np.asarray(out, dtype=np.float64)
-
-    def _mock_embedding(self, text: str) -> np.ndarray:
-        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
-        rng = np.random.default_rng(seed)
-        vec = rng.standard_normal(self.cfg.embed_dim)
-        return vec / np.linalg.norm(vec)
-
-    # ------------------------------------------------------------- audit log
+    # ------------------------------------------------------------- JSONL files
 
     def _append_log(self, exchange: ChatExchange) -> None:
-        if self._log_path is None:
-            return
-        line = json.dumps(exchange.to_dict(), ensure_ascii=False)
-        with self._log_lock:
-            with open(self._log_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+        if self._log_path is not None:
+            self._append(self._log_path, exchange.to_dict())
+
+    def _append(self, path: str, record: dict) -> None:
+        """Append one line, flushed before the lock is released."""
+        line = json.dumps(record, ensure_ascii=False) + "\n"
+        with self._write_lock:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(line)

@@ -2,11 +2,13 @@
 
 The coarse detector logs a free-form suggested category per rejected node.
 Those raw names are deduplicated here: TF-IDF vectors over the category names,
-union-find over pairs whose cosine similarity clears a threshold, one label
-per group (the most frequent member), and rare groups dropped entirely. The
-surviving labels form the space an LLM then classifies each detected OOD node
-into; answers that fall outside the space snap to the nearest label by the
-same similarity, so every node ends up classified.
+connected components of the graph joining pairs whose cosine similarity
+clears a threshold, one label per group (the most frequent member), and rare
+groups dropped entirely. The surviving labels form the space an LLM then
+classifies each detected OOD node into, through the same gateway fan-out and
+reply cache as screening (LLMGateway.ask_all); answers that fall outside the
+space snap to the nearest label by the same similarity, so every node ends
+up classified.
 
 cluster_accuracy scores such assignments against ground truth under the best
 injective mapping from predicted labels to true classes.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +33,9 @@ from .coarse import (
     _render,
     DEFAULT_TEXT_BUDGET,
 )
-from .gateway import GatewayError, LLMGateway
+from .gateway import LLMGateway
 
 DISCARDED = "DISCARDED"
-
-
-class OODClassifyError(RuntimeError):
-    """Classification aborted partway; .partial holds finished assignments."""
-
-    def __init__(self, message: str, partial: "tuple[OODAssignment, ...]" = ()):
-        super().__init__(message)
-        self.partial = partial
 
 
 def tokenize(name: str) -> list[str]:
@@ -128,22 +121,6 @@ class PostLabelSpace:
         )
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def merge_categories(category_counts: dict, sim_threshold: float = 0.5,
                      min_count: int | None = None) -> PostLabelSpace:
     """Collapse similar raw categories into one label space.
@@ -170,19 +147,26 @@ def merge_categories(category_counts: dict, sim_threshold: float = 0.5,
 
     names = sorted(category_counts)
     vecs = tfidf_vectors(names)
-    uf = _UnionFind(len(names))
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if cosine(vecs[i], vecs[j]) >= sim_threshold:
-                uf.union(i, j)
-
-    groups: dict[int, list[str]] = {}
-    for i, name in enumerate(names):
-        groups.setdefault(uf.find(i), []).append(name)
+    # rows are unit length or zero, so the Gram matrix holds every cosine
+    linked = vecs @ vecs.T >= sim_threshold
+    unseen = np.ones(len(names), dtype=bool)
+    groups: list[list[str]] = []
+    for start in range(len(names)):          # connected components, by search
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        stack, members = [start], []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            reached = np.flatnonzero(linked[i] & unseen)
+            unseen[reached] = False
+            stack.extend(reached.tolist())
+        groups.append([names[i] for i in sorted(members)])
 
     raw_to_merged: dict[str, str] = {}
     counts: dict[str, int] = {}
-    for members in groups.values():
+    for members in groups:
         group_total = sum(category_counts[m] for m in members)
         label = sorted(members, key=lambda m: (-category_counts[m], m))[0]
         target = label if group_total >= min_count else DISCARDED
@@ -259,19 +243,6 @@ def match_label(answer: str, post: PostLabelSpace) -> str:
     return post.merged_labels[int(np.argmax(sims))]
 
 
-def _classify_single(gateway: LLMGateway, prompt: str, post: PostLabelSpace,
-                     retries: int):
-    raw = ""
-    for _ in range(retries + 1):
-        raw = gateway.complete(prompt).response_text
-        try:
-            answer, conf = parse_classification_response(raw)
-        except ParseError:
-            continue
-        return match_label(answer, post), conf, raw
-    return post.merged_labels[0], 0.0, raw
-
-
 def classify_ood(node_ids, g, post: PostLabelSpace, gateway: LLMGateway,
                  text_budget: int = DEFAULT_TEXT_BUDGET,
                  template_dir: str | None = None,
@@ -280,8 +251,7 @@ def classify_ood(node_ids, g, post: PostLabelSpace, gateway: LLMGateway,
 
     Off-space answers snap to the nearest merged label; a reply that never
     parses falls back to the first merged label with confidence 0, so every
-    node receives an assignment. Gateway failure raises OODClassifyError
-    carrying whatever finished.
+    node receives an assignment. A gateway failure raises GatewayError.
     """
     ids = sorted({int(i) for i in node_ids})
     if not ids:
@@ -290,29 +260,19 @@ def classify_ood(node_ids, g, post: PostLabelSpace, gateway: LLMGateway,
         if not (0 <= i < g.num_nodes):
             raise ValueError(f"node id {i} outside node range")
 
-    prompts = {i: build_ood_classification_prompt(g.node_text[i], post,
-                                                  text_budget, template_dir)
-               for i in ids}
-    results: dict[int, OODAssignment] = {}
-    failures: list[tuple[int, Exception]] = []
-    with ThreadPoolExecutor(max_workers=gateway.cfg.max_concurrent) as pool:
-        futures = {i: pool.submit(_classify_single, gateway, prompts[i], post,
-                                  max_parse_retries) for i in ids}
-        for i in ids:
-            try:
-                label, conf, raw = futures[i].result()
-            except GatewayError as exc:
-                failures.append((i, exc))
-                continue
-            results[i] = OODAssignment(i, label, conf, raw)
-
-    done = tuple(results[i] for i in sorted(results))
-    if failures:
-        node, exc = failures[0]
-        raise OODClassifyError(
-            f"gateway failed on node {node}: {exc} "
-            f"({len(done)}/{len(ids)} nodes finished)", partial=done)
-    return done
+    prompts = [build_ood_classification_prompt(g.node_text[i], post,
+                                               text_budget, template_dir)
+               for i in ids]
+    replies = gateway.ask_all(prompts, parse_classification_response,
+                              max_parse_retries)
+    out = []
+    for i, (parsed, raw) in zip(ids, replies):
+        if parsed is None:
+            out.append(OODAssignment(i, post.merged_labels[0], 0.0, raw))
+        else:
+            answer, conf = parsed
+            out.append(OODAssignment(i, match_label(answer, post), conf, raw))
+    return tuple(out)
 
 
 # --------------------------------------------------------------- evaluation

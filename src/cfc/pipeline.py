@@ -15,12 +15,15 @@ A run is nine stages over one artifacts directory:
 Each stage records a hash of everything it read (scoped config, dataset
 bytes, upstream artifacts) in manifest.json and is skipped when that hash
 matches and its outputs still exist, so LLM-backed stages never recompute
-by accident. Config validation is strict: unknown keys are rejected and the
-fully-defaulted config is echoed to resolved.json.
+by accident. In live mode the gateway also keeps every parsed reply in
+llm_cache.jsonl, so a rerun after an edit or a crash asks the endpoint only
+for prompts it has not answered yet. Config validation is strict: unknown
+keys are rejected and the fully-defaulted config is echoed to resolved.json.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -38,12 +41,12 @@ from .coarse import CoarseConfig, CoarseDetectError, coarse_detect, \
 from .denoise import MixupConfig, PropagationConfig, denoise_ood, \
     initial_label_matrix, label_propagate, load_synthetic, mixup_augment, \
     ood_center, save_synthetic, select_boundary_nodes
-from .gateway import BASE_URL_ENV, GatewayConfig, LLMGateway
+from .gateway import BASE_URL_ENV, GatewayConfig, GatewayError, LLMGateway
 from .gcn import TrainConfig, TrainingDiverged, hidden_states, \
     load_checkpoint, predict, save_checkpoint, train
 from .graph import Graph, load_graph, rw_normalize_adjacency, \
     split_dataset, sym_normalize_adjacency, SplitAssignment
-from .labelspace import OODClassifyError, classify_ood, cluster_accuracy, \
+from .labelspace import classify_ood, cluster_accuracy, \
     load_assignments, merge_categories, save_assignments, \
     save_post_label_space
 from .metrics import accuracy_report, auroc, threshold_baseline, \
@@ -52,7 +55,6 @@ from .metrics import accuracy_report, auroc, threshold_baseline, \
 SPLIT_FILE = "split.json"
 COARSE_FILE = "coarse.jsonl"
 COARSE_LOG_FILE = "coarse_exchanges.jsonl"
-COARSE_PARTIAL_FILE = "coarse.partial.jsonl"
 DENOISED_FILE = "denoised.jsonl"
 SYNTH_BIN_FILE = "synth.bin"
 SYNTH_META_FILE = "synth.jsonl"
@@ -61,9 +63,9 @@ FINE_CKPT = "fine.ckpt"
 DETECT_FILE = "detect.jsonl"
 POST_LABELS_FILE = "post_labels.json"
 ASSIGN_FILE = "ood_assignments.jsonl"
-ASSIGN_PARTIAL_FILE = "ood_assignments.partial.jsonl"
 CLASSIFY_LOG_FILE = "classify_exchanges.jsonl"
 EVAL_FILE = "eval.json"
+LLM_CACHE_FILE = "llm_cache.jsonl"
 MANIFEST_FILE = "manifest.json"
 RESOLVED_FILE = "resolved.json"
 LOCK_FILE = ".lock"
@@ -142,7 +144,6 @@ _SCHEMA = {
         "request_timeout": ("number", 30.0),
         "max_concurrent": ("int", 4),
         "mock_fixture_path": ("str|null", None),
-        "embed_dim": ("int", 64),
     },
 }
 
@@ -513,13 +514,6 @@ class _Runtime:
         return [i for i in split.val_ids if g.labels[i] in cindex]
 
 
-def _remove_if_exists(path: str) -> None:
-    try:
-        os.remove(path)
-    except FileNotFoundError:
-        pass
-
-
 def _stage_ingest(rt: _Runtime) -> None:
     rc = rt.rc
     try:
@@ -533,25 +527,23 @@ def _stage_ingest(rt: _Runtime) -> None:
     rt._split = split
 
 
+def _gateway(rc: RunConfig, log_name: str) -> LLMGateway:
+    """A stage's gateway: a fresh exchange log, the shared reply cache."""
+    log_path = rc.artifact(log_name)
+    open(log_path, "w").close()             # exists even when nothing is asked
+    return LLMGateway(rc.gateway_cfg, log_path=log_path,
+                      cache_path=rc.artifact(LLM_CACHE_FILE))
+
+
 def _stage_coarse(rt: _Runtime) -> None:
     rc = rt.rc
-    log_path = rc.artifact(COARSE_LOG_FILE)
-    _remove_if_exists(log_path)
-    gateway = LLMGateway(rc.gateway_cfg, log_path=log_path)
+    gateway = _gateway(rc, COARSE_LOG_FILE)
     try:
         result = coarse_detect(rt.graph, rt.split().test_ids, rc.coarse_cfg,
                                gateway)
-    except CoarseDetectError as exc:
-        partial_path = rc.artifact(COARSE_PARTIAL_FILE)
-        with open(partial_path, "w", encoding="utf-8") as fh:
-            for ann in exc.partial:
-                fh.write(json.dumps(ann.to_dict(), ensure_ascii=False) + "\n")
-        raise StageError(f"coarse detection failed: {exc} "
-                         f"(partial annotations in {partial_path})") from exc
-    if not os.path.exists(log_path):        # budget of zero queried nodes
-        open(log_path, "w").close()
+    except (GatewayError, CoarseDetectError) as exc:
+        raise StageError(f"coarse detection failed: {exc}") from exc
     save_coarse_result(result, rc.artifact(COARSE_FILE))
-    _remove_if_exists(rc.artifact(COARSE_PARTIAL_FILE))
 
 
 def _load_denoised(path: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -690,28 +682,18 @@ def _stage_classify_ood(rt: _Runtime) -> None:
     ood_nodes = [r["node_id"] for r in _load_detect(rc.artifact(DETECT_FILE))
                  if r["pred"] == c]
 
-    log_path = rc.artifact(CLASSIFY_LOG_FILE)
-    _remove_if_exists(log_path)
-    if not ood_nodes:
-        open(log_path, "w").close()
-        open(rc.artifact(ASSIGN_FILE), "w").close()
-        _remove_if_exists(rc.artifact(ASSIGN_PARTIAL_FILE))
-        return
-
-    gateway = LLMGateway(rc.gateway_cfg, log_path=log_path)
-    try:
-        assignments = classify_ood(
-            ood_nodes, rt.graph, post, gateway,
-            text_budget=rc.coarse_cfg.text_budget,
-            template_dir=rc.coarse_cfg.template_dir,
-            max_parse_retries=rc.coarse_cfg.max_parse_retries)
-    except OODClassifyError as exc:
-        partial_path = rc.artifact(ASSIGN_PARTIAL_FILE)
-        save_assignments(exc.partial, partial_path)
-        raise StageError(f"OOD classification failed: {exc} "
-                         f"(partial assignments in {partial_path})") from exc
+    gateway = _gateway(rc, CLASSIFY_LOG_FILE)
+    assignments = ()
+    if ood_nodes:
+        try:
+            assignments = classify_ood(
+                ood_nodes, rt.graph, post, gateway,
+                text_budget=rc.coarse_cfg.text_budget,
+                template_dir=rc.coarse_cfg.template_dir,
+                max_parse_retries=rc.coarse_cfg.max_parse_retries)
+        except GatewayError as exc:
+            raise StageError(f"OOD classification failed: {exc}") from exc
     save_assignments(assignments, rc.artifact(ASSIGN_FILE))
-    _remove_if_exists(rc.artifact(ASSIGN_PARTIAL_FILE))
 
 
 def _baseline_report(probs: np.ndarray, test_ids, truth: dict, tau: float,
@@ -853,20 +835,21 @@ def check_strict(rc: RunConfig, strict: bool) -> None:
 
 @contextmanager
 def artifacts_lock(art_dir: str):
-    """Exclusive ownership of an artifacts directory for one command."""
+    """Exclusive ownership of an artifacts directory for one command. The
+    lock is an flock on .lock, which the OS drops when its holder dies, so
+    a killed run leaves nothing to clean up; the file itself stays."""
     os.makedirs(art_dir, exist_ok=True)
     path = os.path.join(art_dir, LOCK_FILE)
+    fd = os.open(path, os.O_CREAT | os.O_WRONLY)
     try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise StageError(f"artifacts directory is locked by another run "
-                         f"({path}); remove the file if that run is gone") from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StageError(f"artifacts directory is locked by another run "
+                             f"({path})") from None
         yield
     finally:
-        _remove_if_exists(path)
+        os.close(fd)
 
 
 def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:

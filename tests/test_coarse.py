@@ -20,7 +20,7 @@ from cfc.coarse import (
     save_coarse_result,
     truncate_text,
 )
-from cfc.gateway import GatewayConfig, LLMGateway, mock_prompt_hash
+from cfc.gateway import GatewayConfig, GatewayError, LLMGateway, mock_prompt_hash
 from cfc.graph import Graph
 from conftest import write_jsonl
 
@@ -254,15 +254,29 @@ def test_coarse_detect_node_budget_is_deterministic(tmp_path):
     assert [a.node_id for a in first.annotations] == [a.node_id for a in second.annotations]
 
 
-def test_coarse_detect_gateway_failure_keeps_partial(tmp_path):
+def test_coarse_detect_gateway_failure_raises(tmp_path):
     g = text_graph(["doc known", "doc mystery", "doc familiar"])
     gw = make_gateway(tmp_path, [
         {"match": "substr:known", "response": detection_json(True, 0.9, "theory")},
         {"match": "substr:familiar", "response": detection_json(True, 0.8, "theory")},
     ])
-    with pytest.raises(CoarseDetectError, match="node 1") as err:
+    with pytest.raises(GatewayError, match="no rule"):
         coarse_detect(g, [0, 1, 2], easy_cfg(), gw)
-    assert [a.node_id for a in err.value.partial] == [0, 2]
+
+
+def test_coarse_detect_hard_mode_setup_must_parse(tmp_path):
+    g = text_graph(["doc about lasers"])
+    log = tmp_path / "log.jsonl"
+    path = write_jsonl(tmp_path / "f.jsonl", [
+        {"match": "substr:major category", "response": "no idea"},
+        {"match": "substr:", "response": detection_json(True, 0.9, "theory")},
+    ])
+    gw = LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path),
+                    log_path=str(log))
+    cfg = easy_cfg(mode="hard_reject", max_parse_retries=1)
+    with pytest.raises(CoarseDetectError, match="major-category reply never parsed"):
+        coarse_detect(g, [0], cfg, gw)
+    assert len(log.read_text().splitlines()) == 2       # 1 + 1 retry
 
 
 def test_coarse_detect_hard_mode_flow(tmp_path):

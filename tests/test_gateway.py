@@ -1,14 +1,15 @@
 import json
+import sys
 import threading
+import time
 
-import numpy as np
 import pytest
 
 from cfc.gateway import (
-    ChatExchange,
     GatewayConfig,
     GatewayError,
     LLMGateway,
+    ParseError,
     mock_prompt_hash,
 )
 from conftest import write_jsonl
@@ -81,28 +82,6 @@ def test_exchange_log_appends(tmp_path):
     lines = [json.loads(l) for l in log.read_text().splitlines()]
     assert [l["prompt_text"] for l in lines] == ["one", "two"]
     assert all(l["response_text"] == "ok" for l in lines)
-
-
-# ---------------------------------------------------------------- mock embeddings
-
-def test_mock_embeddings_are_unit_norm_and_deterministic(tmp_path):
-    gw = LLMGateway(GatewayConfig(mode="mock"))
-    vecs = gw.embed(["alpha", "beta", "alpha"])
-    assert vecs.shape == (3, 64)
-    np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-9)
-    assert np.array_equal(vecs[0], vecs[2])
-    assert not np.array_equal(vecs[0], vecs[1])
-
-
-def test_mock_embedding_dim_from_config():
-    gw = LLMGateway(GatewayConfig(mode="mock", embed_dim=16))
-    assert gw.embed(["x"]).shape == (1, 16)
-
-
-def test_embed_rejects_empty_list():
-    gw = LLMGateway(GatewayConfig(mode="mock"))
-    with pytest.raises(ValueError, match="at least one"):
-        gw.embed([])
 
 
 # ---------------------------------------------------------------- live mode
@@ -200,35 +179,6 @@ def test_base_url_env_override(monkeypatch):
     assert seen == ["http://other.example/v1/chat/completions"]
 
 
-def test_live_embeddings_reorder_by_index(monkeypatch):
-    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
-
-    def transport(url, payload, headers, timeout):
-        assert url.endswith("/embeddings")
-        return 200, {"data": [
-            {"index": 1, "embedding": [0.0, 1.0]},
-            {"index": 0, "embedding": [1.0, 0.0]},
-        ]}
-
-    gw = LLMGateway(live_cfg(), transport=transport)
-    vecs = gw.embed(["a", "b"])
-    np.testing.assert_array_equal(vecs, [[1.0, 0.0], [0.0, 1.0]])
-
-
-def test_live_embedding_dim_mismatch(monkeypatch):
-    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
-
-    def transport(url, payload, headers, timeout):
-        return 200, {"data": [
-            {"index": 0, "embedding": [1.0, 0.0]},
-            {"index": 1, "embedding": [1.0]},
-        ]}
-
-    gw = LLMGateway(live_cfg(), transport=transport)
-    with pytest.raises(GatewayError, match="inconsistent"):
-        gw.embed(["a", "b"])
-
-
 def test_concurrency_cap_is_enforced(monkeypatch):
     monkeypatch.setenv("CFC_LLM_API_KEY", "k")
     lock = threading.Lock()
@@ -261,3 +211,118 @@ def test_config_validation():
         GatewayConfig(temperature=-1.0)
     with pytest.raises(ValueError):
         GatewayConfig(max_concurrent=0)
+
+
+# ---------------------------------------------------------------- fan-out and reply cache
+
+def parse_int(reply):
+    try:
+        return int(reply)
+    except ValueError:
+        raise ParseError(f"not an integer: {reply!r}") from None
+
+
+def echo_transport(calls, replies=None, delay=0.0):
+    """Answers each prompt with replies[prompt] (default: the prompt's
+    trailing number) and records every prompt it receives."""
+    lock = threading.Lock()
+
+    def transport(url, payload, headers, timeout):
+        prompt = payload["messages"][0]["content"]
+        with lock:
+            calls.append(prompt)
+        time.sleep(delay)
+        reply = (replies or {}).get(prompt, prompt.split()[-1])
+        if reply is None:
+            return 400, {"error": "refused"}
+        return 200, chat_body(reply)
+    return transport
+
+
+def test_ask_all_keeps_prompt_order_and_retries_parse_failures(monkeypatch):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    calls = []
+    gw = LLMGateway(live_cfg(max_concurrent=3),
+                    transport=echo_transport(calls, {"q 2": "two"}))
+    got = gw.ask_all([f"q {i}" for i in range(6)], parse_int, retries=2)
+    assert got == [(0, "0"), (1, "1"), (None, "two"), (3, "3"), (4, "4"), (5, "5")]
+    assert calls.count("q 2") == 3                  # 1 + 2 retries
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.01])
+def test_ask_all_first_failure_cancels_pending_prompts(monkeypatch, delay):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    calls = []
+    prompts = [f"q {i}" for i in range(2000)]
+    gw = LLMGateway(live_cfg(max_concurrent=4, max_retries=0),
+                    transport=echo_transport(calls, {"q 3": None}, delay=delay))
+    with pytest.raises(GatewayError, match="non-retryable"):
+        gw.ask_all(prompts, parse_int)
+    assert len(calls) < 20
+
+
+def test_reply_cache_answers_without_calling_endpoint(monkeypatch, tmp_path):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    cache, log = str(tmp_path / "cache.jsonl"), tmp_path / "log.jsonl"
+    calls = []
+    transport = echo_transport(calls, {"q 1": "never"})
+    first = LLMGateway(live_cfg(), transport=transport, cache_path=cache)
+    assert first.ask_all(["q 0", "q 1"], parse_int) == [(0, "0"), (None, "never")]
+    # a new gateway (a later run) reads the cache; only what never parsed is asked
+    calls.clear()
+    again = LLMGateway(live_cfg(), transport=transport, cache_path=cache,
+                       log_path=str(log))
+    assert again.ask_all(["q 0", "q 1"], parse_int) == [(0, "0"), (None, "never")]
+    assert calls == ["q 1"]
+    assert [json.loads(l)["prompt_text"] for l in log.read_text().splitlines()] == ["q 1"]
+    # the key covers model and temperature
+    other = LLMGateway(live_cfg(model_name="m2"), transport=transport, cache_path=cache)
+    calls.clear()
+    other.ask_all(["q 0"], parse_int)
+    assert calls == ["q 0"]
+
+
+def test_reply_cache_drops_torn_final_line(monkeypatch, tmp_path):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    cache = tmp_path / "cache.jsonl"
+    calls = []
+    LLMGateway(live_cfg(), transport=echo_transport(calls),
+               cache_path=str(cache)).ask_all(["q 0", "q 1"], parse_int)
+    whole = cache.read_bytes()
+    cache.write_bytes(whole + b'{"key": "abc", "resp')      # killed mid-append
+    gw = LLMGateway(live_cfg(), transport=echo_transport(calls), cache_path=str(cache))
+    assert cache.read_bytes() == whole
+    calls.clear()
+    assert gw.ask_all(["q 0", "q 2"], parse_int) == [(0, "0"), (2, "2")]
+    assert calls == ["q 2"]
+    lines = cache.read_text().splitlines()
+    assert len(lines) == 3 and json.loads(lines[-1])["response"] == "2"
+
+
+def test_reply_cache_appends_survive_many_workers(monkeypatch, tmp_path):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    cache = tmp_path / "cache.jsonl"
+    prompts = [f"q {i}" for i in range(400)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        gw = LLMGateway(live_cfg(max_concurrent=16), transport=echo_transport([]),
+                        cache_path=str(cache))
+        got = gw.ask_all(prompts, parse_int)
+    finally:
+        sys.setswitchinterval(old)
+    assert got == [(i, str(i)) for i in range(400)]
+    lines = cache.read_text().splitlines()
+    assert sorted(int(json.loads(l)["response"]) for l in lines) == list(range(400))
+    calls = []
+    again = LLMGateway(live_cfg(), transport=echo_transport(calls), cache_path=str(cache))
+    assert again.ask_all(prompts, parse_int) == got and calls == []
+
+
+def test_mock_mode_ignores_reply_cache(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    path = write_jsonl(tmp_path / "f.jsonl", [{"match": "substr:", "response": "7"}])
+    gw = LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path),
+                    cache_path=str(cache))
+    assert gw.ask_all(["q"], parse_int) == [(7, "7")]
+    assert not cache.exists()

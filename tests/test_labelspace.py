@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from cfc.gateway import GatewayConfig, LLMGateway
+from cfc.gateway import GatewayConfig, GatewayError, LLMGateway
 from cfc.graph import Graph
 from cfc.labelspace import (
     DISCARDED,
     OODAssignment,
-    OODClassifyError,
     PostLabelSpace,
     build_ood_classification_prompt,
     classify_ood,
@@ -171,6 +170,70 @@ def test_merge_transitive_chain_lands_in_one_group():
     assert targets == {"deep learning"}
 
 
+def _pairwise_groups(names, threshold):
+    """Reference grouping: one cosine() call per pair, components by search."""
+    vecs = tfidf_vectors(names)
+    n = len(names)
+    adj = [[j for j in range(n) if j != i
+            and cosine(vecs[i], vecs[j]) >= threshold] for i in range(n)]
+    group, groups = [-1] * n, []
+    for start in range(n):
+        if group[start] >= 0:
+            continue
+        group[start], stack, members = len(groups), [start], []
+        while stack:
+            i = stack.pop()
+            members.append(names[i])
+            for j in adj[i]:
+                if group[j] < 0:
+                    group[j] = group[start]
+                    stack.append(j)
+        groups.append(frozenset(members))
+    return set(groups)
+
+
+def _near_threshold(names, threshold, tol=1e-12):
+    vecs = tfidf_vectors(names)
+    return any(abs(cosine(vecs[i], vecs[j]) - threshold) < tol
+               for i in range(len(names)) for j in range(i + 1, len(names)))
+
+
+def test_merge_matches_pairwise_cosine_reference():
+    cases = [
+        ({"machine learning": 5, "machine learning theory": 2,
+          "databases": 3, "marine biology": 1}, 0.5),
+        ({"graph mining": 2, "graph algorithms": 2}, 0.3),
+        ({"deep learning": 3, "deep learning theory": 2,
+          "learning theory": 2}, 0.6),
+        ({"alpha": 2, "beta": 5, "gamma": 2, "---": 1}, 0.5),
+    ]
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        cases.append((_topic_pool(rng), 0.5))
+    vocab = ["graph", "neural", "marine", "quantum", "theory", "methods",
+             "deep", "learning", "ocean", "systems", "protein", "data"]
+    for _ in range(30):
+        names = {" ".join(rng.choice(vocab, size=rng.integers(1, 4)))
+                 for _ in range(rng.integers(5, 60))}
+        threshold = float(rng.choice([0.2, 0.3, 0.5, 0.6, 0.8, 1.0]))
+        cases.append(({n: int(rng.integers(1, 9)) for n in names}, threshold))
+
+    checked = 0
+    for counts, threshold in cases:
+        names = sorted(counts)
+        # the Gram product and cosine() may round one ulp apart
+        if _near_threshold(names, threshold):
+            continue
+        post = merge_categories(counts, threshold, min_count=1)
+        by_label: dict = {}
+        for raw, label in post.raw_to_merged.items():
+            by_label.setdefault(label, set()).add(raw)
+        assert {frozenset(m) for m in by_label.values()} == \
+            _pairwise_groups(names, threshold)
+        checked += 1
+    assert checked >= 30
+
+
 def _topic_pool(rng):
     stems = ["quantum chemistry", "marine biology", "graph theory",
              "compiler design", "speech recognition", "robot control",
@@ -305,14 +368,13 @@ def test_classify_ood_retries_parse_failures(tmp_path):
     assert len(log.read_text().splitlines()) == 3
 
 
-def test_classify_ood_gateway_failure_keeps_partial(tmp_path):
+def test_classify_ood_gateway_failure_raises(tmp_path):
     g = text_graph(["covered text", "absent text"])
     gw = make_gateway(tmp_path, [
         {"match": "substr:covered text", "response": classification_json("a b")},
     ])
-    with pytest.raises(OODClassifyError) as err:
+    with pytest.raises(GatewayError, match="absent text"):
         classify_ood([0, 1], g, space(["a b"]), gw)
-    assert [a.node_id for a in err.value.partial] == [0]
 
 
 def test_classify_ood_validates_ids(tmp_path):

@@ -8,6 +8,7 @@ artifacts run in their own artifact directories against the same dataset.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -17,16 +18,20 @@ import pytest
 import scipy.sparse as sp
 
 import fixture_tools
+from cfc import gateway as gateway_module
 from cfc import pipeline
+from cfc.coarse import load_coarse_result
+from cfc.gateway import GatewayConfig, LLMGateway
 from cfc.gcn import load_checkpoint
 from cfc.graph import save_features
 from cfc.pipeline import (
     ASSIGN_FILE,
     COARSE_FILE,
-    COARSE_PARTIAL_FILE,
+    COARSE_LOG_FILE,
     DENOISED_FILE,
     EVAL_FILE,
     FINE_CKPT,
+    LLM_CACHE_FILE,
     MANIFEST_FILE,
     PRELIM_CKPT,
     RESOLVED_FILE,
@@ -318,7 +323,30 @@ def test_lock_blocks_concurrent_runs(tmp_path):
         with pytest.raises(StageError, match="locked by another run"):
             with artifacts_lock(arts):
                 pass
-    assert not os.path.exists(os.path.join(arts, ".lock"))
+    # the file stays; only the flock on it marks the directory as taken
+    assert os.path.isfile(os.path.join(arts, ".lock"))
+    with artifacts_lock(arts):
+        pass
+
+
+def test_lock_of_a_killed_run_is_released(tmp_path):
+    arts = str(tmp_path / "arts")
+    code = ("import sys, time\n"
+            "from cfc.pipeline import artifacts_lock\n"
+            "with artifacts_lock(sys.argv[1]):\n"
+            "    print('held', flush=True)\n"
+            "    time.sleep(60)\n")
+    child = subprocess.Popen([sys.executable, "-c", code, arts],
+                             stdout=subprocess.PIPE, text=True, env=_child_env())
+    try:
+        assert child.stdout.readline().strip() == "held"
+        with pytest.raises(StageError, match="locked by another run"):
+            with artifacts_lock(arts):
+                pass
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait()
+        child.stdout.close()
     with artifacts_lock(arts):
         pass
 
@@ -326,7 +354,7 @@ def test_lock_blocks_concurrent_runs(tmp_path):
 # ------------------------------------------------------------ failure paths
 
 
-def test_coarse_failure_keeps_partial_annotations(tmp_path):
+def test_coarse_failure_leaves_no_result(tmp_path):
     paths = fixture_tools.write_fixture(str(tmp_path))
     with open(paths["mock"], "r", encoding="utf-8") as fh:
         original = fh.read()
@@ -340,30 +368,140 @@ def test_coarse_failure_keeps_partial_annotations(tmp_path):
 
     rc = validate_config(paths["config"])
     assert run_stage(rc, "ingest") is True
-    with pytest.raises(StageError, match="partial annotations"):
+    with pytest.raises(StageError, match="coarse detection failed.*no rule"):
         run_stage(rc, "coarse")
-
-    partial = rc.artifact(COARSE_PARTIAL_FILE)
-    assert os.path.isfile(partial)
-    with open(partial, "r", encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    assert len(lines) >= 1
-    assert all("node_id" in rec for rec in lines)
     assert not os.path.exists(rc.artifact(COARSE_FILE))
     assert "coarse" not in load_manifest(rc.artifacts_dir)["stages"]
+    # nothing but the exchange log of the failed attempt is left behind
+    assert sorted(os.listdir(rc.artifacts_dir)) == sorted(
+        [COARSE_LOG_FILE, MANIFEST_FILE, RESOLVED_FILE, SPLIT_FILE])
 
-    # restoring the fixture lets the stage complete and clears the partial
+    # restoring the fixture lets the stage complete
     with open(paths["mock"], "w", encoding="utf-8") as fh:
         fh.write(original)
     assert run_stage(rc, "coarse") is True
     assert os.path.isfile(rc.artifact(COARSE_FILE))
-    assert not os.path.exists(partial)
+    assert run_stage(rc, "coarse") is False
 
 
 def test_report_needs_a_finished_eval(fix, tmp_path):
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
     with pytest.raises(ConfigError, match="missing artifact: eval"):
         emit_report(rc)
+
+
+# ------------------------------------------------------------ hard_reject, live reply cache
+
+
+def test_hard_reject_run_end_to_end(tmp_path):
+    paths = fixture_tools.write_fixture(str(tmp_path), config_overrides={
+        "coarse": {"mode": "hard_reject", "candidate_count": 3}})
+    replies = [
+        ("Which major category", [{"answer": "Natural Science"}]),
+        ("possible paper topics", [{"answer": "Marine Biology"},
+                                   {"answer": "volcanology"},
+                                   {"answer": "circuit design"}]),
+        ("Which category does this paper belong to",
+         [{"answer": "marine biology", "confidence": 0.8}]),
+        ("coral", [{"answer": "False", "confidence": 0.9,
+                    "category": "marine biology"}]),
+        ("magma", [{"answer": "False", "confidence": 0.9,
+                    "category": "volcanology"}]),
+        ("", [{"answer": "True", "confidence": 0.9}]),
+    ]
+    with open(paths["mock"], "w", encoding="utf-8") as fh:
+        for needle, reply in replies:
+            fh.write(json.dumps({"match": "substr:" + needle,
+                                 "response": json.dumps(reply)}) + "\n")
+
+    rc = validate_config(paths["config"])
+    assert all(run_all(rc).values())
+    coarse = load_coarse_result(rc.artifact(COARSE_FILE))
+    assert coarse.major_category == "natural science"
+    # "circuit design" collides with the ID space and is dropped
+    assert coarse.candidate_ood_labels == ("marine biology", "volcanology")
+    assert coarse.ood_ids
+    with open(rc.artifact(COARSE_LOG_FILE), "r", encoding="utf-8") as fh:
+        asked = [json.loads(line)["prompt_text"] for line in fh]
+    assert len(asked) == len(coarse.annotations) + 2     # + the two setup prompts
+    assert os.path.isfile(rc.artifact(EVAL_FILE))
+    assert not any(run_all(rc).values())
+
+
+def test_mock_run_writes_no_reply_cache(primary):
+    rc, _ = primary
+    assert not os.path.exists(rc.artifact(LLM_CACHE_FILE))
+
+
+def _live_fixture(dir_path, monkeypatch, **gateway):
+    """The corpus with a live gateway whose transport answers from the
+    corpus's mock rules. The returned state records every prompt the
+    transport receives; the call numbered state["fail_at"] is refused."""
+    paths = fixture_tools.write_fixture(str(dir_path), config_overrides={
+        "gateway": {"mode": "live", "base_url": "http://localhost:9",
+                    "mock_fixture_path": None, **gateway}})
+    rules = LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=paths["mock"]))
+    state = {"calls": [], "fail_at": None}
+
+    def transport(url, payload, headers, timeout):
+        prompt = payload["messages"][0]["content"]
+        state["calls"].append(prompt)
+        if len(state["calls"]) == state["fail_at"]:
+            return 400, {"error": "refused"}
+        reply = rules.complete(prompt).response_text
+        return 200, {"choices": [{"message": {"content": reply}}]}
+
+    monkeypatch.setattr(gateway_module, "_requests_transport", transport)
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    monkeypatch.delenv("CFC_LLM_BASE_URL", raising=False)
+    return paths, state
+
+
+def test_live_coarse_resumes_without_reasking_answered_prompts(tmp_path, monkeypatch):
+    paths, state = _live_fixture(tmp_path, monkeypatch,
+                                 max_concurrent=1, max_retries=0)
+    rc = validate_config(paths["config"])
+    run_stage(rc, "ingest")
+    state["fail_at"] = 7
+    with pytest.raises(StageError, match="non-retryable"):
+        run_stage(rc, "coarse")
+    # one prompt in flight: nothing is asked after the refused call
+    assert len(state["calls"]) == 7
+    refused = state["calls"][6]
+    answered = set(state["calls"][:6])
+
+    state["calls"], state["fail_at"] = [], None
+    assert run_stage(rc, "coarse") is True
+    rerun = state["calls"]
+    n_test = len(load_coarse_result(rc.artifact(COARSE_FILE)).annotations)
+    assert refused in rerun
+    assert answered.isdisjoint(rerun)
+    assert len(rerun) == len(set(rerun)) == n_test - len(answered)
+
+    # the resumed result is byte for byte that of an uninterrupted run
+    clean = validate_config(paths["config"], artifacts_override=str(tmp_path / "clean"))
+    run_stage(clean, "ingest")
+    run_stage(clean, "coarse")
+    assert _read_bytes(clean.artifact(COARSE_FILE)) == _read_bytes(rc.artifact(COARSE_FILE))
+
+
+def test_live_threshold_edit_reuses_every_reply(tmp_path, monkeypatch):
+    paths, state = _live_fixture(tmp_path, monkeypatch)
+    rc = validate_config(paths["config"])
+    run_stage(rc, "ingest")
+    run_stage(rc, "coarse")
+    assert load_coarse_result(rc.artifact(COARSE_FILE)).ood_ids
+    assert os.path.isfile(rc.artifact(LLM_CACHE_FILE))
+
+    state["calls"] = []
+    edited = _variant_config(paths, "tau.json", lambda c: c.setdefault(
+        "coarse", {}).update(confidence_threshold=0.95))
+    rc2 = validate_config(edited)
+    assert run_stage(rc2, "coarse") is True
+    assert state["calls"] == []
+    result = load_coarse_result(rc2.artifact(COARSE_FILE))
+    assert result.confidence_threshold == 0.95 and result.ood_ids == ()
+    assert os.path.getsize(rc2.artifact(COARSE_LOG_FILE)) == 0
 
 
 # ------------------------------------------------------------ command line
@@ -449,10 +587,9 @@ def test_cli_error_exit_codes(fix, tmp_path):
 
     # a held lock is a runtime failure, not a config problem
     locked = str(tmp_path / "locked")
-    os.makedirs(locked)
-    open(os.path.join(locked, ".lock"), "w").close()
-    blocked = _cli(["run-all", "--config", fix["config"], "--artifacts", locked],
-                   cwd=str(tmp_path))
+    with artifacts_lock(locked):
+        blocked = _cli(["run-all", "--config", fix["config"], "--artifacts", locked],
+                       cwd=str(tmp_path))
     assert blocked.returncode == 2
     assert "locked by another run" in blocked.stderr
 
