@@ -135,26 +135,40 @@ def _load_cache(path: str) -> dict[str, str]:
     return cache
 
 
-def _requests_transport(url: str, payload: dict, headers: dict, timeout: float):
-    import requests
+def _http_transport(url: str, payload: dict, headers: dict, timeout: float):
+    """POST payload as JSON on a fresh connection; returns (status, body) for
+    every HTTP status, with a non-JSON body as {"raw": text}. Connection
+    errors and timeouts raise. A fresh connection per call on purpose: on a
+    reused socket a server that writes headers and body separately can stall
+    each reply by the client's delayed ACK (about 40 ms)."""
+    import urllib.error
+    import urllib.request
 
-    resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
+    req = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"), method="POST",
+        headers={"Content-Type": "application/json", **headers})
     try:
-        body = resp.json()
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
+            status, raw = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            status, raw = exc.code, exc.read()
+    text = raw.decode("utf-8", errors="replace")
+    try:
+        return status, json.loads(text)
     except ValueError:
-        body = {"raw": resp.text}
-    return resp.status_code, body
+        return status, {"raw": text}
 
 
 class LLMGateway:
-    """Thread-safe client. A semaphore caps in-flight requests at
+    """Thread-safe client. A semaphore caps in-flight endpoint calls at
     cfg.max_concurrent; the optional exchange log and, in live mode, the
     optional reply cache are append-only JSONL."""
 
     def __init__(self, cfg: GatewayConfig, transport=None, sleep_fn=time.sleep,
                  log_path: str | None = None, cache_path: str | None = None):
         self.cfg = cfg
-        self._transport = transport or _requests_transport
+        self._transport = transport or _http_transport
         self._sleep = sleep_fn
         self._log_path = log_path
         # mock replies are already a local lookup: nothing to cache

@@ -5,19 +5,21 @@ A run is nine stages over one artifacts directory:
     ingest        load the graph, draw the train/val/test split
     coarse        LLM screening of test nodes for OOD suspects
     denoise       label propagation prunes false OOD candidates
-    train-prelim  closed-set GCN on the ID training nodes
+    train-prelim  closed-set GCN on the ID training nodes, and the
+                  sigmoid-head GCN of the threshold baselines
     augment       mixup synthesis of OOD rows in hidden space
     train-fine    (C+1)-class GCN with the synthetic OOD samples
     detect        fine-model predictions + OOD scores on test nodes
     classify-ood  merge logged categories, LLM-label the detected set
-    eval          reports for the pipeline and threshold baselines
+    eval          scores the pipeline and the threshold baselines
 
 Each stage records a hash of everything it read (scoped config, dataset
 bytes, upstream artifacts) in manifest.json and is skipped when that hash
-matches and its outputs still exist, so LLM-backed stages never recompute
-by accident. In live mode the gateway also keeps every parsed reply in
-llm_cache.jsonl, so a rerun after an edit or a crash asks the endpoint only
-for prompts it has not answered yet. Config validation is strict: unknown
+matches and every output the stage writes today still exists, so LLM-backed
+stages never recompute by accident, and an edit to screening or merging
+reruns eval without retraining a model. In live mode the gateway also keeps
+every parsed reply in llm_cache.jsonl, so a rerun after an edit or a crash
+asks the endpoint only for prompts it has not answered yet. Config validation is strict: unknown
 keys are rejected and the fully-defaulted config is echoed to resolved.json.
 """
 
@@ -59,6 +61,7 @@ DENOISED_FILE = "denoised.jsonl"
 SYNTH_BIN_FILE = "synth.bin"
 SYNTH_META_FILE = "synth.jsonl"
 PRELIM_CKPT = "prelim.ckpt"
+BASELINE_CKPT = "baseline.ckpt"
 FINE_CKPT = "fine.ckpt"
 DETECT_FILE = "detect.jsonl"
 POST_LABELS_FILE = "post_labels.json"
@@ -380,7 +383,7 @@ _OUTPUTS = {
     "ingest": (SPLIT_FILE,),
     "coarse": (COARSE_FILE, COARSE_LOG_FILE),
     "denoise": (DENOISED_FILE,),
-    "train-prelim": (PRELIM_CKPT,),
+    "train-prelim": (PRELIM_CKPT, BASELINE_CKPT),
     "augment": (SYNTH_BIN_FILE, SYNTH_META_FILE),
     "train-fine": (FINE_CKPT,),
     "detect": (DETECT_FILE,),
@@ -398,31 +401,35 @@ _CONSUMES = {
     "train-fine": (SPLIT_FILE, DENOISED_FILE, SYNTH_BIN_FILE, SYNTH_META_FILE),
     "detect": (SPLIT_FILE, FINE_CKPT),
     "classify-ood": (COARSE_FILE, DETECT_FILE),
-    "eval": (SPLIT_FILE, DETECT_FILE, ASSIGN_FILE, PRELIM_CKPT),
+    "eval": (SPLIT_FILE, DETECT_FILE, ASSIGN_FILE, PRELIM_CKPT, BASELINE_CKPT),
 }
+
+
+# the gateway settings that can change a reply; the mock fixture's content
+# is hashed separately, and the rest (URL, timeouts, concurrency) cannot
+_REPLY_KEYS = ("mode", "model_name", "temperature")
 
 
 def _scoped_config(rc: RunConfig, stage: str) -> dict:
     r = rc.resolved
+    gateway = {k: r["gateway"][k] for k in _REPLY_KEYS}
     if stage == "ingest":
         return {"seed": r["seed"], "split": r["split"]}
     if stage == "coarse":
         return {"seed": r["seed"], "coarse": r["coarse"],
-                "gateway": r["gateway"], "id_classes": r["split"]["id_classes"]}
+                "gateway": gateway, "id_classes": r["split"]["id_classes"]}
     if stage == "denoise":
         return {"propagation": r["propagation"]}
     if stage in ("train-prelim", "train-fine"):
         return {"seed": r["seed"], "train": r["train"]}
     if stage == "augment":
         return {"seed": r["seed"], "mixup": r["mixup"]}
-    if stage == "detect":
+    if stage in ("detect", "eval"):
         return {}
     if stage == "classify-ood":
-        return {"merge": r["merge"], "gateway": r["gateway"],
+        return {"merge": r["merge"], "gateway": gateway,
                 "text_budget": r["coarse"]["text_budget"],
                 "max_parse_retries": r["coarse"]["max_parse_retries"]}
-    if stage == "eval":
-        return {"seed": r["seed"], "train": r["train"]}
     raise AssertionError(f"unknown stage {stage}")
 
 
@@ -588,17 +595,24 @@ def _stage_denoise(rt: _Runtime) -> None:
 
 
 def _stage_train_prelim(rt: _Runtime) -> None:
+    """The closed-set GCN that augment and eval read, and the sigmoid-head
+    GCN that eval scores as a baseline: same inputs, so trained together."""
     rc = rt.rc
     split = rt.split()
     y = rt.id_train_targets()
-    cfg = replace(rc.train_cfg, seed=rc.seed + 2)
-    try:
-        params, _ = train(rt.a_hat, rt.x, y, split.train_ids,
-                          rt.id_val_ids(), out_dim=len(split.id_classes),
-                          cfg=cfg)
-    except TrainingDiverged as exc:
-        raise StageError(f"preliminary training diverged: {exc}") from exc
-    save_checkpoint(params, rc.artifact(PRELIM_CKPT))
+    val_ids = rt.id_val_ids()
+    models = (
+        ("preliminary", PRELIM_CKPT, replace(rc.train_cfg, seed=rc.seed + 2)),
+        ("sigmoid baseline", BASELINE_CKPT,
+         replace(rc.train_cfg, head="sigmoid", seed=rc.seed + 4)),
+    )
+    for what, name, cfg in models:
+        try:
+            params, _ = train(rt.a_hat, rt.x, y, split.train_ids, val_ids,
+                              out_dim=len(split.id_classes), cfg=cfg)
+        except TrainingDiverged as exc:
+            raise StageError(f"{what} training diverged: {exc}") from exc
+        save_checkpoint(params, rc.artifact(name))
 
 
 def _stage_augment(rt: _Runtime) -> None:
@@ -734,17 +748,10 @@ def _stage_eval(rt: _Runtime) -> None:
     cluster = (cluster_accuracy(ood_pairs, {n: g.labels[n] for n, _ in ood_pairs})
                if ood_pairs else None)
 
-    prelim = load_checkpoint(rc.artifact(PRELIM_CKPT))
-    probs_soft = predict(prelim, rt.a_hat, rt.x)
-
-    y = rt.id_train_targets()
-    sig_cfg = replace(rc.train_cfg, head="sigmoid", seed=rc.seed + 4)
-    try:
-        sigmoid_params, _ = train(rt.a_hat, rt.x, y, split.train_ids,
-                                  rt.id_val_ids(), out_dim=c, cfg=sig_cfg)
-    except TrainingDiverged as exc:
-        raise StageError(f"sigmoid baseline training diverged: {exc}") from exc
-    probs_sig = predict(sigmoid_params, rt.a_hat, rt.x, head="sigmoid")
+    probs_soft = predict(load_checkpoint(rc.artifact(PRELIM_CKPT)),
+                         rt.a_hat, rt.x)
+    probs_sig = predict(load_checkpoint(rc.artifact(BASELINE_CKPT)),
+                        rt.a_hat, rt.x, head="sigmoid")
 
     val_ids = sorted(split.val_ids)
     truth_val = np.array([cindex.get(g.labels[i], c) for i in val_ids])
@@ -802,11 +809,14 @@ def _save_manifest(art_dir: str, manifest: dict) -> None:
         fh.write("\n")
 
 
+def _outputs_exist(rc: RunConfig, stage: str) -> bool:
+    # the outputs the stage writes now, not those its manifest entry lists:
+    # an entry written before the stage gained an output must not count
+    return all(os.path.exists(rc.artifact(name)) for name in _OUTPUTS[stage])
+
+
 def _stage_complete(rc: RunConfig, manifest: dict, stage: str) -> bool:
-    entry = manifest["stages"].get(stage)
-    if entry is None:
-        return False
-    return all(os.path.exists(rc.artifact(name)) for name in entry["outputs"])
+    return stage in manifest["stages"] and _outputs_exist(rc, stage)
 
 
 def _transitive_upstream(stage: str) -> list[str]:
@@ -863,7 +873,7 @@ def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:
     input_hash = _json_hash(inputs)
     entry = manifest["stages"].get(stage)
     if entry is not None and entry["input_hash"] == input_hash and \
-            all(os.path.exists(rc.artifact(n)) for n in entry["outputs"]):
+            _outputs_exist(rc, stage):
         return False
 
     start = time.monotonic()

@@ -1,7 +1,9 @@
 import json
+import socket
 import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -10,6 +12,7 @@ from cfc.gateway import (
     GatewayError,
     LLMGateway,
     ParseError,
+    _http_transport,
     mock_prompt_hash,
 )
 from conftest import write_jsonl
@@ -202,6 +205,96 @@ def test_concurrency_cap_is_enforced(monkeypatch):
     for t in threads:
         t.join()
     assert state["peak"] <= 3
+
+
+# ---------------------------------------------------------------- HTTP transport
+
+
+class _Canned(BaseHTTPRequestHandler):
+    """Answers each POST with the next (status, body bytes) of server.replies
+    and records (path, Authorization, JSON payload) in server.seen."""
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.path, self.headers.get("Authorization"),
+                                 json.loads(body)))
+        status, data = self.server.replies.pop(0)
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Canned)
+    server.daemon_threads = True
+    server.replies, server.seen = [], []
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1"
+    worker = threading.Thread(target=server.serve_forever, daemon=True)
+    worker.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+
+
+def test_http_transport_posts_json_and_reads_json(loopback):
+    loopback.replies.append((200, json.dumps(chat_body("hi")).encode()))
+    gw = LLMGateway(live_cfg(base_url=loopback.url))
+    assert gw.complete("hello").response_text == "hi"
+    path, auth, payload = loopback.seen[0]
+    assert path == "/v1/chat/completions" and auth == "Bearer k"
+    assert payload["messages"] == [{"role": "user", "content": "hello"}]
+
+
+def test_http_transport_wraps_a_body_that_is_not_json(loopback):
+    loopback.replies += [(200, b"plain words"), (502, b"<html>bad gateway</html>")]
+    url = loopback.url + "/chat/completions"
+    assert _http_transport(url, {}, {}, 5.0) == (200, {"raw": "plain words"})
+    assert _http_transport(url, {}, {}, 5.0) == (502, {"raw": "<html>bad gateway</html>"})
+
+
+def test_http_transport_503_is_retried(loopback):
+    loopback.replies += [(503, b'{"error": "busy"}'),
+                         (200, json.dumps(chat_body("ok")).encode())]
+    sleeps = []
+    gw = LLMGateway(live_cfg(base_url=loopback.url, max_retries=1),
+                    sleep_fn=sleeps.append)
+    ex = gw.complete("x")
+    assert (ex.response_text, ex.attempt_count) == ("ok", 2)
+    assert sleeps == [1.0] and len(loopback.seen) == 2
+
+
+def test_http_transport_400_fails_without_retry(loopback):
+    loopback.replies += [(400, b'{"error": "bad"}'), (200, b"{}")]
+    gw = LLMGateway(live_cfg(base_url=loopback.url, max_retries=3),
+                    sleep_fn=lambda s: None)
+    with pytest.raises(GatewayError, match="non-retryable HTTP 400"):
+        gw.complete("x")
+    assert len(loopback.seen) == 1
+
+
+def test_http_transport_refused_port_is_a_transport_error(monkeypatch):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    with socket.socket() as probe:          # a port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{probe.getsockname()[1]}/v1"
+    with pytest.raises(OSError):
+        _http_transport(url + "/chat/completions", {}, {}, 5.0)
+    sleeps = []
+    gw = LLMGateway(live_cfg(base_url=url, max_retries=1), sleep_fn=sleeps.append)
+    with pytest.raises(GatewayError, match="giving up after 2 attempts "
+                                           r"\(transport error"):
+        gw.complete("x")
+    assert sleeps == [1.0]
 
 
 def test_config_validation():

@@ -359,8 +359,10 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
     params = init_params(3, 2, 2, seed=0)
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(params, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-8])
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[:-8])
     with pytest.raises(ValueError, match="bytes"):
         load_checkpoint(path)
 

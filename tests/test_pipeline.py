@@ -26,6 +26,7 @@ from cfc.gcn import load_checkpoint
 from cfc.graph import save_features
 from cfc.pipeline import (
     ASSIGN_FILE,
+    BASELINE_CKPT,
     COARSE_FILE,
     COARSE_LOG_FILE,
     DENOISED_FILE,
@@ -223,7 +224,8 @@ def test_eval_json_reproducible(primary, fix, tmp_path):
     rc, _ = primary
     rc2 = validate_config(fix["config"], artifacts_override=str(tmp_path / "b"))
     run_all(rc2)
-    assert _read_bytes(rc2.artifact(EVAL_FILE)) == _read_bytes(rc.artifact(EVAL_FILE))
+    for name in (EVAL_FILE, PRELIM_CKPT, BASELINE_CKPT, FINE_CKPT):
+        assert _read_bytes(rc2.artifact(name)) == _read_bytes(rc.artifact(name)), name
     doc = json.loads(_read_bytes(rc.artifact(EVAL_FILE)))
     assert set(doc["methods"]) == {"CFC", "GCN_softmax", "GCN_softmax_tau",
                                    "GCN_sigmoid", "GCN_sigmoid_tau"}
@@ -273,13 +275,64 @@ def test_sparse_features_take_the_csr_path(tmp_path, monkeypatch):
 def test_artifact_deletion_reruns_only_that_stage(fix, tmp_path):
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
     run_all(rc)
-    saved = _read_bytes(rc.artifact(DENOISED_FILE))
-    os.remove(rc.artifact(DENOISED_FILE))
-    executed = run_all(rc)
-    assert executed["denoise"]
-    assert not any(ran for stage, ran in executed.items() if stage != "denoise")
-    # deterministic regeneration, so downstream hashes still matched
-    assert _read_bytes(rc.artifact(DENOISED_FILE)) == saved
+    # baseline.ckpt: train-prelim rewrites prelim.ckpt with the same bytes,
+    # so augment stays cached
+    for name, producer in ((DENOISED_FILE, "denoise"), (BASELINE_CKPT, "train-prelim")):
+        saved = _read_bytes(rc.artifact(name))
+        os.remove(rc.artifact(name))
+        executed = run_all(rc)
+        assert executed[producer]
+        assert not any(ran for stage, ran in executed.items() if stage != producer)
+        # deterministic regeneration, so downstream hashes still matched
+        assert _read_bytes(rc.artifact(name)) == saved
+
+
+def test_merge_edit_reruns_eval_without_training(fix, tmp_path, monkeypatch):
+    trained = []
+    train = pipeline.train
+
+    def counting(*args, **kwargs):
+        trained.append(kwargs["cfg"].head)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train", counting)
+    arts = str(tmp_path / "a")
+    assert all(run_all(validate_config(fix["config"], artifacts_override=arts)).values())
+    assert trained == ["softmax", "sigmoid", "softmax"]
+
+    # threshold 0 merges every logged category into one label, so the
+    # assignments and therefore eval's inputs change
+    trained.clear()
+    edited = _variant_config(fix, "merge0.json", lambda c: c.setdefault(
+        "merge", {}).update(sim_threshold=0.0))
+    executed = run_all(validate_config(edited, artifacts_override=arts))
+    assert [s for s, ran in executed.items() if ran] == ["classify-ood", "eval"]
+    assert trained == []
+
+
+def test_manifest_from_before_baseline_ckpt_reruns_train_prelim(primary, fix, tmp_path):
+    # an artifacts directory written when train-prelim had one output and
+    # eval trained the sigmoid baseline itself
+    rc, _ = primary
+    rc2 = validate_config(fix["config"], artifacts_override=str(tmp_path / "old"))
+    run_all(rc2)
+    os.remove(rc2.artifact(BASELINE_CKPT))
+    manifest = load_manifest(rc2.artifacts_dir)
+    manifest["stages"]["train-prelim"]["outputs"] = [PRELIM_CKPT]
+    pipeline._save_manifest(rc2.artifacts_dir, manifest)
+
+    executed = run_all(rc2)
+    assert [s for s, ran in executed.items() if ran] == ["train-prelim"]
+    assert _read_bytes(rc2.artifact(EVAL_FILE)) == _read_bytes(rc.artifact(EVAL_FILE))
+    assert not any(run_all(rc2).values())
+
+
+def test_gateway_settings_that_cannot_change_a_reply_rerun_nothing(fix, tmp_path):
+    arts = str(tmp_path / "a")
+    run_all(validate_config(fix["config"], artifacts_override=arts))
+    edited = _variant_config(fix, "conc2.json", lambda c: c["gateway"].update(
+        max_concurrent=2, max_retries=1, request_timeout=5.0))
+    assert not any(run_all(validate_config(edited, artifacts_override=arts)).values())
 
 
 def test_stages_refuse_to_run_out_of_order(fix, tmp_path):
@@ -451,7 +504,7 @@ def _live_fixture(dir_path, monkeypatch, **gateway):
         reply = rules.complete(prompt).response_text
         return 200, {"choices": [{"message": {"content": reply}}]}
 
-    monkeypatch.setattr(gateway_module, "_requests_transport", transport)
+    monkeypatch.setattr(gateway_module, "_http_transport", transport)
     monkeypatch.setenv("CFC_LLM_API_KEY", "k")
     monkeypatch.delenv("CFC_LLM_BASE_URL", raising=False)
     return paths, state
