@@ -1,8 +1,9 @@
 """Command line front end: one pipeline stage per invocation, or run-all.
 
 Exit codes: 0 success, 1 validation problem (config, dataset, stage order),
-2 runtime failure (gateway, training, merging), 141 (128 + SIGPIPE) when the
-reader of stdout goes away early, as in `cfc run-all ... | head -1`.
+2 runtime failure (gateway, training, merging, a malformed artifact), 141
+(128 + SIGPIPE) when the reader of stdout goes away early, as in
+`cfc run-all ... | head -1`.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError, ValueError) as exc:   # ValueError: e.g. a malformed manifest
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .gateway import LLMGateway, ParseError
+from .jsonl import read_jsonl, write_jsonl
 
 DEFAULT_TEXT_BUDGET = 4000
 TRUNCATION_MARKER = "..."
@@ -394,37 +395,29 @@ def _coarse_result(mode: str, tau: float, annotations, major, candidates) -> Coa
 # --------------------------------------------------------------- persistence
 
 def save_coarse_result(result: CoarseResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "kind": "header",
-            "mode": result.mode,
-            "confidence_threshold": result.confidence_threshold,
-            "major_category": result.major_category,
-            "candidate_ood_labels": list(result.candidate_ood_labels),
-        }
-        fh.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for ann in result.annotations:
-            fh.write(json.dumps({"kind": "annotation", **ann.to_dict()},
-                                ensure_ascii=False) + "\n")
+    header = {
+        "kind": "header",
+        "mode": result.mode,
+        "confidence_threshold": result.confidence_threshold,
+        "major_category": result.major_category,
+        "candidate_ood_labels": list(result.candidate_ood_labels),
+    }
+    write_jsonl(path, [header] + [{"kind": "annotation", **ann.to_dict()}
+                                  for ann in result.annotations])
 
 
 def load_coarse_result(path: str) -> CoarseResult:
     header = None
     anns: list[Annotation] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("kind") == "header":
-                header = rec
-            elif rec.get("kind") == "annotation":
-                anns.append(Annotation(rec["node_id"], rec["is_id"],
-                                       rec["confidence"], rec["category"],
-                                       rec["raw_response"]))
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown record kind")
+    for lineno, rec in read_jsonl(path):
+        if rec.get("kind") == "header":
+            header = rec
+        elif rec.get("kind") == "annotation":
+            anns.append(Annotation(rec["node_id"], rec["is_id"],
+                                   rec["confidence"], rec["category"],
+                                   rec["raw_response"]))
+        else:
+            raise ValueError(f"{path}:{lineno}: unknown record kind")
     if header is None:
         raise ValueError(f"{path}: missing header record")
     return _coarse_result(header["mode"], header["confidence_threshold"], anns,

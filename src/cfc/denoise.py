@@ -12,13 +12,13 @@ in hidden space: x = alpha * h_boundary + (1 - alpha) * h_center.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import load_features, save_features, spmm
+from .jsonl import read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -229,28 +229,20 @@ def reconstruct_rows(boundary_ids, alphas, center: np.ndarray,
 
 def save_synthetic(s: SyntheticOODSet, matrix_path: str, sidecar_path: str) -> None:
     save_features(matrix_path, s.embeddings)
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": "header", "seed": s.seed,
-                             "center": list(s.center)}) + "\n")
-        for r in range(s.count):
-            fh.write(json.dumps({"kind": "row", "row": r,
-                                 "boundary_id": s.boundary_ids[r],
-                                 "alpha": s.alphas[r]}) + "\n")
+    header = {"kind": "header", "seed": s.seed, "center": list(s.center)}
+    write_jsonl(sidecar_path, [header] + [
+        {"kind": "row", "row": r, "boundary_id": s.boundary_ids[r],
+         "alpha": s.alphas[r]} for r in range(s.count)])
 
 
 def load_synthetic(matrix_path: str, sidecar_path: str) -> SyntheticOODSet:
     header = None
     rows: dict[int, tuple[int, float]] = {}
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("kind") == "header":
-                header = rec
-            elif rec.get("kind") == "row":
-                rows[int(rec["row"])] = (int(rec["boundary_id"]), float(rec["alpha"]))
+    for _, rec in read_jsonl(sidecar_path):
+        if rec.get("kind") == "header":
+            header = rec
+        elif rec.get("kind") == "row":
+            rows[int(rec["row"])] = (int(rec["boundary_id"]), float(rec["alpha"]))
     if header is None:
         raise ValueError(f"{sidecar_path}: missing header record")
     count = len(rows)

@@ -26,6 +26,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .jsonl import read_jsonl
+
 API_KEY_ENV = "CFC_LLM_API_KEY"
 BASE_URL_ENV = "CFC_LLM_BASE_URL"
 
@@ -92,24 +94,16 @@ def mock_prompt_hash(prompt: str) -> str:
 def _load_fixture(path: str) -> tuple[dict[str, str], list[tuple[str, str]]]:
     by_hash: dict[str, str] = {}
     substr: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed fixture line ({exc.msg})") from exc
-            match, response = rec.get("match"), rec.get("response")
-            if not isinstance(match, str) or not isinstance(response, str):
-                raise ValueError(f"{path}:{lineno}: fixture line needs string match and response")
-            if match.startswith("hash:"):
-                by_hash[match[5:]] = response
-            elif match.startswith("substr:"):
-                substr.append((match[7:], response))
-            else:
-                raise ValueError(f"{path}:{lineno}: match must start with 'hash:' or 'substr:'")
+    for lineno, rec in read_jsonl(path):
+        match, response = rec.get("match"), rec.get("response")
+        if not isinstance(match, str) or not isinstance(response, str):
+            raise ValueError(f"{path}:{lineno}: fixture line needs string match and response")
+        if match.startswith("hash:"):
+            by_hash[match[5:]] = response
+        elif match.startswith("substr:"):
+            substr.append((match[7:], response))
+        else:
+            raise ValueError(f"{path}:{lineno}: match must start with 'hash:' or 'substr:'")
     return by_hash, substr
 
 

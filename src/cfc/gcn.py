@@ -34,6 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import spmm
+from .jsonl import atomic_write
 
 LOG_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"CFCW"
@@ -325,7 +326,7 @@ def train(a_hat: sp.csr_array, x: np.ndarray | sp.csr_array, y: np.ndarray,
 
 def save_checkpoint(params: GCNParams, path: str) -> None:
     d, h, out = params.dims
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<III", d, h, out))
         fh.write(params.w0.astype("<f8").tobytes(order="C"))

@@ -19,12 +19,13 @@ Functions:
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .jsonl import atomic_write, read_jsonl, write_jsonl
 
 FEATURE_MAGIC = b"CFCF"
 
@@ -105,18 +106,6 @@ class Graph:
         return [i for i, lab in enumerate(self.labels) if lab == name]
 
 
-def _read_jsonl(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-
-
 def _load_features_binary(path: str, num_nodes: int) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -137,7 +126,7 @@ def _load_features_binary(path: str, num_nodes: int) -> np.ndarray:
 def _load_features_jsonl(path: str, num_nodes: int) -> np.ndarray:
     rows: dict[int, list[float]] = {}
     dim = None
-    for lineno, rec in _read_jsonl(path):
+    for lineno, rec in read_jsonl(path):
         if not isinstance(rec, dict) or "id" not in rec or "vec" not in rec:
             raise ValueError(f"{path}:{lineno}: feature record needs id and vec")
         i = rec["id"]
@@ -170,7 +159,7 @@ def save_features(path: str, mat: np.ndarray) -> None:
     mat = np.ascontiguousarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
         fh.write(mat.astype("<f8").tobytes(order="C"))
@@ -184,7 +173,7 @@ def load_graph(nodes_path: str, edges_path: str, features_path: str | None = Non
     """
     texts: dict[int, str] = {}
     labels: dict[int, str | None] = {}
-    for lineno, rec in _read_jsonl(nodes_path):
+    for lineno, rec in read_jsonl(nodes_path):
         if not isinstance(rec, dict) or not {"id", "text", "label"} <= rec.keys():
             raise ValueError(f"{nodes_path}:{lineno}: node record needs id, text, label")
         i, text, lab = rec["id"], rec["text"], rec["label"]
@@ -205,7 +194,7 @@ def load_graph(nodes_path: str, edges_path: str, features_path: str | None = Non
         raise ValueError(f"{nodes_path}: node ids are not contiguous 0..{n - 1}")
 
     raw_edges = []
-    for lineno, rec in _read_jsonl(edges_path):
+    for lineno, rec in read_jsonl(edges_path):
         if not isinstance(rec, dict) or not {"src", "dst"} <= rec.keys():
             raise ValueError(f"{edges_path}:{lineno}: edge record needs src and dst")
         a, b = rec["src"], rec["dst"]
@@ -233,13 +222,9 @@ def load_graph(nodes_path: str, edges_path: str, features_path: str | None = Non
 def save_graph(g: Graph, nodes_path: str, edges_path: str,
                features_path: str | None = None) -> None:
     """Inverse of load_graph: load_graph(save_graph(g)) reproduces g."""
-    with open(nodes_path, "w", encoding="utf-8") as fh:
-        for i in range(g.num_nodes):
-            fh.write(json.dumps({"id": i, "text": g.node_text[i], "label": g.labels[i]},
-                                ensure_ascii=False) + "\n")
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        for a, b in g.edges:
-            fh.write(json.dumps({"src": a, "dst": b}) + "\n")
+    write_jsonl(nodes_path, ({"id": i, "text": g.node_text[i], "label": g.labels[i]}
+                             for i in range(g.num_nodes)))
+    write_jsonl(edges_path, ({"src": a, "dst": b} for a, b in g.edges))
     if features_path is not None:
         if g.features is None:
             raise ValueError("graph has no features to save")

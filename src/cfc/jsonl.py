@@ -1,0 +1,66 @@
+"""Artifact file I/O: the one JSONL and JSON reader, and the one writer.
+
+JSON documents are written with indent 2, sorted keys and a final newline;
+JSONL holds one record per line, keys in insertion order, non-ASCII text
+unescaped. Readers skip blank lines and raise ValueError("path:line:
+malformed JSON (...)"). atomic_write puts the bytes in <path>.<pid>.tmp
+beside path and renames that onto path once complete, so a killed run leaves
+the old file or the new one, never a torn one the stage cache would take for
+done. There is no fsync: the guarantee covers a killed process, not a power
+loss.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from contextlib import contextmanager
+
+
+def _parse(text: str, path: str, lineno: int):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        line = lineno + exc.lineno - 1
+        raise ValueError(f"{path}:{line}: malformed JSON ({exc.msg})") from exc
+
+
+def read_jsonl(path: str):
+    """Yield (line number, record) for every non-blank line of path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, _parse(line, path, lineno)
+
+
+def read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse(fh.read(), path, 1)
+
+
+@contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """Open a temp file beside path for writing ("w" text, "wb" binary) and
+    rename it onto path when the block completes; on an exception the temp
+    file is removed and path is left untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json(path: str, doc) -> None:
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_jsonl(path: str, records) -> None:
+    with atomic_write(path) as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")

@@ -16,7 +16,6 @@ injective mapping from predicted labels to true classes.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ from .coarse import (
     DEFAULT_TEXT_BUDGET,
 )
 from .gateway import LLMGateway
+from .jsonl import read_jsonl, write_json, write_jsonl
 
 DISCARDED = "DISCARDED"
 
@@ -109,16 +109,6 @@ class PostLabelSpace:
             "sim_threshold": self.sim_threshold,
             "min_count": self.min_count,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PostLabelSpace":
-        return cls(
-            merged_labels=tuple(d["merged_labels"]),
-            raw_to_merged=dict(d["raw_to_merged"]),
-            counts=dict(d["counts"]),
-            sim_threshold=float(d["sim_threshold"]),
-            min_count=int(d["min_count"]),
-        )
 
 
 def merge_categories(category_counts: dict, sim_threshold: float = 0.5,
@@ -309,29 +299,14 @@ def cluster_accuracy(assignments, true_labels: dict) -> float:
 # --------------------------------------------------------------- persistence
 
 def save_post_label_space(post: PostLabelSpace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(post.to_dict(), fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_post_label_space(path: str) -> PostLabelSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return PostLabelSpace.from_dict(json.load(fh))
+    write_json(path, post.to_dict())
 
 
 def save_assignments(assignments, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in assignments:
-            fh.write(json.dumps(a.to_dict(), ensure_ascii=False) + "\n")
+    write_jsonl(path, (a.to_dict() for a in assignments))
 
 
 def load_assignments(path: str) -> tuple[OODAssignment, ...]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rec = json.loads(line)
-                out.append(OODAssignment(rec["node_id"], rec["label"],
-                                         rec["confidence"], rec["raw_response"]))
-    return tuple(out)
+    return tuple(OODAssignment(rec["node_id"], rec["label"], rec["confidence"],
+                               rec["raw_response"])
+                 for _, rec in read_jsonl(path))

@@ -10,8 +10,7 @@ which is the standard comparison point for this kind of detector.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,22 +61,6 @@ class EvalReport:
             "n_ood_test": self.n_ood_test,
             "auroc": self.auroc,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            id_accuracy=float(d["id_accuracy"]),
-            ood_accuracy=float(d["ood_accuracy"]),
-            overall_accuracy=float(d["overall_accuracy"]),
-            per_class_accuracy={int(k): float(v)
-                                for k, v in d["per_class_accuracy"].items()},
-            n_id_test=int(d["n_id_test"]),
-            n_ood_test=int(d["n_ood_test"]),
-            auroc=None if d.get("auroc") is None else float(d["auroc"]),
-        )
-
-    def with_auroc(self, value: float) -> "EvalReport":
-        return replace(self, auroc=value)
 
 
 def accuracy_report(predictions: dict, truth: dict, ood_class_index: int,
@@ -196,14 +179,3 @@ def tune_threshold(probs: np.ndarray, truth: np.ndarray, mode: str,
         if acc > best_acc:
             best_tau, best_acc = tau, acc
     return best_tau, sweep
-
-
-def save_report(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_report(path: str) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return EvalReport.from_dict(json.load(fh))

@@ -21,6 +21,9 @@ reruns eval without retraining a model. In live mode the gateway also keeps
 every parsed reply in llm_cache.jsonl, so a rerun after an edit or a crash
 asks the endpoint only for prompts it has not answered yet. Config validation is strict: unknown
 keys are rejected and the fully-defaulted config is echoed to resolved.json.
+
+Artifacts are written through cfc.jsonl's atomic writer, so a killed run
+never leaves a torn file that the cache would take for done.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .gcn import TrainConfig, TrainingDiverged, hidden_states, \
     load_checkpoint, predict, save_checkpoint, train
 from .graph import Graph, load_graph, rw_normalize_adjacency, \
     split_dataset, sym_normalize_adjacency, SplitAssignment
+from .jsonl import read_json, read_jsonl, write_json, write_jsonl
 from .labelspace import classify_ood, cluster_accuracy, \
     load_assignments, merge_categories, save_assignments, \
     save_post_label_space
@@ -248,12 +252,11 @@ def validate_config(path: str, artifacts_override: str | None = None) -> RunConf
     <artifacts_dir>/resolved.json.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
 
@@ -337,9 +340,7 @@ def validate_config(path: str, artifacts_override: str | None = None) -> RunConf
         resolved=resolved,
     )
     os.makedirs(rc.artifacts_dir, exist_ok=True)
-    with open(rc.artifact(RESOLVED_FILE), "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(rc.artifact(RESOLVED_FILE), resolved)
     return rc
 
 
@@ -366,18 +367,6 @@ def full_config_hash(rc: RunConfig) -> str:
 
 STAGE_ORDER = ("ingest", "coarse", "denoise", "train-prelim", "augment",
                "train-fine", "detect", "classify-ood", "eval")
-
-_UPSTREAM = {
-    "ingest": (),
-    "coarse": ("ingest",),
-    "denoise": ("coarse",),
-    "train-prelim": ("ingest",),
-    "augment": ("denoise", "train-prelim"),
-    "train-fine": ("denoise", "augment"),
-    "detect": ("train-fine",),
-    "classify-ood": ("coarse", "detect"),
-    "eval": ("train-prelim", "detect", "classify-ood"),
-}
 
 _OUTPUTS = {
     "ingest": (SPLIT_FILE,),
@@ -499,8 +488,8 @@ class _Runtime:
 
     def split(self) -> SplitAssignment:
         if self._split is None:
-            with open(self.rc.artifact(SPLIT_FILE), "r", encoding="utf-8") as fh:
-                self._split = SplitAssignment.from_dict(json.load(fh))
+            split = read_json(self.rc.artifact(SPLIT_FILE))
+            self._split = SplitAssignment.from_dict(split)
         return self._split
 
     def id_train_targets(self) -> np.ndarray:
@@ -528,9 +517,7 @@ def _stage_ingest(rt: _Runtime) -> None:
                               rc.train_frac, rc.val_frac)
     except ValueError as exc:
         raise ConfigError(f"split rejected: {exc}") from exc
-    with open(rc.artifact(SPLIT_FILE), "w", encoding="utf-8") as fh:
-        json.dump(split.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(rc.artifact(SPLIT_FILE), split.to_dict())
     rt._split = split
 
 
@@ -553,20 +540,10 @@ def _stage_coarse(rt: _Runtime) -> None:
     save_coarse_result(result, rc.artifact(COARSE_FILE))
 
 
-def _load_denoised(path: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    candidates, survivors = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("kind") != "candidate":
-                continue
-            candidates.append(int(rec["node_id"]))
-            if rec["kept"]:
-                survivors.append(int(rec["node_id"]))
-    return tuple(candidates), tuple(survivors)
+def _load_survivors(path: str) -> tuple[int, ...]:
+    """The denoised candidates that were kept."""
+    return tuple(int(rec["node_id"]) for _, rec in read_jsonl(path)
+                 if rec.get("kind") == "candidate" and rec["kept"])
 
 
 def _stage_denoise(rt: _Runtime) -> None:
@@ -585,13 +562,11 @@ def _stage_denoise(rt: _Runtime) -> None:
         survivors = denoise_ood(propagated, candidates)
 
     kept = set(survivors)
-    with open(rc.artifact(DENOISED_FILE), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": "summary", "steps": rc.prop_cfg.steps,
-                             "candidate_count": len(candidates),
-                             "survivor_count": len(survivors)}) + "\n")
-        for i in candidates:
-            fh.write(json.dumps({"kind": "candidate", "node_id": i,
-                                 "kept": i in kept}) + "\n")
+    summary = {"kind": "summary", "steps": rc.prop_cfg.steps,
+               "candidate_count": len(candidates),
+               "survivor_count": len(survivors)}
+    write_jsonl(rc.artifact(DENOISED_FILE), [summary] + [
+        {"kind": "candidate", "node_id": i, "kept": i in kept} for i in candidates])
 
 
 def _stage_train_prelim(rt: _Runtime) -> None:
@@ -618,7 +593,7 @@ def _stage_train_prelim(rt: _Runtime) -> None:
 def _stage_augment(rt: _Runtime) -> None:
     rc = rt.rc
     split = rt.split()
-    _, survivors = _load_denoised(rc.artifact(DENOISED_FILE))
+    survivors = _load_survivors(rc.artifact(DENOISED_FILE))
     if not survivors:
         raise StageError("no denoised OOD candidates survive; nothing to "
                          "augment (coarse stage found too few OOD nodes)")
@@ -635,7 +610,7 @@ def _stage_augment(rt: _Runtime) -> None:
 def _stage_train_fine(rt: _Runtime) -> None:
     rc = rt.rc
     g, split = rt.graph, rt.split()
-    _, survivors = _load_denoised(rc.artifact(DENOISED_FILE))
+    survivors = _load_survivors(rc.artifact(DENOISED_FILE))
     synth = load_synthetic(rc.artifact(SYNTH_BIN_FILE), rc.artifact(SYNTH_META_FILE))
     c = len(split.id_classes)
     cindex = split.class_index()
@@ -656,27 +631,15 @@ def _stage_train_fine(rt: _Runtime) -> None:
     save_checkpoint(params, rc.artifact(FINE_CKPT))
 
 
-def _load_detect(path: str) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def _stage_detect(rt: _Runtime) -> None:
     rc = rt.rc
     split = rt.split()
     params = load_checkpoint(rc.artifact(FINE_CKPT))
     probs = predict(params, rt.a_hat, rt.x)
     ood_index = probs.shape[1] - 1
-    with open(rc.artifact(DETECT_FILE), "w", encoding="utf-8") as fh:
-        for i in sorted(split.test_ids):
-            fh.write(json.dumps({"node_id": i,
-                                 "pred": int(np.argmax(probs[i])),
-                                 "ood_score": float(probs[i, ood_index])}) + "\n")
+    write_jsonl(rc.artifact(DETECT_FILE), (
+        {"node_id": i, "pred": int(np.argmax(probs[i])),
+         "ood_score": float(probs[i, ood_index])} for i in sorted(split.test_ids)))
 
 
 def _stage_classify_ood(rt: _Runtime) -> None:
@@ -693,7 +656,7 @@ def _stage_classify_ood(rt: _Runtime) -> None:
     save_post_label_space(post, rc.artifact(POST_LABELS_FILE))
 
     c = len(rt.split().id_classes)
-    ood_nodes = [r["node_id"] for r in _load_detect(rc.artifact(DETECT_FILE))
+    ood_nodes = [r["node_id"] for _, r in read_jsonl(rc.artifact(DETECT_FILE))
                  if r["pred"] == c]
 
     gateway = _gateway(rc, CLASSIFY_LOG_FILE)
@@ -736,7 +699,7 @@ def _stage_eval(rt: _Runtime) -> None:
     test_ids = sorted(split.test_ids)
     truth = {i: cindex.get(g.labels[i], c) for i in test_ids}
 
-    detect_records = _load_detect(rc.artifact(DETECT_FILE))
+    detect_records = [r for _, r in read_jsonl(rc.artifact(DETECT_FILE))]
     cfc_preds = {r["node_id"]: r["pred"] for r in detect_records}
     cfc_scores = {r["node_id"]: r["ood_score"] for r in detect_records}
     cfc = accuracy_report(cfc_preds, truth, c,
@@ -775,9 +738,7 @@ def _stage_eval(rt: _Runtime) -> None:
         "tuned_tau": {"softmax": tau_soft, "sigmoid": tau_sig},
         "methods": {name: rep.to_dict() for name, rep in methods.items()},
     }
-    with open(rc.artifact(EVAL_FILE), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(rc.artifact(EVAL_FILE), doc)
 
 
 _STAGE_FN = {
@@ -799,14 +760,11 @@ def load_manifest(art_dir: str) -> dict:
     path = os.path.join(art_dir, MANIFEST_FILE)
     if not os.path.exists(path):
         return {"version": __version__, "config_hash": None, "stages": {}}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(path)
 
 
 def _save_manifest(art_dir: str, manifest: dict) -> None:
-    with open(os.path.join(art_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(art_dir, MANIFEST_FILE), manifest)
 
 
 def _outputs_exist(rc: RunConfig, stage: str) -> bool:
@@ -819,17 +777,15 @@ def _stage_complete(rc: RunConfig, manifest: dict, stage: str) -> bool:
     return stage in manifest["stages"] and _outputs_exist(rc, stage)
 
 
+_PRODUCER = {name: stage for stage, names in _OUTPUTS.items() for name in names}
+
+
 def _transitive_upstream(stage: str) -> list[str]:
-    seen: set[str] = set()
-
-    def walk(s: str):
-        for up in _UPSTREAM[s]:
-            if up not in seen:
-                seen.add(up)
-                walk(up)
-
-    walk(stage)
-    return [s for s in STAGE_ORDER if s in seen]
+    """The producers of the files a stage consumes, and theirs, in stage order."""
+    ups = {_PRODUCER[name] for name in _CONSUMES[stage]}
+    for up in list(ups):
+        ups.update(_transitive_upstream(up))
+    return [s for s in STAGE_ORDER if s in ups]
 
 
 def check_strict(rc: RunConfig, strict: bool) -> None:
@@ -877,7 +833,12 @@ def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:
         return False
 
     start = time.monotonic()
-    _STAGE_FN[stage](rt)
+    try:
+        _STAGE_FN[stage](rt)
+    except ConfigError:
+        raise
+    except ValueError as exc:           # e.g. a malformed artifact
+        raise StageError(f"{stage}: {exc}") from exc
     manifest["stages"][stage] = {
         "input_hash": input_hash,
         "inputs": inputs,
@@ -920,8 +881,7 @@ def emit_report(rc: RunConfig) -> str:
     path = rc.artifact(EVAL_FILE)
     if not os.path.exists(path):
         raise ConfigError("missing artifact: eval")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
 
     names = [m for m in METHOD_ORDER if m in doc["methods"]]
     names += sorted(set(doc["methods"]) - set(names))

@@ -16,7 +16,6 @@ from cfc.labelspace import (
     cluster_accuracy,
     cosine,
     load_assignments,
-    load_post_label_space,
     match_label,
     merge_categories,
     parse_classification_response,
@@ -462,7 +461,8 @@ def test_post_label_space_roundtrip(tmp_path):
                              "databases": 3, "rare thing": 1})
     path = str(tmp_path / "post.json")
     save_post_label_space(post, path)
-    assert load_post_label_space(path) == post
+    with open(path, "r", encoding="utf-8") as fh:
+        assert json.load(fh) == post.to_dict()
 
 
 def test_post_label_space_validation():

@@ -6,8 +6,6 @@ from cfc.metrics import (
     EvalReport,
     accuracy_report,
     auroc,
-    load_report,
-    save_report,
     threshold_baseline,
     tune_threshold,
 )
@@ -248,31 +246,6 @@ def test_tune_threshold_input_errors():
 
 
 # ---------------------------------------------------------------- report object
-
-def test_report_roundtrip(tmp_path):
-    rep = accuracy_report({0: 0, 1: 2, 2: 2}, {0: 0, 1: 1, 2: 2}, 2,
-                          auroc_value=0.875)
-    path = str(tmp_path / "report.json")
-    save_report(rep, path)
-    assert load_report(path) == rep
-
-
-def test_report_roundtrip_without_auroc(tmp_path):
-    rep = accuracy_report({0: 0}, {0: 0}, 1)
-    path = str(tmp_path / "r.json")
-    save_report(rep, path)
-    loaded = load_report(path)
-    assert loaded.auroc is None
-    assert loaded == rep
-
-
-def test_with_auroc_returns_updated_copy():
-    rep = accuracy_report({0: 0, 1: 1}, {0: 0, 1: 1}, 1)
-    updated = rep.with_auroc(0.9)
-    assert updated.auroc == 0.9
-    assert rep.auroc is None
-    assert updated.overall_accuracy == rep.overall_accuracy
-
 
 def test_report_validation():
     with pytest.raises(ValueError, match="outside"):

@@ -8,9 +8,12 @@ artifacts run in their own artifact directories against the same dataset.
 
 import json
 import os
+import re
+import shutil
 import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import numpy.testing as npt
@@ -19,7 +22,7 @@ import scipy.sparse as sp
 
 import fixture_tools
 from cfc import gateway as gateway_module
-from cfc import pipeline
+from cfc import jsonl, pipeline
 from cfc.coarse import load_coarse_result
 from cfc.gateway import GatewayConfig, LLMGateway
 from cfc.gcn import load_checkpoint
@@ -27,6 +30,7 @@ from cfc.graph import save_features
 from cfc.pipeline import (
     ASSIGN_FILE,
     BASELINE_CKPT,
+    CLASSIFY_LOG_FILE,
     COARSE_FILE,
     COARSE_LOG_FILE,
     DENOISED_FILE,
@@ -335,6 +339,21 @@ def test_gateway_settings_that_cannot_change_a_reply_rerun_nothing(fix, tmp_path
     assert not any(run_all(validate_config(edited, artifacts_override=arts)).values())
 
 
+def test_upstream_stages_are_the_producers_of_what_a_stage_reads():
+    upstream = {stage: pipeline._transitive_upstream(stage) for stage in STAGE_ORDER}
+    assert upstream == {
+        "ingest": [],
+        "coarse": ["ingest"],
+        "denoise": ["ingest", "coarse"],
+        "train-prelim": ["ingest"],
+        "augment": ["ingest", "coarse", "denoise", "train-prelim"],
+        "train-fine": ["ingest", "coarse", "denoise", "train-prelim", "augment"],
+        "detect": list(STAGE_ORDER[:6]),
+        "classify-ood": list(STAGE_ORDER[:7]),
+        "eval": list(STAGE_ORDER[:8]),
+    }
+
+
 def test_stages_refuse_to_run_out_of_order(fix, tmp_path):
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
     with pytest.raises(ConfigError, match="missing artifact: ingest"):
@@ -435,6 +454,81 @@ def test_coarse_failure_leaves_no_result(tmp_path):
     assert run_stage(rc, "coarse") is True
     assert os.path.isfile(rc.artifact(COARSE_FILE))
     assert run_stage(rc, "coarse") is False
+
+
+class InjectedFault(Exception):
+    """Stands in for a kill in the middle of an artifact write."""
+
+
+@contextmanager
+def _torn_file(path, mode, **kwargs):
+    """A file that keeps half of what was written to it, then fails."""
+    with open(path, mode, **kwargs) as fh:
+        yield fh
+        fh.flush()
+        os.truncate(path, os.path.getsize(path) // 2)
+    raise InjectedFault(path)
+
+
+def test_a_write_cut_at_any_point_reruns_to_the_clean_bytes(tmp_path, monkeypatch):
+    paths = fixture_tools.write_fixture(str(tmp_path))
+    arts = paths["artifacts"]
+    writes = {"count": 0, "fail_at": None}
+
+    def faulty_open(path, mode="r", **kwargs):
+        if "w" not in mode:
+            return open(path, mode, **kwargs)
+        writes["count"] += 1
+        if writes["count"] == writes["fail_at"]:
+            return _torn_file(path, mode, **kwargs)
+        return open(path, mode, **kwargs)
+
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(jsonl, "open", faulty_open, raising=False)
+    monkeypatch.setattr(os, "replace", recording_replace)
+
+    def run(fail_at=None):
+        writes["count"], writes["fail_at"] = 0, fail_at
+        run_all(validate_config(paths["config"]))
+        return writes["count"]
+
+    def snapshot():
+        out = {}
+        for name in sorted(os.listdir(arts)):
+            if name in (COARSE_LOG_FILE, CLASSIFY_LOG_FILE):
+                continue        # append-only logs: call order and latencies vary
+            data = _read_bytes(os.path.join(arts, name))
+            if name == MANIFEST_FILE:
+                manifest = json.loads(data)
+                for entry in manifest["stages"].values():
+                    del entry["wall_time_s"], entry["completed_at"]
+                data = manifest
+            out[name] = data
+        return out
+
+    total = run()
+    clean = snapshot()
+    # every stage output but the exchange logs, plus the config echo and the
+    # manifest, is renamed into place
+    atomic = {name for names in pipeline._OUTPUTS.values() for name in names}
+    atomic -= {COARSE_LOG_FILE, CLASSIFY_LOG_FILE}
+    assert set(replaced) == atomic | {RESOLVED_FILE, MANIFEST_FILE}
+    assert replaced.count(MANIFEST_FILE) == len(STAGE_ORDER)
+    assert total == len(replaced)
+
+    for k in range(1, total + 1):
+        shutil.rmtree(arts)
+        with pytest.raises(InjectedFault):
+            run(fail_at=k)
+        assert not [n for n in os.listdir(arts) if n.endswith(".tmp")], k
+        run()
+        assert snapshot() == clean, k
 
 
 def test_report_needs_a_finished_eval(fix, tmp_path):
@@ -622,6 +716,31 @@ def test_cli_run_all_report_and_caching(tmp_path):
     assert report.returncode == 0
     assert "GCN_softmax_tau" in report.stdout
     assert "OOD cluster accuracy" in report.stdout
+
+
+def test_cli_malformed_artifact_is_an_error_line(tmp_path):
+    paths = fixture_tools.write_fixture(str(tmp_path))
+    run_all(validate_config(paths["config"]))
+    coarse = os.path.join(paths["artifacts"], COARSE_FILE)
+    data = _read_bytes(coarse)
+    cut = data[:len(data) // 2]
+    assert not cut.endswith(b"\n")
+    with open(coarse, "wb") as fh:
+        fh.write(cut)
+
+    # coarse itself is cached; denoise reads the cut file first
+    res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert re.fullmatch(r"error: denoise: .*coarse\.jsonl:\d+: malformed JSON .*\n",
+                        res.stderr)
+
+    # the manifest is read before any stage runs
+    with open(os.path.join(paths["artifacts"], MANIFEST_FILE), "w") as fh:
+        fh.write('{"stages": ')
+    res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
+    assert res.returncode == 2
+    assert re.fullmatch(r"error: .*manifest\.json:1: malformed JSON .*\n", res.stderr)
 
 
 def test_cli_error_exit_codes(fix, tmp_path):
