@@ -13,12 +13,15 @@ in hidden space: x = alpha * h_boundary + (1 - alpha) * h_center.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import load_features, save_features, spmm
 from .jsonl import read_jsonl, write_jsonl
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import spmm
 from .jsonl import atomic_write
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LOG_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"CFCW"

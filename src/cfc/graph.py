@@ -5,7 +5,8 @@ column indices strictly increasing inside each row, no duplicates and no
 stored zeros. Both normalizations are built in numpy from the canonical edge
 list, and spmm is the one sparse @ dense product the model code calls, so
 its summation order (stored column order, row by row) fixes the rounding of
-every propagation.
+every propagation. scipy.sparse is imported when the first matrix is built,
+not with this module, so commands that build none never load it.
 
 Functions:
     load_graph: read a node/edge JSONL pair (plus optional feature file) into a Graph
@@ -21,11 +22,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .jsonl import atomic_write, read_jsonl, write_jsonl
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FEATURE_MAGIC = b"CFCF"
 
@@ -234,6 +238,7 @@ def save_graph(g: Graph, nodes_path: str, edges_path: str,
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_array:
     """n x n CSR from coordinates without duplicates, entries sorted by
     (row, column)."""
+    import scipy.sparse as sp
     order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])

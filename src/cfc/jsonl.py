@@ -7,14 +7,18 @@ malformed JSON (...)"). atomic_write puts the bytes in <path>.<pid>.tmp
 beside path and renames that onto path once complete, so a killed run leaves
 the old file or the new one, never a torn one the stage cache would take for
 done. There is no fsync: the guarantee covers a killed process, not a power
-loss.
+loss. A killed process also leaves its temp file; remove_orphaned_temp_files
+clears those of dead processes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager
+
+_TEMP_NAME = re.compile(r".+\.([0-9]+)\.tmp")
 
 
 def _parse(text: str, path: str, lineno: int):
@@ -52,6 +56,22 @@ def atomic_write(path: str, mode: str = "w"):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def remove_orphaned_temp_files(directory: str) -> None:
+    """Remove each <name>.<pid>.tmp in directory whose process no longer
+    exists: atomic_write's leftovers from a killed run. A live pid's file may
+    be a write in flight, and stays."""
+    for name in os.listdir(directory):
+        match = _TEMP_NAME.fullmatch(name)
+        if match is None:
+            continue
+        try:
+            os.kill(int(match.group(1)), 0)
+        except ProcessLookupError:
+            os.remove(os.path.join(directory, name))
+        except (PermissionError, OverflowError):
+            pass        # alive under another user, or not a pid at all
 
 
 def write_json(path: str, doc) -> None:

@@ -272,7 +272,8 @@ def cluster_accuracy(assignments, true_labels: dict) -> float:
 
     assignments is a sequence of OODAssignment (or (node_id, label) pairs);
     true_labels maps node id to its true class name. The optimal assignment
-    over the predicted x true contingency table is solved exactly.
+    over the predicted x true contingency table is solved exactly, in
+    integers, by _max_matching.
     """
     pairs = []
     for a in assignments:
@@ -290,10 +291,36 @@ def cluster_accuracy(assignments, true_labels: dict) -> float:
     ti = {t: k for k, t in enumerate(true_names)}
     for node, label in pairs:
         table[pi[label], ti[true_labels[node]]] += 1
-    # imported here: scipy.optimize is most of the import time of cfc.cli
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return float(table[rows, cols].sum() / len(pairs))
+    return float(_max_matching(table) / len(pairs))
+
+
+_SUBSET_DP_MAX_SIDE = 12
+
+
+def _max_matching(table: np.ndarray):
+    """Largest total of a matching over a non-negative integer table (each
+    row and column used at most once): a dynamic program over subsets of the
+    smaller side, O(rows 2^k) for k columns after transposing. Above
+    _SUBSET_DP_MAX_SIDE, scipy's linear_sum_assignment, whose import costs
+    more than the program takes on any smaller table."""
+    if table.shape[0] < table.shape[1]:
+        table = table.T
+    k = table.shape[1]
+    if k > _SUBSET_DP_MAX_SIDE:
+        from scipy.optimize import linear_sum_assignment
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        return table[rows, cols].sum()
+    masks = np.arange(1 << k)
+    free = [masks[(masks >> j) & 1 == 0] for j in range(k)]
+    # best[mask]: largest count matched so far using only columns in mask
+    best = np.zeros(1 << k, dtype=np.int64)
+    for row in table:
+        new = best.copy()
+        for j in range(k):
+            taken = free[j] | (1 << j)
+            new[taken] = np.maximum(new[taken], best[free[j]] + row[j])
+        best = new
+    return best[-1]
 
 
 # --------------------------------------------------------------- persistence

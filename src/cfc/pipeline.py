@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
 from .coarse import CoarseConfig, CoarseDetectError, coarse_detect, \
@@ -51,7 +50,8 @@ from .gcn import TrainConfig, TrainingDiverged, hidden_states, \
     load_checkpoint, predict, save_checkpoint, train
 from .graph import Graph, load_graph, rw_normalize_adjacency, \
     split_dataset, sym_normalize_adjacency, SplitAssignment
-from .jsonl import read_json, read_jsonl, write_json, write_jsonl
+from .jsonl import read_json, read_jsonl, remove_orphaned_temp_files, \
+    write_json, write_jsonl
 from .labelspace import classify_ood, cluster_accuracy, \
     load_assignments, merge_categories, save_assignments, \
     save_post_label_space
@@ -481,6 +481,7 @@ class _Runtime:
         """Model input X: the feature matrix, or a CSR copy of it (see
         SPARSE_FEATURE_DENSITY)."""
         if self._x is None:
+            import scipy.sparse as sp
             f = self.graph.features
             sparse = np.count_nonzero(f) <= SPARSE_FEATURE_DENSITY * f.size
             self._x = sp.csr_array(f) if sparse else f
@@ -803,7 +804,8 @@ def check_strict(rc: RunConfig, strict: bool) -> None:
 def artifacts_lock(art_dir: str):
     """Exclusive ownership of an artifacts directory for one command. The
     lock is an flock on .lock, which the OS drops when its holder dies, so
-    a killed run leaves nothing to clean up; the file itself stays."""
+    a killed run never blocks a later one; the file itself stays. Once held,
+    the temp files of killed writers are removed."""
     os.makedirs(art_dir, exist_ok=True)
     path = os.path.join(art_dir, LOCK_FILE)
     fd = os.open(path, os.O_CREAT | os.O_WRONLY)
@@ -813,6 +815,7 @@ def artifacts_lock(art_dir: str):
         except BlockingIOError:
             raise StageError(f"artifacts directory is locked by another run "
                              f"({path})") from None
+        remove_orphaned_temp_files(art_dir)
         yield
     finally:
         os.close(fd)

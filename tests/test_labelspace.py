@@ -433,18 +433,38 @@ def test_cluster_accuracy_accepts_assignment_objects():
     assert cluster_accuracy(a, {0: "x", 1: "x"}) == 1.0
 
 
+def _pairs_from_table(table):
+    """(node, predicted label) pairs and node -> true class whose contingency
+    table is `table` (rows predicted, columns true; empty lines drop out)."""
+    pairs, truth = [], {}
+    for (p, t), count in np.ndenumerate(table):
+        for _ in range(int(count)):
+            truth[len(pairs)] = f"true {t}"
+            pairs.append((len(pairs), f"pred {p}"))
+    return pairs, truth
+
+
 def test_cluster_accuracy_matches_exhaustive_oracle():
+    # both orientations and single lines; small counts make ties common
     rng = np.random.default_rng(3)
-    pred_names = ["a", "b", "c", "d"]
-    true_names = ["x", "y", "z"]
-    for _ in range(50):
-        n = int(rng.integers(2, 30))
-        pairs = [(i, pred_names[rng.integers(0, len(pred_names))])
-                 for i in range(n)]
-        truth = {i: true_names[rng.integers(0, len(true_names))]
-                 for i in range(n)}
-        assert cluster_accuracy(pairs, truth) == pytest.approx(
-            _oracle_cluster_accuracy(pairs, truth), abs=1e-12)
+    for shape in [(1, 1), (1, 5), (5, 1), (2, 6), (6, 2), (3, 5), (5, 3), (6, 6)]:
+        for _ in range(40):
+            table = rng.integers(0, 3, size=shape)
+            table[0, 0] += 1
+            pairs, truth = _pairs_from_table(table)
+            assert cluster_accuracy(pairs, truth) == \
+                _oracle_cluster_accuracy(pairs, truth), table
+
+
+def test_cluster_accuracy_large_tables_match_linear_sum_assignment():
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(13)
+    for shape in [(13, 14), (16, 13)]:
+        table = rng.integers(1, 9, size=shape)
+        pairs, truth = _pairs_from_table(table)
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        assert cluster_accuracy(pairs, truth) == table[rows, cols].sum() / len(pairs)
 
 
 def test_cluster_accuracy_rejects_missing_truth_and_empty():

@@ -6,6 +6,7 @@ completed reference run of all nine stages over it. Tests that mutate
 artifacts run in their own artifact directories against the same dataset.
 """
 
+import ast
 import json
 import os
 import re
@@ -37,6 +38,7 @@ from cfc.pipeline import (
     EVAL_FILE,
     FINE_CKPT,
     LLM_CACHE_FILE,
+    LOCK_FILE,
     MANIFEST_FILE,
     PRELIM_CKPT,
     RESOLVED_FILE,
@@ -423,6 +425,37 @@ def test_lock_of_a_killed_run_is_released(tmp_path):
         pass
 
 
+def test_lock_removes_temp_files_of_killed_writers(tmp_path):
+    arts = str(tmp_path / "arts")
+    code = ("import sys, time\n"
+            "from cfc.jsonl import atomic_write\n"
+            "with atomic_write(sys.argv[1]) as fh:\n"
+            "    fh.write('half')\n"
+            "    fh.flush()\n"
+            "    print('writing', flush=True)\n"
+            "    time.sleep(60)\n")
+    os.makedirs(arts)
+    child = subprocess.Popen([sys.executable, "-c", code, os.path.join(arts, EVAL_FILE)],
+                             stdout=subprocess.PIPE, text=True, env=_child_env())
+    try:
+        assert child.stdout.readline().strip() == "writing"
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait()
+        child.stdout.close()
+    orphan = f"{EVAL_FILE}.{child.pid}.tmp"
+    live = f"{RESOLVED_FILE}.{os.getpid()}.tmp"     # a write in flight
+    with open(os.path.join(arts, live), "w") as fh:
+        fh.write("{}")
+    with open(os.path.join(arts, "notes.tmp"), "w") as fh:
+        fh.write("not ours")
+    assert orphan in os.listdir(arts)
+
+    with artifacts_lock(arts):
+        pass
+    assert sorted(os.listdir(arts)) == sorted([LOCK_FILE, live, "notes.tmp"])
+
+
 # ------------------------------------------------------------ failure paths
 
 
@@ -670,13 +703,31 @@ def _cli(args, cwd):
                           capture_output=True, text=True, cwd=cwd, env=_child_env())
 
 
-def test_import_cli_leaves_scipy_optimize_unloaded():
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cfc.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env=_child_env())
-    assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "False"
+_SCIPY_PROBE = (
+    "import sys, cfc.cli\n"
+    "from cfc.pipeline import emit_report, run_all, validate_config\n"
+    "rc = validate_config(sys.argv[1])\n"
+    "if sys.argv[2] == 'run-all':\n"
+    "    run_all(rc)\n"
+    "elif sys.argv[2] == 'report':\n"
+    "    emit_report(rc)\n"
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+
+
+def test_scipy_is_loaded_only_by_commands_that_use_it(tmp_path):
+    config = fixture_tools.write_fixture(str(tmp_path))["config"]
+
+    def scipy_modules(command):
+        probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, config, command],
+                               capture_output=True, text=True, env=_child_env())
+        assert probe.returncode == 0, probe.stderr
+        return ast.literal_eval(probe.stdout)
+
+    assert scipy_modules("validate") == []
+    cold = scipy_modules("run-all")
+    assert "scipy.sparse" in cold and "scipy.optimize" not in cold
+    assert scipy_modules("run-all") == []       # every stage cached
+    assert scipy_modules("report") == []
 
 
 def test_cli_closed_stdout_exits_like_sigpipe(fix, tmp_path):
