@@ -1,0 +1,200 @@
+"""The run config. The dataclass tree below is its schema: a field of
+RunConfig is a top-level key, one typed as a dataclass is a block (omitted
+means {}), a field with a default is an optional key, one without is
+required, and the annotation gives the JSON type. _NOT_KEYS lists the fields
+no key sets. Unknown keys are rejected; range checks live in __post_init__.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+
+from .coarse import CoarseConfig
+from .denoise import MixupConfig, PropagationConfig
+from .gateway import BASE_URL_ENV, GatewayConfig
+from .gcn import TrainConfig
+from .jsonl import read_json
+
+# offset of each random stream from the config seed, so no two collide
+SEED_OFFSETS = {"coarse": 0, "mixup": 1, "prelim": 2, "fine": 3, "baseline": 4}
+
+
+class ConfigError(ValueError):
+    """Bad config, bad dataset, or a stage invoked out of order."""
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    nodes: str
+    edges: str
+    features: str
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    id_classes: tuple[str, ...]
+    ood_classes: tuple[str, ...]
+    train_frac: float = 0.5
+    val_frac: float = 0.4
+
+    def __post_init__(self):
+        if len(self.id_classes) < 2:
+            raise ValueError("split.id_classes needs at least two classes")
+        if not self.ood_classes:
+            raise ValueError("split.ood_classes must not be empty")
+        if any(len(set(names)) < len(names) for names in (self.id_classes, self.ood_classes)):
+            raise ValueError("duplicate class names in split config")
+        if set(self.id_classes) & set(self.ood_classes):
+            raise ValueError("id_classes and ood_classes overlap")
+        if not (0.0 < self.train_frac < 1.0) or not (0.0 < self.val_frac < 1.0):
+            raise ValueError("split fractions must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
+class MergeConfig:
+    sim_threshold: float = 0.5
+    min_count: int | None = None
+
+    def __post_init__(self):
+        if not (0.0 <= self.sim_threshold <= 1.0):
+            raise ValueError("merge.sim_threshold must lie in [0, 1]")
+        if self.min_count is not None and self.min_count < 1:
+            raise ValueError("merge.min_count must be >= 1 when set")
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig:
+    """A validated run: one dataclass per block, paths absolute; resolved is
+    the plain dict of every key, which input hashes and resolved.json use."""
+
+    seed: int
+    artifacts_dir: str = "artifacts"
+    dataset: DatasetConfig
+    split: SplitConfig
+    coarse: CoarseConfig
+    propagation: PropagationConfig
+    mixup: MixupConfig
+    train: TrainConfig
+    merge: MergeConfig
+    gateway: GatewayConfig
+    resolved: dict
+
+    def artifact(self, name: str) -> str:
+        return os.path.join(self.artifacts_dir, name)
+
+
+# fields no key sets: the derived seeds and ID labels, the per-model GCN head
+_NOT_KEYS = {RunConfig: ("resolved",), CoarseConfig: ("seed", "id_labels"),
+             MixupConfig: ("seed",), TrainConfig: ("seed", "head")}
+
+
+# annotation -> (what the error says was expected, test); the values come
+# from JSON, so types are exact: a bool is not an integer
+_KINDS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: type(v) is str),
+    tuple[str, ...]: ("a list of strings", lambda v: type(v) is list
+                      and all(type(s) is str for s in v)),
+    int | None: ("an integer or null", lambda v: v is None or type(v) is int),
+    str | None: ("a string or null", lambda v: v is None or type(v) is str),
+}
+
+
+@functools.cache
+def _spec(cls) -> dict:
+    """key -> (annotation, default) of cls, annotations resolved once."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in fields(cls)
+            if f.name not in _NOT_KEYS.get(cls, ())}
+
+
+def _walk(cls, raw: dict, prefix: str) -> dict:
+    """Check raw against cls's keys; returns it typed and default-filled."""
+    spec = _spec(cls)
+    for key in raw:
+        if key not in spec:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+    out = {}
+    for key, (hint, default) in spec.items():
+        dotted = prefix + key
+        if is_dataclass(hint):
+            block = raw.get(key, {})
+            if not isinstance(block, dict):
+                raise ConfigError(f"{dotted}: expected an object")
+            out[key] = _walk(hint, block, dotted + ".")
+        elif key not in raw:
+            if default is MISSING:
+                raise ConfigError(f"missing required config key {dotted!r}")
+            out[key] = default
+        else:
+            value = raw[key]
+            expected, test = _KINDS[hint]
+            if not test(value):
+                raise ConfigError(f"{dotted}: expected {expected}, got {value!r}")
+            out[key] = float(value) if hint is float else value
+    return out
+
+
+def _build(cls, values: dict, derived: dict):
+    """cls from walked values; derived[cls] holds the fields that are not keys."""
+    kwargs = dict(derived.get(cls, {}))
+    for key, (hint, _) in _spec(cls).items():
+        value = values[key]
+        kwargs[key] = (_build(hint, value, derived) if is_dataclass(hint)
+                       else tuple(value) if isinstance(value, list) else value)
+    return cls(**kwargs)
+
+
+def validate_config(path: str, artifacts_override: str | None = None) -> RunConfig:
+    """Load, check and default-fill a JSON run config; relative paths are
+    taken relative to the config file. Writes no file."""
+    try:
+        raw = read_json(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+
+    r = _walk(RunConfig, raw, "")
+    base_dir = os.path.dirname(os.path.abspath(path))
+
+    def absolute(value: str) -> str:
+        return value if os.path.isabs(value) else os.path.normpath(
+            os.path.join(base_dir, value))
+
+    def check_path(block: str, key: str, exists, what: str) -> None:
+        r[block][key] = value = absolute(r[block][key])
+        if not exists(value):
+            raise ConfigError(f"{block}.{key}: no such {what} {value}")
+
+    if artifacts_override is not None:
+        r["artifacts_dir"] = artifacts_override
+    r["artifacts_dir"] = absolute(r["artifacts_dir"])
+    for key in ("nodes", "edges", "features"):
+        check_path("dataset", key, os.path.isfile, "file")
+    if r["coarse"]["template_dir"] is not None:
+        check_path("coarse", "template_dir", os.path.isdir, "directory")
+    gw = r["gateway"]
+    if gw["mode"] == "mock":
+        if gw["mock_fixture_path"] is None:
+            raise ConfigError("gateway.mock_fixture_path is required in mock mode")
+        check_path("gateway", "mock_fixture_path", os.path.isfile, "file")
+    elif not gw["base_url"] and not os.environ.get(BASE_URL_ENV):
+        raise ConfigError(f"gateway.base_url (or ${BASE_URL_ENV}) is required in live mode")
+
+    seed = r["seed"]
+    derived = {RunConfig: {"resolved": r},
+               CoarseConfig: {"seed": seed + SEED_OFFSETS["coarse"],
+                              "id_labels": tuple(r["split"]["id_classes"])},
+               MixupConfig: {"seed": seed + SEED_OFFSETS["mixup"]},
+               TrainConfig: {"seed": seed + SEED_OFFSETS["prelim"]}}
+    try:
+        return _build(RunConfig, r, derived)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

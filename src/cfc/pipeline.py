@@ -13,14 +13,17 @@ A run is nine stages over one artifacts directory:
     classify-ood  merge logged categories, LLM-label the detected set
     eval          scores the pipeline and the threshold baselines
 
-Each stage records a hash of everything it read (scoped config, dataset
-bytes, upstream artifacts) in manifest.json and is skipped when that hash
-matches and every output the stage writes today still exists, so LLM-backed
-stages never recompute by accident, and an edit to screening or merging
-reruns eval without retraining a model. In live mode the gateway also keeps
-every parsed reply in llm_cache.jsonl, so a rerun after an edit or a crash
-asks the endpoint only for prompts it has not answered yet. Config validation is strict: unknown
-keys are rejected and the fully-defaulted config is echoed to resolved.json.
+Each stage records in manifest.json a hash of everything it read (its
+scoped config, dataset bytes, upstream artifacts) and the sha256 of each
+file it wrote. It is skipped when that input hash matches and every output
+it writes today still has its recorded sha256, so LLM-backed stages never
+recompute by accident, an output cut or edited by hand is rebuilt, and an
+edit to screening or merging reruns eval without retraining a model. In
+live mode the gateway also keeps every parsed reply in llm_cache.jsonl, so a
+rerun after an edit or a crash asks the endpoint only for prompts it has not
+answered yet. The config is checked by cfc.config; a stage that runs echoes
+it, every default made explicit, to resolved.json beside the manifest that
+records its hash.
 
 Artifacts are written through cfc.jsonl's atomic writer, so a killed run
 never leaves a torn file that the cache would take for done.
@@ -34,20 +37,22 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .coarse import CoarseConfig, CoarseDetectError, coarse_detect, \
-    load_coarse_result, save_coarse_result
-from .denoise import MixupConfig, PropagationConfig, denoise_ood, \
-    initial_label_matrix, label_propagate, load_synthetic, mixup_augment, \
-    ood_center, save_synthetic, select_boundary_nodes
-from .gateway import BASE_URL_ENV, GatewayConfig, GatewayError, LLMGateway
-from .gcn import TrainConfig, TrainingDiverged, hidden_states, \
-    load_checkpoint, predict, save_checkpoint, train
+from .coarse import CoarseDetectError, coarse_detect, load_coarse_result, \
+    save_coarse_result
+# validate_config is re-exported: the CLI and callers import it from here
+from .config import SEED_OFFSETS, ConfigError, RunConfig, validate_config
+from .denoise import denoise_ood, initial_label_matrix, label_propagate, \
+    load_synthetic, mixup_augment, ood_center, save_synthetic, \
+    select_boundary_nodes
+from .gateway import GatewayError, LLMGateway
+from .gcn import TrainingDiverged, hidden_states, load_checkpoint, predict, \
+    save_checkpoint, train
 from .graph import Graph, load_graph, rw_normalize_adjacency, \
     split_dataset, sym_normalize_adjacency, SplitAssignment
 from .jsonl import read_json, read_jsonl, remove_orphaned_temp_files, \
@@ -88,260 +93,8 @@ METHOD_ORDER = ("CFC", "GCN_softmax", "GCN_softmax_tau",
                 "GCN_sigmoid", "GCN_sigmoid_tau")
 
 
-class ConfigError(ValueError):
-    """Bad config, bad dataset, or a stage invoked out of order."""
-
-
 class StageError(RuntimeError):
     """A stage failed while executing."""
-
-
-# ------------------------------------------------------------------ config
-
-_REQUIRED = object()
-
-_SCHEMA = {
-    "seed": ("int", _REQUIRED),
-    "artifacts_dir": ("str", "artifacts"),
-    "dataset": {
-        "nodes": ("str", _REQUIRED),
-        "edges": ("str", _REQUIRED),
-        "features": ("str", _REQUIRED),
-    },
-    "split": {
-        "id_classes": ("list[str]", _REQUIRED),
-        "ood_classes": ("list[str]", _REQUIRED),
-        "train_frac": ("number", 0.5),
-        "val_frac": ("number", 0.4),
-    },
-    "coarse": {
-        "mode": ("str", "easy_reject"),
-        "confidence_threshold": ("number", 0.7),
-        "candidate_count": ("int", 10),
-        "max_parse_retries": ("int", 2),
-        "node_budget": ("int|null", None),
-        "text_budget": ("int", 4000),
-        "template_dir": ("str|null", None),
-    },
-    "propagation": {
-        "steps": ("int", 10),
-    },
-    "mixup": {
-        "alpha": ("number", 0.5),
-        "boundary_count": ("int", 10),
-        "synth_count": ("int", 100),
-    },
-    "train": {
-        "learning_rate": ("number", 0.01),
-        "weight_decay": ("number", 5e-4),
-        "epochs": ("int", 200),
-        "hidden_dim": ("int", 64),
-        "early_stop_patience": ("int", 30),
-    },
-    "merge": {
-        "sim_threshold": ("number", 0.5),
-        "min_count": ("int|null", None),
-    },
-    "gateway": {
-        "mode": ("str", "mock"),
-        "base_url": ("str", ""),
-        "model_name": ("str", "mock-model"),
-        "temperature": ("number", 0.0),
-        "max_retries": ("int", 3),
-        "request_timeout": ("number", 30.0),
-        "max_concurrent": ("int", 4),
-        "mock_fixture_path": ("str|null", None),
-    },
-}
-
-
-def _check_kind(value, kind: str, path: str):
-    def fail(expected):
-        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
-
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            fail("an integer")
-        return value
-    if kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            fail("a number")
-        return float(value)
-    if kind == "str":
-        if not isinstance(value, str):
-            fail("a string")
-        return value
-    if kind == "list[str]":
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            fail("a list of strings")
-        return list(value)
-    if kind == "int|null":
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            fail("an integer or null")
-        return value
-    if kind == "str|null":
-        if value is None or isinstance(value, str):
-            return value
-        fail("a string or null")
-    raise AssertionError(f"unhandled schema kind {kind}")
-
-
-def _validate_block(raw: dict, schema: dict, prefix: str) -> dict:
-    for key in raw:
-        if key not in schema:
-            dotted = f"{prefix}{key}"
-            raise ConfigError(f"unknown config key {dotted!r}")
-    out = {}
-    for key, spec in schema.items():
-        dotted = f"{prefix}{key}"
-        if isinstance(spec, dict):
-            sub = raw.get(key, {})
-            if not isinstance(sub, dict):
-                raise ConfigError(f"{dotted}: expected an object")
-            out[key] = _validate_block(sub, spec, dotted + ".")
-            continue
-        kind, default = spec
-        if key not in raw:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required config key {dotted!r}")
-            out[key] = default
-        else:
-            out[key] = _check_kind(raw[key], kind, dotted)
-    return out
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully validated run: resolved paths, constructed sub-configs, and
-    the resolved plain dict that stage input hashing draws from."""
-
-    seed: int
-    nodes_path: str
-    edges_path: str
-    features_path: str
-    id_classes: tuple[str, ...]
-    ood_classes: tuple[str, ...]
-    train_frac: float
-    val_frac: float
-    coarse_cfg: CoarseConfig
-    prop_cfg: PropagationConfig
-    mixup_cfg: MixupConfig
-    train_cfg: TrainConfig
-    merge_sim_threshold: float
-    merge_min_count: int | None
-    gateway_cfg: GatewayConfig
-    artifacts_dir: str
-    resolved: dict
-
-    def artifact(self, name: str) -> str:
-        return os.path.join(self.artifacts_dir, name)
-
-
-def _resolve_path(value: str, base_dir: str) -> str:
-    return value if os.path.isabs(value) else os.path.normpath(
-        os.path.join(base_dir, value))
-
-
-def validate_config(path: str, artifacts_override: str | None = None) -> RunConfig:
-    """Load, schema-check, and default-fill a JSON run config.
-
-    Relative paths are taken relative to the config file. The resolved
-    config (every default made explicit, paths absolute) is echoed to
-    <artifacts_dir>/resolved.json.
-    """
-    try:
-        raw = read_json(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-
-    resolved = _validate_block(raw, _SCHEMA, "")
-    base_dir = os.path.dirname(os.path.abspath(path))
-
-    if artifacts_override is not None:
-        resolved["artifacts_dir"] = artifacts_override
-    resolved["artifacts_dir"] = _resolve_path(resolved["artifacts_dir"], base_dir)
-    for key in ("nodes", "edges", "features"):
-        resolved["dataset"][key] = _resolve_path(resolved["dataset"][key], base_dir)
-        if not os.path.isfile(resolved["dataset"][key]):
-            raise ConfigError(f"dataset.{key}: no such file "
-                              f"{resolved['dataset'][key]}")
-    if resolved["coarse"]["template_dir"] is not None:
-        resolved["coarse"]["template_dir"] = _resolve_path(
-            resolved["coarse"]["template_dir"], base_dir)
-        if not os.path.isdir(resolved["coarse"]["template_dir"]):
-            raise ConfigError("coarse.template_dir: no such directory "
-                              f"{resolved['coarse']['template_dir']}")
-
-    split = resolved["split"]
-    id_classes = tuple(split["id_classes"])
-    ood_classes = tuple(split["ood_classes"])
-    if len(id_classes) < 2:
-        raise ConfigError("split.id_classes needs at least two classes")
-    if not ood_classes:
-        raise ConfigError("split.ood_classes must not be empty")
-    if len(set(id_classes)) != len(id_classes) or \
-            len(set(ood_classes)) != len(ood_classes):
-        raise ConfigError("duplicate class names in split config")
-    if set(id_classes) & set(ood_classes):
-        raise ConfigError("id_classes and ood_classes overlap")
-
-    gw = resolved["gateway"]
-    if gw["mode"] == "mock":
-        if gw["mock_fixture_path"] is None:
-            raise ConfigError("gateway.mock_fixture_path is required in mock mode")
-        gw["mock_fixture_path"] = _resolve_path(gw["mock_fixture_path"], base_dir)
-        if not os.path.isfile(gw["mock_fixture_path"]):
-            raise ConfigError("gateway.mock_fixture_path: no such file "
-                              f"{gw['mock_fixture_path']}")
-    elif not gw["base_url"] and not os.environ.get(BASE_URL_ENV):
-        raise ConfigError(f"gateway.base_url (or ${BASE_URL_ENV}) is required "
-                          "in live mode")
-
-    try:
-        coarse_cfg = CoarseConfig(seed=resolved["seed"], id_labels=id_classes,
-                                  **resolved["coarse"])
-        prop_cfg = PropagationConfig(**resolved["propagation"])
-        mixup_cfg = MixupConfig(seed=resolved["seed"] + 1, **resolved["mixup"])
-        train_cfg = TrainConfig(seed=resolved["seed"] + 2, **resolved["train"])
-        gateway_cfg = GatewayConfig(**gw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    merge = resolved["merge"]
-    if not (0.0 <= merge["sim_threshold"] <= 1.0):
-        raise ConfigError("merge.sim_threshold must lie in [0, 1]")
-    if merge["min_count"] is not None and merge["min_count"] < 1:
-        raise ConfigError("merge.min_count must be >= 1 when set")
-    if not (0.0 < split["train_frac"] < 1.0) or not (0.0 < split["val_frac"] < 1.0):
-        raise ConfigError("split fractions must lie in (0, 1)")
-
-    rc = RunConfig(
-        seed=resolved["seed"],
-        nodes_path=resolved["dataset"]["nodes"],
-        edges_path=resolved["dataset"]["edges"],
-        features_path=resolved["dataset"]["features"],
-        id_classes=id_classes,
-        ood_classes=ood_classes,
-        train_frac=split["train_frac"],
-        val_frac=split["val_frac"],
-        coarse_cfg=coarse_cfg,
-        prop_cfg=prop_cfg,
-        mixup_cfg=mixup_cfg,
-        train_cfg=train_cfg,
-        merge_sim_threshold=merge["sim_threshold"],
-        merge_min_count=merge["min_count"],
-        gateway_cfg=gateway_cfg,
-        artifacts_dir=resolved["artifacts_dir"],
-        resolved=resolved,
-    )
-    os.makedirs(rc.artifacts_dir, exist_ok=True)
-    write_json(rc.artifact(RESOLVED_FILE), resolved)
-    return rc
 
 
 # ------------------------------------------------------------------ hashing
@@ -396,76 +149,84 @@ _CONSUMES = {
 
 # the gateway settings that can change a reply; the mock fixture's content
 # is hashed separately, and the rest (URL, timeouts, concurrency) cannot
-_REPLY_KEYS = ("mode", "model_name", "temperature")
+_REPLY = ("gateway.mode", "gateway.model_name", "gateway.temperature")
+
+# config each stage reads, hashed into its input fingerprint: scope name ->
+# key path, or a tuple of paths for a block of just those keys
+_READS = {
+    "ingest": {"seed": "seed", "split": "split"},
+    "coarse": {"seed": "seed", "coarse": "coarse", "gateway": _REPLY,
+               "id_classes": "split.id_classes"},
+    "denoise": {"propagation": "propagation"},
+    "train-prelim": {"seed": "seed", "train": "train"},
+    "augment": {"seed": "seed", "mixup": "mixup"},
+    "train-fine": {"seed": "seed", "train": "train"},
+    "detect": {},
+    "classify-ood": {"merge": "merge", "gateway": _REPLY,
+                     "text_budget": "coarse.text_budget",
+                     "max_parse_retries": "coarse.max_parse_retries"},
+    "eval": {},
+}
+
+
+def _lookup(resolved: dict, path: str):
+    for part in path.split("."):
+        resolved = resolved[part]
+    return resolved
 
 
 def _scoped_config(rc: RunConfig, stage: str) -> dict:
-    r = rc.resolved
-    gateway = {k: r["gateway"][k] for k in _REPLY_KEYS}
-    if stage == "ingest":
-        return {"seed": r["seed"], "split": r["split"]}
-    if stage == "coarse":
-        return {"seed": r["seed"], "coarse": r["coarse"],
-                "gateway": gateway, "id_classes": r["split"]["id_classes"]}
-    if stage == "denoise":
-        return {"propagation": r["propagation"]}
-    if stage in ("train-prelim", "train-fine"):
-        return {"seed": r["seed"], "train": r["train"]}
-    if stage == "augment":
-        return {"seed": r["seed"], "mixup": r["mixup"]}
-    if stage in ("detect", "eval"):
-        return {}
-    if stage == "classify-ood":
-        return {"merge": r["merge"], "gateway": gateway,
-                "text_budget": r["coarse"]["text_budget"],
-                "max_parse_retries": r["coarse"]["max_parse_retries"]}
-    raise AssertionError(f"unknown stage {stage}")
+    def value(path):
+        if isinstance(path, tuple):
+            return {p.rsplit(".", 1)[1]: _lookup(rc.resolved, p) for p in path}
+        return _lookup(rc.resolved, path)
+    return {name: value(path) for name, path in _READS[stage].items()}
 
 
-def _stage_inputs(rc: RunConfig, stage: str, dataset_hash: str) -> dict:
+def _stage_inputs(rt: _Runtime, stage: str) -> dict:
+    rc = rt.rc
     inputs = {"config": _json_hash(_scoped_config(rc, stage)),
-              "dataset": dataset_hash}
+              "dataset": _json_hash([rt.file_hash(path) for path in (
+                  rc.dataset.nodes, rc.dataset.edges, rc.dataset.features)])}
     for name in _CONSUMES[stage]:
-        inputs[name] = _file_hash(rc.artifact(name))
+        inputs[name] = rt.file_hash(rc.artifact(name))
     uses_gateway = stage in ("coarse", "classify-ood")
-    if uses_gateway and rc.gateway_cfg.mode == "mock":
-        inputs["mock_fixture"] = _file_hash(rc.gateway_cfg.mock_fixture_path)
-    if uses_gateway and rc.coarse_cfg.template_dir is not None:
-        tdir = rc.coarse_cfg.template_dir
+    if uses_gateway and rc.gateway.mode == "mock":
+        inputs["mock_fixture"] = rt.file_hash(rc.gateway.mock_fixture_path)
+    if uses_gateway and rc.coarse.template_dir is not None:
+        tdir = rc.coarse.template_dir
         inputs["templates"] = _json_hash(
-            {f: _file_hash(os.path.join(tdir, f))
+            {f: rt.file_hash(os.path.join(tdir, f))
              for f in sorted(os.listdir(tdir)) if f.endswith(".txt")})
     return inputs
 
 
 class _Runtime:
-    """Per-command cache of expensive shared state (dataset hash, graph,
+    """Per-command cache of expensive shared state (file hashes, graph,
     split, A-hat, model input)."""
 
     def __init__(self, rc: RunConfig):
         self.rc = rc
-        self._dataset_hash: str | None = None
+        self._hashes: dict[str, str] = {}
         self._graph: Graph | None = None
         self._split: SplitAssignment | None = None
         self._a_hat = None
         self._x = None
 
-    @property
-    def dataset_hash(self) -> str:
-        """Hash of the three dataset files, read once per command."""
-        if self._dataset_hash is None:
-            rc = self.rc
-            self._dataset_hash = _json_hash([_file_hash(rc.nodes_path),
-                                             _file_hash(rc.edges_path),
-                                             _file_hash(rc.features_path)])
-        return self._dataset_hash
+    def file_hash(self, path: str, fresh: bool = False) -> str:
+        """sha256 of a file, read once per command: only a stage writes in
+        the artifacts directory, and it rehashes (fresh) what it wrote."""
+        if fresh or path not in self._hashes:
+            self._hashes[path] = _file_hash(path)
+        return self._hashes[path]
 
     @property
     def graph(self) -> Graph:
         if self._graph is None:
             try:
-                self._graph = load_graph(self.rc.nodes_path, self.rc.edges_path,
-                                         self.rc.features_path)
+                dataset = self.rc.dataset
+                self._graph = load_graph(dataset.nodes, dataset.edges,
+                                         dataset.features)
             except ValueError as exc:
                 raise ConfigError(f"dataset rejected: {exc}") from exc
         return self._graph
@@ -514,8 +275,9 @@ class _Runtime:
 def _stage_ingest(rt: _Runtime) -> None:
     rc = rt.rc
     try:
-        split = split_dataset(rt.graph, rc.id_classes, rc.ood_classes, rc.seed,
-                              rc.train_frac, rc.val_frac)
+        split = split_dataset(rt.graph, rc.split.id_classes,
+                              rc.split.ood_classes, rc.seed,
+                              rc.split.train_frac, rc.split.val_frac)
     except ValueError as exc:
         raise ConfigError(f"split rejected: {exc}") from exc
     write_json(rc.artifact(SPLIT_FILE), split.to_dict())
@@ -526,7 +288,7 @@ def _gateway(rc: RunConfig, log_name: str) -> LLMGateway:
     """A stage's gateway: a fresh exchange log, the shared reply cache."""
     log_path = rc.artifact(log_name)
     open(log_path, "w").close()             # exists even when nothing is asked
-    return LLMGateway(rc.gateway_cfg, log_path=log_path,
+    return LLMGateway(rc.gateway, log_path=log_path,
                       cache_path=rc.artifact(LLM_CACHE_FILE))
 
 
@@ -534,7 +296,7 @@ def _stage_coarse(rt: _Runtime) -> None:
     rc = rt.rc
     gateway = _gateway(rc, COARSE_LOG_FILE)
     try:
-        result = coarse_detect(rt.graph, rt.split().test_ids, rc.coarse_cfg,
+        result = coarse_detect(rt.graph, rt.split().test_ids, rc.coarse,
                                gateway)
     except (GatewayError, CoarseDetectError) as exc:
         raise StageError(f"coarse detection failed: {exc}") from exc
@@ -559,11 +321,11 @@ def _stage_denoise(rt: _Runtime) -> None:
     if candidates:
         init = initial_label_matrix(g.num_nodes, len(split.id_classes),
                                     train_labels, candidates)
-        propagated = label_propagate(rw_normalize_adjacency(g), init, rc.prop_cfg)
+        propagated = label_propagate(rw_normalize_adjacency(g), init, rc.propagation)
         survivors = denoise_ood(propagated, candidates)
 
     kept = set(survivors)
-    summary = {"kind": "summary", "steps": rc.prop_cfg.steps,
+    summary = {"kind": "summary", "steps": rc.propagation.steps,
                "candidate_count": len(candidates),
                "survivor_count": len(survivors)}
     write_jsonl(rc.artifact(DENOISED_FILE), [summary] + [
@@ -578,9 +340,9 @@ def _stage_train_prelim(rt: _Runtime) -> None:
     y = rt.id_train_targets()
     val_ids = rt.id_val_ids()
     models = (
-        ("preliminary", PRELIM_CKPT, replace(rc.train_cfg, seed=rc.seed + 2)),
-        ("sigmoid baseline", BASELINE_CKPT,
-         replace(rc.train_cfg, head="sigmoid", seed=rc.seed + 4)),
+        ("preliminary", PRELIM_CKPT, rc.train),
+        ("sigmoid baseline", BASELINE_CKPT, replace(
+            rc.train, head="sigmoid", seed=rc.seed + SEED_OFFSETS["baseline"])),
     )
     for what, name, cfg in models:
         try:
@@ -602,9 +364,9 @@ def _stage_augment(rt: _Runtime) -> None:
     hidden = hidden_states(params, rt.a_hat, rt.x)
     probs = predict(params, rt.a_hat, rt.x)
     confidence = {i: float(probs[i].max()) for i in split.train_ids}
-    boundary = select_boundary_nodes(confidence, rc.mixup_cfg.boundary_count)
+    boundary = select_boundary_nodes(confidence, rc.mixup.boundary_count)
     center = ood_center(hidden, survivors)
-    synth = mixup_augment(hidden, boundary, center, rc.mixup_cfg)
+    synth = mixup_augment(hidden, boundary, center, rc.mixup)
     save_synthetic(synth, rc.artifact(SYNTH_BIN_FILE), rc.artifact(SYNTH_META_FILE))
 
 
@@ -623,7 +385,7 @@ def _stage_train_fine(rt: _Runtime) -> None:
         if g.labels[i] not in cindex:
             y[i] = c
     train_ids = sorted(set(split.train_ids) | set(survivors))
-    cfg = replace(rc.train_cfg, seed=rc.seed + 3)
+    cfg = replace(rc.train, seed=rc.seed + SEED_OFFSETS["fine"])
     try:
         params, _ = train(rt.a_hat, rt.x, y, train_ids, split.val_ids,
                           out_dim=c + 1, synth=synth, cfg=cfg)
@@ -650,8 +412,8 @@ def _stage_classify_ood(rt: _Runtime) -> None:
         raise StageError("coarse stage logged no OOD categories; cannot build "
                          "a label space")
     try:
-        post = merge_categories(coarse.category_log, rc.merge_sim_threshold,
-                                rc.merge_min_count)
+        post = merge_categories(coarse.category_log, rc.merge.sim_threshold,
+                                rc.merge.min_count)
     except ValueError as exc:
         raise StageError(f"category merge failed: {exc}") from exc
     save_post_label_space(post, rc.artifact(POST_LABELS_FILE))
@@ -666,9 +428,9 @@ def _stage_classify_ood(rt: _Runtime) -> None:
         try:
             assignments = classify_ood(
                 ood_nodes, rt.graph, post, gateway,
-                text_budget=rc.coarse_cfg.text_budget,
-                template_dir=rc.coarse_cfg.template_dir,
-                max_parse_retries=rc.coarse_cfg.max_parse_retries)
+                text_budget=rc.coarse.text_budget,
+                template_dir=rc.coarse.template_dir,
+                max_parse_retries=rc.coarse.max_parse_retries)
         except GatewayError as exc:
             raise StageError(f"OOD classification failed: {exc}") from exc
     save_assignments(assignments, rc.artifact(ASSIGN_FILE))
@@ -768,14 +530,18 @@ def _save_manifest(art_dir: str, manifest: dict) -> None:
     write_json(os.path.join(art_dir, MANIFEST_FILE), manifest)
 
 
-def _outputs_exist(rc: RunConfig, stage: str) -> bool:
-    # the outputs the stage writes now, not those its manifest entry lists:
-    # an entry written before the stage gained an output must not count
-    return all(os.path.exists(rc.artifact(name)) for name in _OUTPUTS[stage])
-
-
-def _stage_complete(rc: RunConfig, manifest: dict, stage: str) -> bool:
-    return stage in manifest["stages"] and _outputs_exist(rc, stage)
+def _stage_done(rt: _Runtime, manifest: dict, stage: str) -> bool:
+    """The stage has an entry, and every output the stage writes now (not
+    only those the entry lists) still has the sha256 the entry recorded. An
+    entry that recorded no hashes counts as not done."""
+    recorded = manifest["stages"].get(stage, {}).get("outputs")
+    if not isinstance(recorded, dict):
+        return False
+    try:
+        return all(recorded.get(name) == rt.file_hash(rt.rc.artifact(name))
+                   for name in _OUTPUTS[stage])
+    except FileNotFoundError:
+        return False
 
 
 _PRODUCER = {name: stage for stage, names in _OUTPUTS.items() for name in names}
@@ -802,10 +568,12 @@ def check_strict(rc: RunConfig, strict: bool) -> None:
 
 @contextmanager
 def artifacts_lock(art_dir: str):
-    """Exclusive ownership of an artifacts directory for one command. The
-    lock is an flock on .lock, which the OS drops when its holder dies, so
-    a killed run never blocks a later one; the file itself stays. Once held,
-    the temp files of killed writers are removed."""
+    """Exclusive ownership of an artifacts directory for one command; creates
+    the directory. The lock is an flock on .lock, which the OS drops when its
+    holder dies, so a killed run never blocks a later one; the file itself
+    stays. Every file a command writes there, resolved.json included, is
+    written while the lock is held, and once it is held the temp files of
+    killed writers are removed."""
     os.makedirs(art_dir, exist_ok=True)
     path = os.path.join(art_dir, LOCK_FILE)
     fd = os.open(path, os.O_CREAT | os.O_WRONLY)
@@ -825,14 +593,14 @@ def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:
     """Run one stage if its inputs changed; returns True when it executed."""
     rc = rt.rc
     for upstream in _transitive_upstream(stage):
-        if not _stage_complete(rc, manifest, upstream):
+        if not _stage_done(rt, manifest, upstream):
             raise ConfigError(f"missing artifact: {upstream}")
 
-    inputs = _stage_inputs(rc, stage, rt.dataset_hash)
+    inputs = _stage_inputs(rt, stage)
     input_hash = _json_hash(inputs)
     entry = manifest["stages"].get(stage)
     if entry is not None and entry["input_hash"] == input_hash and \
-            _outputs_exist(rc, stage):
+            _stage_done(rt, manifest, stage):
         return False
 
     start = time.monotonic()
@@ -845,30 +613,32 @@ def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:
     manifest["stages"][stage] = {
         "input_hash": input_hash,
         "inputs": inputs,
-        "outputs": list(_OUTPUTS[stage]),
+        "outputs": {name: rt.file_hash(rc.artifact(name), fresh=True)
+                    for name in _OUTPUTS[stage]},
         "wall_time_s": round(time.monotonic() - start, 3),
         "completed_at": datetime.now(timezone.utc).isoformat(),
     }
+    # resolved.json always describes the config the manifest records
     manifest["config_hash"] = full_config_hash(rc)
     manifest["version"] = __version__
+    write_json(rc.artifact(RESOLVED_FILE), rc.resolved)
     _save_manifest(rc.artifacts_dir, manifest)
     return True
 
 
-def run_stage(rc: RunConfig, stage: str, strict: bool = False,
-              runtime: _Runtime | None = None) -> bool:
+def run_stage(rc: RunConfig, stage: str, strict: bool = False) -> bool:
     """Execute (or skip) a single stage. Caller holds the artifacts lock."""
     if stage not in STAGE_ORDER:
         raise ConfigError(f"unknown stage {stage!r}")
     check_strict(rc, strict)
-    rt = runtime if runtime is not None else _Runtime(rc)
-    manifest = load_manifest(rc.artifacts_dir)
-    return _execute(rt, stage, manifest)
+    os.makedirs(rc.artifacts_dir, exist_ok=True)
+    return _execute(_Runtime(rc), stage, load_manifest(rc.artifacts_dir))
 
 
 def run_all(rc: RunConfig, strict: bool = False) -> dict:
     """Run every stage in order; returns {stage: executed?}."""
     check_strict(rc, strict)
+    os.makedirs(rc.artifacts_dir, exist_ok=True)
     rt = _Runtime(rc)
     manifest = load_manifest(rc.artifacts_dir)
     executed = {}

@@ -152,7 +152,7 @@ def test_criterion_03_auroc_matches_pairwise_counting():
 
 def test_criterion_04_synthetic_rows_reconstruct_bit_exactly(full_run):
     rc, _ = full_run
-    g = load_graph(rc.nodes_path, rc.edges_path, rc.features_path)
+    g = load_graph(rc.dataset.nodes, rc.dataset.edges, rc.dataset.features)
     params = load_checkpoint(rc.artifact(PRELIM_CKPT))
     hidden = hidden_states(params, sym_normalize_adjacency(g), g.features)
     s = load_synthetic(rc.artifact(SYNTH_BIN_FILE), rc.artifact(SYNTH_META_FILE))

@@ -7,6 +7,7 @@ artifacts run in their own artifact directories against the same dataset.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -23,7 +24,7 @@ import scipy.sparse as sp
 
 import fixture_tools
 from cfc import gateway as gateway_module
-from cfc import jsonl, pipeline
+from cfc import config, jsonl, pipeline
 from cfc.coarse import load_coarse_result
 from cfc.gateway import GatewayConfig, LLMGateway
 from cfc.gcn import load_checkpoint
@@ -35,6 +36,7 @@ from cfc.pipeline import (
     COARSE_FILE,
     COARSE_LOG_FILE,
     DENOISED_FILE,
+    DETECT_FILE,
     EVAL_FILE,
     FINE_CKPT,
     LLM_CACHE_FILE,
@@ -92,34 +94,78 @@ def _read_bytes(path):
 
 def test_validate_config_fills_defaults(fix):
     rc = validate_config(fix["config"])
-    assert rc.coarse_cfg.confidence_threshold == 0.7
-    assert rc.coarse_cfg.mode == "easy_reject"
-    assert rc.coarse_cfg.candidate_count == 10
-    assert rc.prop_cfg.steps == 10
-    assert rc.mixup_cfg.alpha == 0.5
-    assert rc.mixup_cfg.boundary_count == 10
-    assert rc.mixup_cfg.synth_count == 100
-    assert rc.train_cfg.learning_rate == 0.01
-    assert rc.train_cfg.weight_decay == 5e-4
-    assert rc.train_cfg.epochs == 200
-    assert rc.train_cfg.hidden_dim == 64
-    assert rc.merge_sim_threshold == 0.5
-    assert rc.merge_min_count is None
-    assert rc.train_frac == 0.5 and rc.val_frac == 0.4
-    assert rc.gateway_cfg.max_concurrent == 4
+    assert rc.coarse.confidence_threshold == 0.7
+    assert rc.coarse.mode == "easy_reject"
+    assert rc.coarse.candidate_count == 10
+    assert rc.propagation.steps == 10
+    assert rc.mixup.alpha == 0.5
+    assert rc.mixup.boundary_count == 10
+    assert rc.mixup.synth_count == 100
+    assert rc.train.learning_rate == 0.01
+    assert rc.train.weight_decay == 5e-4
+    assert rc.train.epochs == 200
+    assert rc.train.hidden_dim == 64
+    assert rc.merge.sim_threshold == 0.5
+    assert rc.merge.min_count is None
+    assert rc.split.train_frac == 0.5 and rc.split.val_frac == 0.4
+    assert rc.gateway.max_concurrent == 4
 
     # derived seeds: one offset per consumer so streams never collide
-    assert rc.coarse_cfg.seed == rc.seed
-    assert rc.mixup_cfg.seed == rc.seed + 1
-    assert rc.train_cfg.seed == rc.seed + 2
+    assert rc.coarse.seed == rc.seed
+    assert rc.mixup.seed == rc.seed + 1
+    assert rc.train.seed == rc.seed + 2
 
     # relative paths resolve against the config's directory
     base = os.path.dirname(os.path.abspath(fix["config"]))
     assert rc.artifacts_dir == os.path.join(base, "artifacts")
-    assert os.path.isabs(rc.nodes_path) and os.path.isfile(rc.nodes_path)
+    assert os.path.isabs(rc.dataset.nodes) and os.path.isfile(rc.dataset.nodes)
 
-    with open(rc.artifact(RESOLVED_FILE), "r", encoding="utf-8") as fh:
-        assert json.load(fh) == rc.resolved
+
+def test_resolved_demo_config_is_pinned(fix):
+    # all 35 keys with their defaults: a changed default or a lost key fails
+    base = os.path.dirname(fix["config"])
+    assert validate_config(fix["config"]).resolved == {
+        "seed": 0,
+        "artifacts_dir": os.path.join(base, "artifacts"),
+        "dataset": {"nodes": os.path.join(base, "nodes.jsonl"),
+                    "edges": os.path.join(base, "edges.jsonl"),
+                    "features": os.path.join(base, "features.bin")},
+        "split": {"id_classes": ["circuit design", "compiler theory"],
+                  "ood_classes": ["marine biology", "volcanology"],
+                  "train_frac": 0.5, "val_frac": 0.4},
+        "coarse": {"mode": "easy_reject", "confidence_threshold": 0.7,
+                   "candidate_count": 10, "max_parse_retries": 2,
+                   "node_budget": None, "text_budget": 4000,
+                   "template_dir": None},
+        "propagation": {"steps": 10},
+        "mixup": {"alpha": 0.5, "boundary_count": 10, "synth_count": 100},
+        "train": {"learning_rate": 0.01, "weight_decay": 5e-4, "epochs": 200,
+                  "hidden_dim": 64, "early_stop_patience": 30},
+        "merge": {"sim_threshold": 0.5, "min_count": None},
+        "gateway": {"mode": "mock", "base_url": "", "model_name": "mock-model",
+                    "temperature": 0.0, "max_retries": 3,
+                    "request_timeout": 30.0, "max_concurrent": 4,
+                    "mock_fixture_path": os.path.join(base, "mock_fixture.jsonl")},
+    }
+
+
+def test_stage_config_hashes_are_pinned(primary):
+    # fixed values, so an artifacts directory written by an earlier version
+    # keeps every stage's input hash
+    rc, _ = primary
+    rt = pipeline._Runtime(rc)
+    got = {stage: pipeline._stage_inputs(rt, stage)["config"] for stage in STAGE_ORDER}
+    assert got == {
+        "ingest": "e2ff3792a20db21033ec482a7903d7c19b395da846e3d918e6d26a406bd404ad",
+        "coarse": "c4b7c8d58660c47d52ec9e6b280159f2b183ce2933f841223f2ccea1513afc91",
+        "denoise": "6186d51648f3eb8ecb04ccb5a503f549f43f3b6333a84ce1a282323e5e9ee96f",
+        "train-prelim": "5b257f2fbe2054ae28880e7172ebf2a2d27f86f98447afc1294bf3580429eb16",
+        "augment": "1bea2c80abe84ecc83dfef4c2aee986fed986d6a8ee32d657dbe0264d5cf6533",
+        "train-fine": "5b257f2fbe2054ae28880e7172ebf2a2d27f86f98447afc1294bf3580429eb16",
+        "detect": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+        "classify-ood": "7a6fcf19d6c5ca3f9641740cf6fecd3aa79b8b55df4e48e1514359cfeb7815ac",
+        "eval": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+    }
 
 
 def test_validate_config_rejects_unknown_keys(fix):
@@ -195,11 +241,36 @@ def test_validate_config_class_rules(fix):
         validate_config(bad)
 
 
+def _schema_rows(cls, prefix=""):
+    """(key, type, default, stages whose input hash reads it) per config key."""
+    for key, (hint, default) in config._spec(cls).items():
+        if dataclasses.is_dataclass(hint):
+            yield from _schema_rows(hint, prefix + key + ".")
+            continue
+        dotted = prefix + key
+        readers = [stage for stage in STAGE_ORDER
+                   if any(p == dotted or dotted.startswith(p + ".")
+                          for path in pipeline._READS[stage].values()
+                          for p in (path if isinstance(path, tuple) else (path,)))]
+        yield (f"`{dotted}`", config._KINDS[hint][0].split(" ", 1)[1],
+               "required" if default is dataclasses.MISSING else f"`{json.dumps(default)}`",
+               ", ".join(readers) or "none")
+
+
+def test_readme_key_table_matches_the_schema():
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        table = [line for line in fh if re.match(r"\| `[a-z_.]+` \|", line)]
+    rows = [tuple(cell.strip() for cell in line.strip().strip("|").split("|"))
+            for line in table]
+    assert rows == list(_schema_rows(config.RunConfig))
+    assert len(rows) == 35
+
+
 def test_validate_config_artifacts_override(fix, tmp_path):
     override = tmp_path / "elsewhere"
     rc = validate_config(fix["config"], artifacts_override=str(override))
     assert rc.artifacts_dir == str(override)
-    assert os.path.isfile(override / RESOLVED_FILE)
+    assert not os.path.exists(override)         # validation writes nothing
 
 
 # ------------------------------------------------------------ stage caching
@@ -226,6 +297,74 @@ def test_rerun_is_fully_cached(primary):
     assert _read_bytes(rc.artifact(MANIFEST_FILE)) == before
 
 
+def test_an_output_cut_or_edited_in_place_reruns_its_stage(fix, tmp_path):
+    rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
+    run_all(rc)
+    detect = rc.artifact(DETECT_FILE)
+    clean = _read_bytes(detect)
+    lines = clean.splitlines(keepends=True)
+    with open(detect, "wb") as fh:                 # cut at a line boundary
+        fh.write(b"".join(lines[:len(lines) // 2]))
+    executed = run_all(rc)
+    assert [s for s, ran in executed.items() if ran] == ["detect"]
+    assert _read_bytes(detect) == clean
+
+    path = rc.artifact(EVAL_FILE)
+    clean = _read_bytes(path)
+    edited = clean.replace(b'"ood_class_index": 2', b'"ood_class_index": 3')
+    assert edited != clean and len(edited) == len(clean)
+    with open(path, "wb") as fh:                   # same size, same place
+        fh.write(edited)
+    executed = run_all(rc)
+    assert [s for s, ran in executed.items() if ran] == ["eval"]
+    assert _read_bytes(path) == clean
+    assert not any(run_all(rc).values())
+
+
+def test_manifest_without_output_hashes_reruns_once(primary, fix, tmp_path):
+    # entries written before outputs were hashed list only the names
+    rc, _ = primary
+    rc2 = validate_config(fix["config"], artifacts_override=str(tmp_path / "old"))
+    run_all(rc2)
+    manifest = load_manifest(rc2.artifacts_dir)
+    for entry in manifest["stages"].values():
+        entry["outputs"] = sorted(entry["outputs"])
+    pipeline._save_manifest(rc2.artifacts_dir, manifest)
+    with pytest.raises(ConfigError, match="missing artifact: ingest"):
+        run_stage(rc2, "coarse")
+    assert all(run_all(rc2).values())
+    assert _read_bytes(rc2.artifact(EVAL_FILE)) == _read_bytes(rc.artifact(EVAL_FILE))
+    assert not any(run_all(rc2).values())
+
+
+def test_resolved_json_describes_the_config_that_ran(fix, tmp_path):
+    arts = str(tmp_path / "a")
+    rc = validate_config(fix["config"], artifacts_override=arts)
+    resolved = os.path.join(arts, RESOLVED_FILE)
+    assert not os.path.exists(arts)
+    run_all(rc)
+    with open(resolved, "r", encoding="utf-8") as fh:
+        assert json.load(fh) == rc.resolved
+    before = _read_bytes(resolved)
+
+    changed = _variant_config(
+        fix, "steps5.json", lambda c: c.setdefault("propagation", {}).update(steps=5))
+    args = ["--config", changed, "--artifacts", arts]
+    refused = _cli(["run-all", "--strict", *args], cwd=str(tmp_path))
+    assert refused.returncode == 1 and "config hash mismatch" in refused.stderr
+    with artifacts_lock(arts):
+        locked = _cli(["run-all", *args], cwd=str(tmp_path))
+    assert locked.returncode == 2 and "locked by another run" in locked.stderr
+    assert _cli(["report", *args], cwd=str(tmp_path)).returncode == 0
+    assert _read_bytes(resolved) == before
+
+    ran = validate_config(changed, artifacts_override=arts)
+    assert run_all(ran)["denoise"]
+    with open(resolved, "r", encoding="utf-8") as fh:
+        assert json.load(fh) == ran.resolved
+    assert load_manifest(arts)["config_hash"] == full_config_hash(ran)
+
+
 def test_eval_json_reproducible(primary, fix, tmp_path):
     rc, _ = primary
     rc2 = validate_config(fix["config"], artifacts_override=str(tmp_path / "b"))
@@ -235,7 +374,7 @@ def test_eval_json_reproducible(primary, fix, tmp_path):
     doc = json.loads(_read_bytes(rc.artifact(EVAL_FILE)))
     assert set(doc["methods"]) == {"CFC", "GCN_softmax", "GCN_softmax_tau",
                                    "GCN_sigmoid", "GCN_sigmoid_tau"}
-    assert doc["ood_class_index"] == len(rc.id_classes)
+    assert doc["ood_class_index"] == len(rc.split.id_classes)
     assert doc["cluster_accuracy"] is not None
 
 
@@ -251,7 +390,7 @@ def test_run_all_hashes_each_dataset_file_once(fix, tmp_path, monkeypatch):
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
     assert all(run_all(rc).values())
     assert not any(run_all(rc).values())
-    for path in (rc.nodes_path, rc.edges_path, rc.features_path):
+    for path in (rc.dataset.nodes, rc.dataset.edges, rc.dataset.features):
         assert seen.count(path) == 2        # once per command, cold and cached
 
 
@@ -541,6 +680,8 @@ def test_a_write_cut_at_any_point_reruns_to_the_clean_bytes(tmp_path, monkeypatc
                 manifest = json.loads(data)
                 for entry in manifest["stages"].values():
                     del entry["wall_time_s"], entry["completed_at"]
+                    for log in (COARSE_LOG_FILE, CLASSIFY_LOG_FILE):
+                        entry["outputs"].pop(log, None)     # the logs vary
                 data = manifest
             out[name] = data
         return out
@@ -778,8 +919,12 @@ def test_cli_malformed_artifact_is_an_error_line(tmp_path):
     assert not cut.endswith(b"\n")
     with open(coarse, "wb") as fh:
         fh.write(cut)
+    # recorded as coarse's output, so coarse stays cached and denoise reads
+    # the cut file first (unrecorded, it would only make coarse rerun)
+    manifest = load_manifest(paths["artifacts"])
+    manifest["stages"]["coarse"]["outputs"][COARSE_FILE] = pipeline._file_hash(coarse)
+    pipeline._save_manifest(paths["artifacts"], manifest)
 
-    # coarse itself is cached; denoise reads the cut file first
     res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
