@@ -115,6 +115,8 @@ def _load_features_binary(path: str, num_nodes: int) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != FEATURE_MAGIC:
         raise ValueError(f"{path}: bad magic, expected {FEATURE_MAGIC!r}")
+    if len(blob) < 12:
+        raise ValueError(f"{path}: header cut short ({len(blob)} of 12 bytes)")
     n, d = struct.unpack("<II", blob[4:12])
     if n != num_nodes:
         raise ValueError(f"{path}: feature row count {n} != node count {num_nodes}")
@@ -137,6 +139,9 @@ def _load_features_jsonl(path: str, num_nodes: int) -> np.ndarray:
         vec = rec["vec"]
         if not isinstance(i, int) or i in rows:
             raise ValueError(f"{path}:{lineno}: bad or duplicate feature id {i!r}")
+        if not isinstance(vec, list) or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec):
+            raise ValueError(f"{path}:{lineno}: vec must be a list of numbers")
         if dim is None:
             dim = len(vec)
         if len(vec) != dim or dim < 1:

@@ -13,17 +13,19 @@ A run is nine stages over one artifacts directory:
     classify-ood  merge logged categories, LLM-label the detected set
     eval          scores the pipeline and the threshold baselines
 
-Each stage records in manifest.json a hash of everything it read (its
-scoped config, dataset bytes, upstream artifacts) and the sha256 of each
-file it wrote. It is skipped when that input hash matches and every output
-it writes today still has its recorded sha256, so LLM-backed stages never
-recompute by accident, an output cut or edited by hand is rebuilt, and an
-edit to screening or merging reruns eval without retraining a model. In
-live mode the gateway also keeps every parsed reply in llm_cache.jsonl, so a
-rerun after an edit or a crash asks the endpoint only for prompts it has not
-answered yet. The config is checked by cfc.config; a stage that runs echoes
-it, every default made explicit, to resolved.json beside the manifest that
-records its hash.
+Each stage is declared once, in the _STAGES table: its function, the
+config keys it reads, the artifacts it consumes and those it writes; the
+stage order and each stage's upstream stages follow from it. A stage
+records in manifest.json a hash of everything it read (its scoped config,
+dataset bytes, consumed artifacts) and the sha256 of each file it wrote. It
+is skipped when that input hash matches and every output it writes still
+has its recorded sha256, so LLM-backed stages never recompute by accident,
+an output cut or edited by hand is rebuilt, and an edit to screening or
+merging reruns eval without retraining a model. In live mode the gateway
+also keeps every parsed reply in llm_cache.jsonl, so a rerun after an edit
+or a crash asks the endpoint only for prompts it has not answered yet. The
+config is checked by cfc.config; a stage that runs echoes it, every default
+made explicit, to resolved.json beside the manifest that records its hash.
 
 Artifacts are written through cfc.jsonl's atomic writer, so a killed run
 never leaves a torn file that the cache would take for done.
@@ -37,14 +39,15 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .coarse import CoarseDetectError, coarse_detect, load_coarse_result, \
-    save_coarse_result
+from .coarse import TEMPLATE_FILES, CoarseDetectError, coarse_detect, \
+    load_coarse_result, save_coarse_result
 # validate_config is re-exported: the CLI and callers import it from here
 from .config import SEED_OFFSETS, ConfigError, RunConfig, validate_config
 from .denoise import denoise_ood, initial_label_matrix, label_propagate, \
@@ -118,55 +121,9 @@ def full_config_hash(rc: RunConfig) -> str:
 
 # ------------------------------------------------------------------ stages
 
-STAGE_ORDER = ("ingest", "coarse", "denoise", "train-prelim", "augment",
-               "train-fine", "detect", "classify-ood", "eval")
-
-_OUTPUTS = {
-    "ingest": (SPLIT_FILE,),
-    "coarse": (COARSE_FILE, COARSE_LOG_FILE),
-    "denoise": (DENOISED_FILE,),
-    "train-prelim": (PRELIM_CKPT, BASELINE_CKPT),
-    "augment": (SYNTH_BIN_FILE, SYNTH_META_FILE),
-    "train-fine": (FINE_CKPT,),
-    "detect": (DETECT_FILE,),
-    "classify-ood": (POST_LABELS_FILE, ASSIGN_FILE, CLASSIFY_LOG_FILE),
-    "eval": (EVAL_FILE,),
-}
-
-# artifacts each stage reads, hashed into its input fingerprint
-_CONSUMES = {
-    "ingest": (),
-    "coarse": (SPLIT_FILE,),
-    "denoise": (SPLIT_FILE, COARSE_FILE),
-    "train-prelim": (SPLIT_FILE,),
-    "augment": (SPLIT_FILE, DENOISED_FILE, PRELIM_CKPT),
-    "train-fine": (SPLIT_FILE, DENOISED_FILE, SYNTH_BIN_FILE, SYNTH_META_FILE),
-    "detect": (SPLIT_FILE, FINE_CKPT),
-    "classify-ood": (COARSE_FILE, DETECT_FILE),
-    "eval": (SPLIT_FILE, DETECT_FILE, ASSIGN_FILE, PRELIM_CKPT, BASELINE_CKPT),
-}
-
-
 # the gateway settings that can change a reply; the mock fixture's content
 # is hashed separately, and the rest (URL, timeouts, concurrency) cannot
 _REPLY = ("gateway.mode", "gateway.model_name", "gateway.temperature")
-
-# config each stage reads, hashed into its input fingerprint: scope name ->
-# key path, or a tuple of paths for a block of just those keys
-_READS = {
-    "ingest": {"seed": "seed", "split": "split"},
-    "coarse": {"seed": "seed", "coarse": "coarse", "gateway": _REPLY,
-               "id_classes": "split.id_classes"},
-    "denoise": {"propagation": "propagation"},
-    "train-prelim": {"seed": "seed", "train": "train"},
-    "augment": {"seed": "seed", "mixup": "mixup"},
-    "train-fine": {"seed": "seed", "train": "train"},
-    "detect": {},
-    "classify-ood": {"merge": "merge", "gateway": _REPLY,
-                     "text_budget": "coarse.text_budget",
-                     "max_parse_retries": "coarse.max_parse_retries"},
-    "eval": {},
-}
 
 
 def _lookup(resolved: dict, path: str):
@@ -180,24 +137,24 @@ def _scoped_config(rc: RunConfig, stage: str) -> dict:
         if isinstance(path, tuple):
             return {p.rsplit(".", 1)[1]: _lookup(rc.resolved, p) for p in path}
         return _lookup(rc.resolved, path)
-    return {name: value(path) for name, path in _READS[stage].items()}
+    return {name: value(path) for name, path in _STAGES[stage].reads.items()}
 
 
 def _stage_inputs(rt: _Runtime, stage: str) -> dict:
-    rc = rt.rc
+    rc, spec = rt.rc, _STAGES[stage]
     inputs = {"config": _json_hash(_scoped_config(rc, stage)),
               "dataset": _json_hash([rt.file_hash(path) for path in (
                   rc.dataset.nodes, rc.dataset.edges, rc.dataset.features)])}
-    for name in _CONSUMES[stage]:
+    for name in spec.consumes:
         inputs[name] = rt.file_hash(rc.artifact(name))
-    uses_gateway = stage in ("coarse", "classify-ood")
+    uses_gateway = "gateway" in spec.reads
     if uses_gateway and rc.gateway.mode == "mock":
         inputs["mock_fixture"] = rt.file_hash(rc.gateway.mock_fixture_path)
     if uses_gateway and rc.coarse.template_dir is not None:
-        tdir = rc.coarse.template_dir
-        inputs["templates"] = _json_hash(
-            {f: rt.file_hash(os.path.join(tdir, f))
-             for f in sorted(os.listdir(tdir)) if f.endswith(".txt")})
+        paths = {f: os.path.join(rc.coarse.template_dir, f)
+                 for f in TEMPLATE_FILES.values()}
+        inputs["templates"] = _json_hash({f: rt.file_hash(path) for f, path
+                                          in paths.items() if os.path.isfile(path)})
     return inputs
 
 
@@ -273,9 +230,9 @@ class _Runtime:
 
 
 def _stage_ingest(rt: _Runtime) -> None:
-    rc = rt.rc
+    rc, g = rt.rc, rt.graph                # a bad dataset is not a bad split
     try:
-        split = split_dataset(rt.graph, rc.split.id_classes,
+        split = split_dataset(g, rc.split.id_classes,
                               rc.split.ood_classes, rc.seed,
                               rc.split.train_frac, rc.split.val_frac)
     except ValueError as exc:
@@ -504,17 +461,64 @@ def _stage_eval(rt: _Runtime) -> None:
     write_json(rc.artifact(EVAL_FILE), doc)
 
 
-_STAGE_FN = {
-    "ingest": _stage_ingest,
-    "coarse": _stage_coarse,
-    "denoise": _stage_denoise,
-    "train-prelim": _stage_train_prelim,
-    "augment": _stage_augment,
-    "train-fine": _stage_train_fine,
-    "detect": _stage_detect,
-    "classify-ood": _stage_classify_ood,
-    "eval": _stage_eval,
+# ------------------------------------------------------------------ stage table
+
+@dataclass(frozen=True)
+class _Stage:
+    """One stage: its function, the config it reads (scope name -> key path,
+    or a tuple of paths for a block of just those keys), the artifacts it
+    reads and those it writes. All it reads is hashed into its input; a stage
+    that reads the gateway also hashes the mock fixture and the templates."""
+    run: Callable[[_Runtime], None]
+    reads: dict
+    consumes: tuple[str, ...]
+    writes: tuple[str, ...]
+
+
+_STAGES = {
+    "ingest": _Stage(_stage_ingest, {"seed": "seed", "split": "split"},
+                     consumes=(), writes=(SPLIT_FILE,)),
+    "coarse": _Stage(_stage_coarse, {"seed": "seed", "coarse": "coarse",
+                                     "gateway": _REPLY, "id_classes": "split.id_classes"},
+                     consumes=(SPLIT_FILE,), writes=(COARSE_FILE, COARSE_LOG_FILE)),
+    "denoise": _Stage(_stage_denoise, {"propagation": "propagation"},
+                      consumes=(SPLIT_FILE, COARSE_FILE), writes=(DENOISED_FILE,)),
+    "train-prelim": _Stage(_stage_train_prelim, {"seed": "seed", "train": "train"},
+                           consumes=(SPLIT_FILE,), writes=(PRELIM_CKPT, BASELINE_CKPT)),
+    "augment": _Stage(_stage_augment, {"seed": "seed", "mixup": "mixup"},
+                      consumes=(SPLIT_FILE, DENOISED_FILE, PRELIM_CKPT),
+                      writes=(SYNTH_BIN_FILE, SYNTH_META_FILE)),
+    "train-fine": _Stage(_stage_train_fine, {"seed": "seed", "train": "train"},
+                         consumes=(SPLIT_FILE, DENOISED_FILE, SYNTH_BIN_FILE,
+                                   SYNTH_META_FILE), writes=(FINE_CKPT,)),
+    "detect": _Stage(_stage_detect, {},
+                     consumes=(SPLIT_FILE, FINE_CKPT), writes=(DETECT_FILE,)),
+    "classify-ood": _Stage(_stage_classify_ood, {
+        "merge": "merge", "gateway": _REPLY, "text_budget": "coarse.text_budget",
+        "max_parse_retries": "coarse.max_parse_retries"},
+        consumes=(SPLIT_FILE, COARSE_FILE, DETECT_FILE),
+        writes=(POST_LABELS_FILE, ASSIGN_FILE, CLASSIFY_LOG_FILE)),
+    "eval": _Stage(_stage_eval, {},
+                   consumes=(SPLIT_FILE, DETECT_FILE, ASSIGN_FILE, PRELIM_CKPT,
+                             BASELINE_CKPT), writes=(EVAL_FILE,)),
 }
+
+STAGE_ORDER = tuple(_STAGES)
+_PRODUCER = {name: stage for stage, spec in _STAGES.items() for name in spec.writes}
+
+
+def _upstream() -> dict[str, tuple[str, ...]]:
+    """Each stage's upstream: the producers of what it consumes, and theirs,
+    in stage order (a producer comes earlier, so its set is built first)."""
+    ups: dict[str, set[str]] = {}
+    for stage, spec in _STAGES.items():
+        ups[stage] = set()
+        for name in spec.consumes:
+            ups[stage] |= {_PRODUCER[name]} | ups[_PRODUCER[name]]
+    return {stage: tuple(s for s in STAGE_ORDER if s in u) for stage, u in ups.items()}
+
+
+_UPSTREAM = _upstream()
 
 
 # ------------------------------------------------------------------ manifest
@@ -539,31 +543,9 @@ def _stage_done(rt: _Runtime, manifest: dict, stage: str) -> bool:
         return False
     try:
         return all(recorded.get(name) == rt.file_hash(rt.rc.artifact(name))
-                   for name in _OUTPUTS[stage])
+                   for name in _STAGES[stage].writes)
     except FileNotFoundError:
         return False
-
-
-_PRODUCER = {name: stage for stage, names in _OUTPUTS.items() for name in names}
-
-
-def _transitive_upstream(stage: str) -> list[str]:
-    """The producers of the files a stage consumes, and theirs, in stage order."""
-    ups = {_PRODUCER[name] for name in _CONSUMES[stage]}
-    for up in list(ups):
-        ups.update(_transitive_upstream(up))
-    return [s for s in STAGE_ORDER if s in ups]
-
-
-def check_strict(rc: RunConfig, strict: bool) -> None:
-    if not strict:
-        return
-    manifest = load_manifest(rc.artifacts_dir)
-    recorded = manifest.get("config_hash")
-    if recorded is not None and recorded != full_config_hash(rc):
-        raise ConfigError(
-            "config hash mismatch: these artifacts were produced by a "
-            "different configuration (drop --strict to let stages rerun)")
 
 
 @contextmanager
@@ -592,20 +574,19 @@ def artifacts_lock(art_dir: str):
 def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:
     """Run one stage if its inputs changed; returns True when it executed."""
     rc = rt.rc
-    for upstream in _transitive_upstream(stage):
+    for upstream in _UPSTREAM[stage]:
         if not _stage_done(rt, manifest, upstream):
             raise ConfigError(f"missing artifact: {upstream}")
 
     inputs = _stage_inputs(rt, stage)
     input_hash = _json_hash(inputs)
-    entry = manifest["stages"].get(stage)
-    if entry is not None and entry["input_hash"] == input_hash and \
+    if manifest["stages"].get(stage, {}).get("input_hash") == input_hash and \
             _stage_done(rt, manifest, stage):
         return False
 
     start = time.monotonic()
     try:
-        _STAGE_FN[stage](rt)
+        _STAGES[stage].run(rt)
     except ConfigError:
         raise
     except ValueError as exc:           # e.g. a malformed artifact
@@ -614,7 +595,7 @@ def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:
         "input_hash": input_hash,
         "inputs": inputs,
         "outputs": {name: rt.file_hash(rc.artifact(name), fresh=True)
-                    for name in _OUTPUTS[stage]},
+                    for name in _STAGES[stage].writes},
         "wall_time_s": round(time.monotonic() - start, 3),
         "completed_at": datetime.now(timezone.utc).isoformat(),
     }
@@ -626,25 +607,30 @@ def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:
     return True
 
 
+def _run(rc: RunConfig, stages: tuple[str, ...], strict: bool) -> dict:
+    """Run (or skip) the given stages in order over one manifest read; with
+    strict, refuse artifacts that a different config produced."""
+    manifest = load_manifest(rc.artifacts_dir)
+    recorded = manifest.get("config_hash")
+    if strict and recorded is not None and recorded != full_config_hash(rc):
+        raise ConfigError(
+            "config hash mismatch: these artifacts were produced by a "
+            "different configuration (drop --strict to let stages rerun)")
+    os.makedirs(rc.artifacts_dir, exist_ok=True)
+    rt = _Runtime(rc)
+    return {stage: _execute(rt, stage, manifest) for stage in stages}
+
+
 def run_stage(rc: RunConfig, stage: str, strict: bool = False) -> bool:
     """Execute (or skip) a single stage. Caller holds the artifacts lock."""
-    if stage not in STAGE_ORDER:
+    if stage not in _STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
-    check_strict(rc, strict)
-    os.makedirs(rc.artifacts_dir, exist_ok=True)
-    return _execute(_Runtime(rc), stage, load_manifest(rc.artifacts_dir))
+    return _run(rc, (stage,), strict)[stage]
 
 
 def run_all(rc: RunConfig, strict: bool = False) -> dict:
     """Run every stage in order; returns {stage: executed?}."""
-    check_strict(rc, strict)
-    os.makedirs(rc.artifacts_dir, exist_ok=True)
-    rt = _Runtime(rc)
-    manifest = load_manifest(rc.artifacts_dir)
-    executed = {}
-    for stage in STAGE_ORDER:
-        executed[stage] = _execute(rt, stage, manifest)
-    return executed
+    return _run(rc, STAGE_ORDER, strict)
 
 
 # ------------------------------------------------------------------ reporting

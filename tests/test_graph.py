@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -272,6 +273,14 @@ def test_feature_row_count_must_match(tmp_path, rng):
         load_features(path, 5)
 
 
+def test_feature_binary_cut_inside_header_is_rejected(tmp_path, rng):
+    path = str(tmp_path / "feat.bin")
+    save_features(path, rng.standard_normal((4, 3)))
+    os.truncate(path, 8)
+    with pytest.raises(ValueError, match="header cut short"):
+        load_features(path, 4)
+
+
 def test_feature_jsonl_loading(tmp_path):
     path = write_jsonl(tmp_path / "feat.jsonl", [
         {"id": 1, "vec": [0.5, 1.5]},
@@ -279,6 +288,13 @@ def test_feature_jsonl_loading(tmp_path):
     ])
     mat = load_features(path, 2)
     npt.assert_array_equal(mat, [[1.0, 2.0], [0.5, 1.5]])
+
+
+def test_feature_jsonl_vec_must_be_a_list_of_numbers(tmp_path):
+    for vec in (5, None, "12", [1.0, "2"], [[1.0]], [True, 1.0]):
+        path = write_jsonl(tmp_path / "feat.jsonl", [{"id": 0, "vec": vec}])
+        with pytest.raises(ValueError, match=r"feat\.jsonl:1: vec must be a list of numbers"):
+            load_features(path, 1)
 
 
 def test_graph_roundtrip_identity(tmp_path, rng):

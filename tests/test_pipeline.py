@@ -7,6 +7,7 @@ artifacts run in their own artifact directories against the same dataset.
 """
 
 import ast
+import builtins
 import dataclasses
 import json
 import os
@@ -250,7 +251,7 @@ def _schema_rows(cls, prefix=""):
         dotted = prefix + key
         readers = [stage for stage in STAGE_ORDER
                    if any(p == dotted or dotted.startswith(p + ".")
-                          for path in pipeline._READS[stage].values()
+                          for path in pipeline._STAGES[stage].reads.values()
                           for p in (path if isinstance(path, tuple) else (path,)))]
         yield (f"`{dotted}`", config._KINDS[hint][0].split(" ", 1)[1],
                "required" if default is dataclasses.MISSING else f"`{json.dumps(default)}`",
@@ -480,8 +481,27 @@ def test_gateway_settings_that_cannot_change_a_reply_rerun_nothing(fix, tmp_path
     assert not any(run_all(validate_config(edited, artifacts_override=arts)).values())
 
 
+def test_only_the_template_files_cfc_reads_are_hashed(tmp_path):
+    templates = tmp_path / "templates"
+    shutil.copytree(os.path.join(SRC, "cfc", "templates"), templates)
+    paths = fixture_tools.write_fixture(str(tmp_path / "run"), config_overrides={
+        "coarse": {"template_dir": str(templates)}})
+    rc = validate_config(paths["config"])
+    assert all(run_all(rc).values())
+
+    (templates / "notes.txt").write_text("not a template\n", encoding="utf-8")
+    assert not any(run_all(rc).values())
+
+    # a trailing newline changes the file but not the rendered prompts, so
+    # the LLM stages rerun to the same outputs and nothing downstream does
+    edited = templates / "ood_classification.txt"
+    edited.write_text(edited.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    executed = run_all(rc)
+    assert [s for s, ran in executed.items() if ran] == ["coarse", "classify-ood"]
+
+
 def test_upstream_stages_are_the_producers_of_what_a_stage_reads():
-    upstream = {stage: pipeline._transitive_upstream(stage) for stage in STAGE_ORDER}
+    upstream = {stage: list(ups) for stage, ups in pipeline._UPSTREAM.items()}
     assert upstream == {
         "ingest": [],
         "coarse": ["ingest"],
@@ -493,6 +513,28 @@ def test_upstream_stages_are_the_producers_of_what_a_stage_reads():
         "classify-ood": list(STAGE_ORDER[:7]),
         "eval": list(STAGE_ORDER[:8]),
     }
+
+
+def test_stages_read_exactly_the_artifacts_they_consume(tmp_path, monkeypatch):
+    # every artifact a stage opens is hashed into its input, and nothing else
+    paths = fixture_tools.write_fixture(str(tmp_path))
+    rc = validate_config(paths["config"])
+    run_all(rc)
+    arts = os.path.realpath(rc.artifacts_dir)
+    opened = set()
+    real_open = builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, str) and not set(mode) & set("wax+") and \
+                os.path.dirname(os.path.realpath(file)) == arts:
+            opened.add(os.path.basename(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    for stage, spec in pipeline._STAGES.items():
+        opened.clear()
+        spec.run(pipeline._Runtime(rc))
+        assert opened == set(spec.consumes), stage
 
 
 def test_stages_refuse_to_run_out_of_order(fix, tmp_path):
@@ -690,7 +732,7 @@ def test_a_write_cut_at_any_point_reruns_to_the_clean_bytes(tmp_path, monkeypatc
     clean = snapshot()
     # every stage output but the exchange logs, plus the config echo and the
     # manifest, is renamed into place
-    atomic = {name for names in pipeline._OUTPUTS.values() for name in names}
+    atomic = {name for spec in pipeline._STAGES.values() for name in spec.writes}
     atomic -= {COARSE_LOG_FILE, CLASSIFY_LOG_FILE}
     assert set(replaced) == atomic | {RESOLVED_FILE, MANIFEST_FILE}
     assert replaced.count(MANIFEST_FILE) == len(STAGE_ORDER)
@@ -965,3 +1007,12 @@ def test_cli_error_exit_codes(fix, tmp_path):
     bogus = _cli(["polish", "--config", fix["config"]], cwd=str(tmp_path))
     assert bogus.returncode == 2
     assert "invalid choice" in bogus.stderr
+
+    # a feature file cut inside its 12-byte header -> one line, no traceback
+    paths = fixture_tools.write_fixture(str(tmp_path / "cut"))
+    os.truncate(paths["features"], 8)
+    cut = _cli(["ingest", "--config", paths["config"]], cwd=str(tmp_path))
+    assert cut.returncode == 1
+    lines = cut.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: dataset rejected: "), \
+        cut.stderr
