@@ -1,4 +1,5 @@
-"""Coarse OOD detection through an LLM.
+"""Coarse OOD detection through an LLM, and the prompt path of both LLM
+stages.
 
 Every queried node gets a yes/no verdict on whether its text belongs to the
 known label space, with a confidence and a suggested category. Two prompt
@@ -8,11 +9,16 @@ and then includes those candidates in each rejection prompt. Nodes rejected
 with confidence at or above the threshold become OOD candidates; the suggested
 categories of all rejected nodes feed the downstream label-space merge.
 
-Every prompt goes through LLMGateway.ask_all, which fans the test nodes out
-concurrently, re-asks replies that do not parse and, in live mode, answers
-prompts already paid for from the reply cache. Prompt templates are text
-files with {{PLACEHOLDER}} markers; the packaged defaults can be overridden
-by pointing template_dir at a directory holding files of the same names.
+Screening here and OOD classification (cfc.labelspace) share one prompt
+path. A stage reads each template it uses once, with load_template; prompt
+templates are text files <name>.txt with {{PLACEHOLDER}} markers, and the
+packaged defaults can be overridden by pointing template_dir at a directory
+holding files of the same names. render fills the markers in one pass.
+ask_per_node renders one prompt per node around its truncated text and asks
+them all through LLMGateway.ask_all, which fans them out concurrently,
+re-asks replies that do not parse and, in live mode, answers prompts already
+paid for from the reply cache. Every reply parser reads the model's answer
+through answer_objects.
 """
 
 from __future__ import annotations
@@ -31,13 +37,9 @@ from .jsonl import read_jsonl, write_jsonl
 DEFAULT_TEXT_BUDGET = 4000
 TRUNCATION_MARKER = "..."
 
-TEMPLATE_FILES = {
-    "easy_reject": "easy_reject.txt",
-    "hard_reject": "hard_reject.txt",
-    "major_category": "major_category.txt",
-    "candidate_ood": "candidate_ood.txt",
-    "ood_classification": "ood_classification.txt",
-}
+# each template is the file <name>.txt; the screening ones are named by mode
+TEMPLATE_NAMES = ("easy_reject", "hard_reject", "major_category",
+                  "candidate_ood", "ood_classification")
 
 
 class CoarseDetectError(RuntimeError):
@@ -132,8 +134,12 @@ def render_label_list(labels) -> str:
     return ", ".join(parts)
 
 
+# --------------------------------------------------------------- prompt path
+
 def load_template(name: str, template_dir: str | None = None) -> str:
-    fname = TEMPLATE_FILES[name]
+    """The text of template name: <name>.txt in template_dir when it is set,
+    else the packaged default."""
+    fname = name + ".txt"
     if template_dir is not None:
         path = Path(template_dir) / fname
         if not path.is_file():
@@ -142,78 +148,55 @@ def load_template(name: str, template_dir: str | None = None) -> str:
     return resources.files("cfc").joinpath("templates", fname).read_text(encoding="utf-8")
 
 
-def _render(template: str, mapping: dict[str, str]) -> str:
-    out = template
-    for key, value in mapping.items():
-        out = out.replace("{{" + key + "}}", value)
-    if "{{" in out:
-        leftover = re.findall(r"\{\{([A-Z_]+)\}\}", out)
-        raise ValueError(f"template has unfilled placeholders: {leftover}")
-    return out.rstrip("\n")
+_PLACEHOLDER = re.compile(r"\{\{([A-Z_]+)\}\}")
 
 
-# --------------------------------------------------------------- prompt builders
+def render(template: str, fields: dict[str, str]) -> str:
+    """Fill each {{NAME}} marker of template with fields[NAME], in one pass
+    over the template, so no marker inside a field value is ever expanded.
+    Trailing newlines are dropped."""
+    unfilled = sorted(set(_PLACEHOLDER.findall(template)) - fields.keys())
+    if unfilled:
+        raise ValueError(f"template has unfilled placeholders: {unfilled}")
+    return _PLACEHOLDER.sub(lambda m: fields[m.group(1)], template).rstrip("\n")
+
 
 def build_easy_reject_prompt(node_text: str, id_labels,
                              text_budget: int = DEFAULT_TEXT_BUDGET,
                              template_dir: str | None = None) -> str:
-    if not node_text.strip():
-        raise ValueError("node text is empty")
-    labels = list(id_labels)
-    if not labels:
-        raise ValueError("id label list is empty")
-    return _render(load_template("easy_reject", template_dir), {
+    """One easy_reject screening prompt, byte for byte as coarse_detect sends
+    it; mock fixtures pin screening replies to its hash."""
+    return render(load_template("easy_reject", template_dir), {
         "TEXT": truncate_text(node_text, text_budget),
-        "ID_LABELS": render_label_list(labels),
-    })
+        "ID_LABELS": render_label_list(id_labels)})
 
 
-def build_hard_reject_prompt(node_text: str, id_labels, candidate_labels,
-                             text_budget: int = DEFAULT_TEXT_BUDGET,
-                             template_dir: str | None = None) -> str:
-    if not node_text.strip():
-        raise ValueError("node text is empty")
-    labels = list(id_labels)
-    candidates = list(candidate_labels)
-    if not labels:
-        raise ValueError("id label list is empty")
-    if not candidates:
-        raise ValueError("candidate label list is empty")
-    overlap = {normalize_category(c) for c in candidates} & \
-              {normalize_category(l) for l in labels}
-    if overlap:
-        raise ValueError(f"candidate labels overlap the ID space: {sorted(overlap)}")
-    return _render(load_template("hard_reject", template_dir), {
-        "TEXT": truncate_text(node_text, text_budget),
-        "ID_LABELS": render_label_list(labels),
-        "CANDIDATE_LABELS": render_label_list(candidates),
-    })
+def checked_node_ids(g, node_ids) -> list[int]:
+    """node_ids sorted and deduplicated, each checked against the node range."""
+    ids = sorted({int(i) for i in node_ids})
+    if not ids:
+        raise ValueError("node id list is empty")
+    for i in ids:
+        if not (0 <= i < g.num_nodes):
+            raise ValueError(f"node id {i} outside node range")
+    return ids
 
 
-def build_major_category_prompt(id_labels, template_dir: str | None = None) -> str:
-    labels = list(id_labels)
-    if not labels:
-        raise ValueError("id label list is empty")
-    return _render(load_template("major_category", template_dir), {
-        "ID_LABELS": render_label_list(labels),
-    })
-
-
-def build_candidate_ood_prompt(id_labels, major_category: str, n: int,
-                               template_dir: str | None = None) -> str:
-    labels = list(id_labels)
-    if not labels:
-        raise ValueError("id label list is empty")
-    if not major_category.strip():
-        raise ValueError("major category is empty")
-    if n < 1:
-        raise ValueError("candidate count must be >= 1")
-    return _render(load_template("candidate_ood", template_dir), {
-        "N": str(n),
-        "TOPIC_WORD": "topic" if n == 1 else "topics",
-        "MAJOR_CATEGORY": major_category,
-        "ID_LABELS": render_label_list(labels),
-    })
+def ask_per_node(g, ids, template: str, fields: dict[str, str],
+                 gateway: LLMGateway, parse, text_budget: int,
+                 retries: int) -> list[tuple]:
+    """Ask template once per node of ids (from checked_node_ids), with the
+    node's text, truncated to text_budget, as its TEXT field; returns
+    (id, parse(reply) or None, reply) per node, in ids order."""
+    prompts = []
+    for i in ids:
+        text = g.node_text[i]
+        if not text.strip():
+            raise ValueError(f"node {i} text is empty")
+        prompts.append(render(template, {**fields,
+                                         "TEXT": truncate_text(text, text_budget)}))
+    replies = gateway.ask_all(prompts, parse, retries)
+    return [(i, parsed, raw) for i, (parsed, raw) in zip(ids, replies)]
 
 
 # --------------------------------------------------------------- reply parsing
@@ -231,15 +214,27 @@ def first_json_value(raw: str):
     raise ParseError("no JSON payload found in reply")
 
 
-def _first_object(raw: str) -> dict:
+def answer_objects(raw: str) -> list[dict]:
+    """The objects with an answer field in a reply's first JSON payload (the
+    payload itself, or the objects of a payload array), in reply order.
+    Every prompt asks for such objects; a reply without one is a ParseError."""
     value = first_json_value(raw)
-    if isinstance(value, dict):
-        return value
-    if isinstance(value, list):
-        for item in value:
-            if isinstance(item, dict):
-                return item
-    raise ParseError("JSON payload holds no object")
+    items = [value] if isinstance(value, dict) else value
+    found = [item for item in items if isinstance(item, dict) and "answer" in item]
+    if not found:
+        raise ParseError("reply holds no object with an answer field")
+    return found
+
+
+def parse_confidence(value) -> float:
+    """A reply's confidence clamped to [0, 1]; 0 when absent or not a number."""
+    try:
+        conf = float(value)
+    except (TypeError, ValueError):
+        return 0.0
+    if not np.isfinite(conf):
+        return 0.0
+    return min(1.0, max(0.0, conf))
 
 
 def _parse_bool(value) -> bool:
@@ -254,64 +249,37 @@ def _parse_bool(value) -> bool:
     raise ParseError(f"answer field is not a True/False value: {value!r}")
 
 
-def _parse_confidence(value) -> float:
-    try:
-        conf = float(value)
-    except (TypeError, ValueError):
-        return 0.0
-    if not np.isfinite(conf):
-        return 0.0
-    return min(1.0, max(0.0, conf))
-
-
 def parse_detection_response(raw: str) -> tuple[bool, float, str]:
     """Extract (is_id, confidence, category) from a detection reply.
 
-    The reply must contain a JSON object with an answer field; True means the
-    node belongs to the known label space. Confidence is clamped to [0, 1] and
-    defaults to 0 when absent. The category is normalized and falls back to
-    'unspecified' when the model omitted it.
+    The answer True means the node belongs to the known label space.
+    Confidence is clamped to [0, 1] and defaults to 0 when absent. The
+    category is normalized and falls back to 'unspecified' when the model
+    omitted it.
     """
-    obj = _first_object(raw)
-    if "answer" not in obj:
-        raise ParseError("reply object has no answer field")
+    obj = answer_objects(raw)[0]
     is_id = _parse_bool(obj["answer"])
-    confidence = _parse_confidence(obj.get("confidence"))
     category = normalize_category(str(obj.get("category", "")))
     if not category or category == "none":
         category = "unspecified"
-    return is_id, confidence, category
+    return is_id, parse_confidence(obj.get("confidence")), category
 
 
 def parse_major_category(raw: str) -> str:
-    obj = _first_object(raw)
-    if "answer" not in obj:
-        raise ParseError("major-category reply has no answer field")
-    major = normalize_category(str(obj["answer"]))
+    major = normalize_category(str(answer_objects(raw)[0]["answer"]))
     if not major:
         raise ParseError("major-category answer is empty")
     return major
 
 
 def parse_candidate_labels(raw: str) -> tuple[str, ...]:
-    value = first_json_value(raw)
-    if isinstance(value, dict):
-        value = [value]
-    if not isinstance(value, list):
-        raise ParseError("candidate reply is not a JSON list")
-    seen: list[str] = []
-    for item in value:
-        if isinstance(item, dict) and "answer" in item:
-            name = normalize_category(str(item["answer"]))
-        elif isinstance(item, str):
-            name = normalize_category(item)
-        else:
-            continue
-        if name and name not in seen:
-            seen.append(name)
-    if not seen:
+    """The distinct non-empty answers, in reply order."""
+    names = dict.fromkeys(normalize_category(str(obj["answer"]))
+                          for obj in answer_objects(raw))
+    names.pop("", None)
+    if not names:
         raise ParseError("candidate reply lists no usable labels")
-    return tuple(seen)
+    return tuple(names)
 
 
 # --------------------------------------------------------------- detection
@@ -323,13 +291,17 @@ def _ask_setup(gateway: LLMGateway, prompt: str, parse, retries: int, what: str)
     return value
 
 
-def _hard_mode_setup(cfg: CoarseConfig, gateway: LLMGateway):
-    retries = cfg.max_parse_retries
-    major = _ask_setup(gateway, build_major_category_prompt(
-        cfg.id_labels, cfg.template_dir), parse_major_category, retries,
-        "major-category")
-    candidates = _ask_setup(gateway, build_candidate_ood_prompt(
-        cfg.id_labels, major, cfg.candidate_count, cfg.template_dir),
+def _hard_mode_setup(cfg: CoarseConfig, gateway: LLMGateway, id_field: str):
+    """The major category of the ID labels, then candidate OOD labels in it;
+    candidates that collide with an ID label are dropped."""
+    major_t, candidate_t = (load_template(name, cfg.template_dir)
+                            for name in ("major_category", "candidate_ood"))
+    retries, n = cfg.max_parse_retries, cfg.candidate_count
+    major = _ask_setup(gateway, render(major_t, {"ID_LABELS": id_field}),
+                       parse_major_category, retries, "major-category")
+    candidates = _ask_setup(gateway, render(candidate_t, {
+        "N": str(n), "TOPIC_WORD": "topic" if n == 1 else "topics",
+        "MAJOR_CATEGORY": major, "ID_LABELS": id_field}),
         parse_candidate_labels, retries, "candidate-label")
     norm_ids = {normalize_category(l) for l in cfg.id_labels}
     usable = tuple(c for c in candidates if c not in norm_ids)
@@ -346,12 +318,7 @@ def coarse_detect(g, query_ids, cfg: CoarseConfig, gateway: LLMGateway) -> Coars
     max_parse_retries extra attempts degrades to a conservative ID verdict
     with confidence 0. A gateway failure raises GatewayError.
     """
-    ids = sorted({int(i) for i in query_ids})
-    if not ids:
-        raise ValueError("query_ids is empty")
-    for i in ids:
-        if not (0 <= i < g.num_nodes):
-            raise ValueError(f"query id {i} outside node range")
+    ids = checked_node_ids(g, query_ids)
     if not cfg.id_labels:
         raise ValueError("cfg.id_labels is empty")
     if cfg.node_budget is not None and cfg.node_budget < len(ids):
@@ -359,23 +326,17 @@ def coarse_detect(g, query_ids, cfg: CoarseConfig, gateway: LLMGateway) -> Coars
         picked = rng.choice(len(ids), size=cfg.node_budget, replace=False)
         ids = sorted(ids[k] for k in picked)
 
+    template = load_template(cfg.mode, cfg.template_dir)
+    fields = {"ID_LABELS": render_label_list(cfg.id_labels)}
     major, candidates = None, ()
     if cfg.mode == "hard_reject":
-        major, candidates = _hard_mode_setup(cfg, gateway)
-
-    def prompt_for(node_id: int) -> str:
-        text = g.node_text[node_id]
-        if cfg.mode == "easy_reject":
-            return build_easy_reject_prompt(text, cfg.id_labels,
-                                            cfg.text_budget, cfg.template_dir)
-        return build_hard_reject_prompt(text, cfg.id_labels, candidates,
-                                        cfg.text_budget, cfg.template_dir)
-
-    replies = gateway.ask_all([prompt_for(i) for i in ids],
-                              parse_detection_response, cfg.max_parse_retries)
+        major, candidates = _hard_mode_setup(cfg, gateway, fields["ID_LABELS"])
+        fields["CANDIDATE_LABELS"] = render_label_list(candidates)
+    replies = ask_per_node(g, ids, template, fields, gateway,
+                           parse_detection_response, cfg.text_budget,
+                           cfg.max_parse_retries)
     annotations = [Annotation(i, True, 0.0, "", raw) if parsed is None
-                   else Annotation(i, *parsed, raw)
-                   for i, (parsed, raw) in zip(ids, replies)]
+                   else Annotation(i, *parsed, raw) for i, parsed, raw in replies]
     return _coarse_result(cfg.mode, cfg.confidence_threshold, annotations,
                           major, candidates)
 

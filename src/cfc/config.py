@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 
@@ -95,7 +96,9 @@ _NOT_KEYS = {RunConfig: ("resolved",), CoarseConfig: ("seed", "id_labels"),
 # from JSON, so types are exact: a bool is not an integer
 _KINDS = {
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", lambda v: type(v) in (int, float)),
+    # NaN fails the comparison, and so does an integer too large for a float
+    float: ("a finite number", lambda v: type(v) in (int, float)
+            and abs(v) <= sys.float_info.max),
     str: ("a string", lambda v: type(v) is str),
     tuple[str, ...]: ("a list of strings", lambda v: type(v) is list
                       and all(type(s) is str for s in v)),

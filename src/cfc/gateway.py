@@ -60,6 +60,8 @@ class GatewayConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not self.request_timeout > 0:
+            raise ValueError("request_timeout must be > 0")
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
 

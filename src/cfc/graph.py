@@ -129,6 +129,11 @@ def _load_features_binary(path: str, num_nodes: int) -> np.ndarray:
     return np.ascontiguousarray(mat, dtype=np.float64)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_features_jsonl(path: str, num_nodes: int) -> np.ndarray:
     rows: dict[int, list[float]] = {}
     dim = None
@@ -137,7 +142,7 @@ def _load_features_jsonl(path: str, num_nodes: int) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: feature record needs id and vec")
         i = rec["id"]
         vec = rec["vec"]
-        if not isinstance(i, int) or i in rows:
+        if not _is_int(i) or i in rows:
             raise ValueError(f"{path}:{lineno}: bad or duplicate feature id {i!r}")
         if not isinstance(vec, list) or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec):
@@ -186,7 +191,7 @@ def load_graph(nodes_path: str, edges_path: str, features_path: str | None = Non
         if not isinstance(rec, dict) or not {"id", "text", "label"} <= rec.keys():
             raise ValueError(f"{nodes_path}:{lineno}: node record needs id, text, label")
         i, text, lab = rec["id"], rec["text"], rec["label"]
-        if not isinstance(i, int) or isinstance(i, bool):
+        if not _is_int(i):
             raise ValueError(f"{nodes_path}:{lineno}: id must be an integer")
         if i in texts:
             raise ValueError(f"{nodes_path}:{lineno}: duplicate node id {i}")
@@ -207,7 +212,7 @@ def load_graph(nodes_path: str, edges_path: str, features_path: str | None = Non
         if not isinstance(rec, dict) or not {"src", "dst"} <= rec.keys():
             raise ValueError(f"{edges_path}:{lineno}: edge record needs src and dst")
         a, b = rec["src"], rec["dst"]
-        if not isinstance(a, int) or not isinstance(b, int):
+        if not (_is_int(a) and _is_int(b)):
             raise ValueError(f"{edges_path}:{lineno}: src/dst must be integers")
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"{edges_path}:{lineno}: edge ({a}, {b}) references unknown node")

@@ -5,10 +5,10 @@ Those raw names are deduplicated here: TF-IDF vectors over the category names,
 connected components of the graph joining pairs whose cosine similarity
 clears a threshold, one label per group (the most frequent member), and rare
 groups dropped entirely. The surviving labels form the space an LLM then
-classifies each detected OOD node into, through the same gateway fan-out and
-reply cache as screening (LLMGateway.ask_all); answers that fall outside the
-space snap to the nearest label by the same similarity, so every node ends
-up classified.
+classifies each detected OOD node into, through the prompt path screening
+uses (cfc.coarse: the template read once, ask_per_node, answer_objects);
+answers that fall outside the space snap to the nearest label by the same
+similarity, so every node ends up classified.
 
 cluster_accuracy scores such assignments against ground truth under the best
 injective mapping from predicted labels to true classes.
@@ -21,18 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import (
-    ParseError,
-    _first_object,
-    _parse_confidence,
-    load_template,
-    normalize_category,
-    render_label_list,
-    truncate_text,
-    _render,
-    DEFAULT_TEXT_BUDGET,
-)
-from .gateway import LLMGateway
+from .coarse import DEFAULT_TEXT_BUDGET, answer_objects, ask_per_node, \
+    checked_node_ids, load_template, normalize_category, parse_confidence, \
+    render_label_list
+from .gateway import LLMGateway, ParseError
 from .jsonl import read_jsonl, write_json, write_jsonl
 
 DISCARDED = "DISCARDED"
@@ -195,25 +187,12 @@ class OODAssignment:
         }
 
 
-def build_ood_classification_prompt(node_text: str, post: PostLabelSpace,
-                                    text_budget: int = DEFAULT_TEXT_BUDGET,
-                                    template_dir: str | None = None) -> str:
-    if not node_text.strip():
-        raise ValueError("node text is empty")
-    return _render(load_template("ood_classification", template_dir), {
-        "TEXT": truncate_text(node_text, text_budget),
-        "MERGED_LABELS": render_label_list(post.merged_labels),
-    })
-
-
 def parse_classification_response(raw: str) -> tuple[str, float]:
-    obj = _first_object(raw)
-    if "answer" not in obj:
-        raise ParseError("classification reply has no answer field")
+    obj = answer_objects(raw)[0]
     answer = normalize_category(str(obj["answer"]))
     if not answer:
         raise ParseError("classification answer is empty")
-    return answer, _parse_confidence(obj.get("confidence"))
+    return answer, parse_confidence(obj.get("confidence"))
 
 
 def match_label(answer: str, post: PostLabelSpace) -> str:
@@ -243,20 +222,13 @@ def classify_ood(node_ids, g, post: PostLabelSpace, gateway: LLMGateway,
     parses falls back to the first merged label with confidence 0, so every
     node receives an assignment. A gateway failure raises GatewayError.
     """
-    ids = sorted({int(i) for i in node_ids})
-    if not ids:
-        raise ValueError("node_ids is empty")
-    for i in ids:
-        if not (0 <= i < g.num_nodes):
-            raise ValueError(f"node id {i} outside node range")
-
-    prompts = [build_ood_classification_prompt(g.node_text[i], post,
-                                               text_budget, template_dir)
-               for i in ids]
-    replies = gateway.ask_all(prompts, parse_classification_response,
-                              max_parse_retries)
+    ids = checked_node_ids(g, node_ids)
+    replies = ask_per_node(
+        g, ids, load_template("ood_classification", template_dir),
+        {"MERGED_LABELS": render_label_list(post.merged_labels)}, gateway,
+        parse_classification_response, text_budget, max_parse_retries)
     out = []
-    for i, (parsed, raw) in zip(ids, replies):
+    for i, parsed, raw in replies:
         if parsed is None:
             out.append(OODAssignment(i, post.merged_labels[0], 0.0, raw))
         else:

@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .coarse import TEMPLATE_FILES, CoarseDetectError, coarse_detect, \
+from .coarse import TEMPLATE_NAMES, CoarseDetectError, coarse_detect, \
     load_coarse_result, save_coarse_result
 # validate_config is re-exported: the CLI and callers import it from here
 from .config import SEED_OFFSETS, ConfigError, RunConfig, validate_config
@@ -151,8 +151,8 @@ def _stage_inputs(rt: _Runtime, stage: str) -> dict:
     if uses_gateway and rc.gateway.mode == "mock":
         inputs["mock_fixture"] = rt.file_hash(rc.gateway.mock_fixture_path)
     if uses_gateway and rc.coarse.template_dir is not None:
-        paths = {f: os.path.join(rc.coarse.template_dir, f)
-                 for f in TEMPLATE_FILES.values()}
+        files = (name + ".txt" for name in TEMPLATE_NAMES)
+        paths = {f: os.path.join(rc.coarse.template_dir, f) for f in files}
         inputs["templates"] = _json_hash({f: rt.file_hash(path) for f, path
                                           in paths.items() if os.path.isfile(path)})
     return inputs

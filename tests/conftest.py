@@ -1,8 +1,12 @@
+import builtins
 import json
+import os
+import pathlib
 
 import numpy as np
 import pytest
 
+from cfc.coarse import TEMPLATE_NAMES
 from cfc.graph import Graph, canonical_edges
 
 
@@ -45,3 +49,25 @@ def write_jsonl(path, records):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def template_reads(monkeypatch):
+    """File names of the prompt templates opened during the test, in order."""
+    names = {name + ".txt" for name in TEMPLATE_NAMES}
+    reads = []
+    path_open, plain_open = pathlib.Path.open, builtins.open
+
+    def counting_path_open(self, *args, **kwargs):
+        if self.name in names:
+            reads.append(self.name)
+        return path_open(self, *args, **kwargs)
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.basename(file) in names:
+            reads.append(os.path.basename(file))
+        return plain_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "open", counting_path_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return reads

@@ -249,6 +249,14 @@ def test_load_graph_rejects_self_loop(tmp_path):
         load_graph(npath, epath)
 
 
+def test_load_graph_rejects_bool_edge_endpoints(tmp_path):
+    nodes = [{"id": k, "text": "t", "label": "x"} for k in range(3)]
+    for edge in ({"src": True, "dst": 2}, {"src": 0, "dst": False}):
+        npath, epath = write_graph_files(tmp_path, nodes, [edge])
+        with pytest.raises(ValueError, match=r"edges\.jsonl:1: src/dst must be integers"):
+            load_graph(npath, epath)
+
+
 def test_load_graph_reports_bad_line_number(tmp_path):
     path = tmp_path / "nodes.jsonl"
     path.write_text('{"id": 0, "text": "a", "label": "x"}\nnot json\n')
@@ -295,6 +303,13 @@ def test_feature_jsonl_vec_must_be_a_list_of_numbers(tmp_path):
         path = write_jsonl(tmp_path / "feat.jsonl", [{"id": 0, "vec": vec}])
         with pytest.raises(ValueError, match=r"feat\.jsonl:1: vec must be a list of numbers"):
             load_features(path, 1)
+
+
+def test_feature_jsonl_id_must_be_an_integer(tmp_path):
+    path = write_jsonl(tmp_path / "feat.jsonl", [
+        {"id": True, "vec": [1.0]}, {"id": 0, "vec": [2.0]}])
+    with pytest.raises(ValueError, match=r"feat\.jsonl:1: bad or duplicate feature id True"):
+        load_features(path, 2)
 
 
 def test_graph_roundtrip_identity(tmp_path, rng):

@@ -11,7 +11,6 @@ from cfc.labelspace import (
     DISCARDED,
     OODAssignment,
     PostLabelSpace,
-    build_ood_classification_prompt,
     classify_ood,
     cluster_accuracy,
     cosine,
@@ -35,6 +34,10 @@ def make_gateway(tmp_path, rules, **cfg_kw):
 
 def text_graph(texts):
     return Graph(len(texts), (), tuple(texts), tuple(["x"] * len(texts)), ("x",))
+
+
+def classification_json(answer, confidence=0.9):
+    return json.dumps([{"answer": answer, "confidence": confidence}])
 
 
 def space(labels, counts=None):
@@ -273,24 +276,40 @@ def test_merge_preserves_total_count():
 
 # ---------------------------------------------------------------- prompts and parsing
 
-def test_classification_prompt_lists_merged_labels():
+def classification_prompts(tmp_path, texts, post, **kw):
+    """The prompts classify_ood sends for texts, one node each."""
+    log = tmp_path / "log.jsonl"
+    path = write_jsonl(tmp_path / "f.jsonl", [
+        {"match": "substr:", "response": classification_json("x")}])
+    gw = LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path,
+                                  max_concurrent=1), log_path=str(log))
+    classify_ood(range(len(texts)), text_graph(texts), post, gw, **kw)
+    return [json.loads(l)["prompt_text"] for l in log.read_text().splitlines()]
+
+
+def test_classification_prompt_lists_merged_labels(tmp_path):
     post = space(["machine learning", "databases"])
-    p = build_ood_classification_prompt("an essay on joins", post)
+    [p] = classification_prompts(tmp_path, ["an essay on joins"], post)
     assert "{machine learning, databases}" in p
     assert "an essay on joins" in p
     assert "confidence" in p
 
 
-def test_classification_prompt_truncates_text():
+def test_classification_prompt_truncates_text(tmp_path):
     post = space(["machine learning"])
-    p = build_ood_classification_prompt("z" * 5000, post, text_budget=100)
+    [p] = classification_prompts(tmp_path, ["z" * 5000], post, text_budget=100)
     assert "z" * 97 + "..." in p
     assert "z" * 98 not in p
 
 
-def test_classification_prompt_rejects_empty_text():
-    with pytest.raises(ValueError, match="empty"):
-        build_ood_classification_prompt(" ", space(["a b"]))
+def test_classification_prompt_rejects_empty_text(tmp_path):
+    with pytest.raises(ValueError, match="node 0 text is empty"):
+        classification_prompts(tmp_path, [" "], space(["a b"]))
+
+
+def test_classification_reads_its_template_once(tmp_path, template_reads):
+    classification_prompts(tmp_path, ["one", "two", "three"], space(["a b"]))
+    assert template_reads == ["ood_classification.txt"]
 
 
 def test_parse_classification_response_normalizes():
@@ -333,10 +352,6 @@ def test_match_label_tokenless_answer_takes_first_label():
 
 
 # ---------------------------------------------------------------- classify_ood
-
-def classification_json(answer, confidence=0.9):
-    return json.dumps([{"answer": answer, "confidence": confidence}])
-
 
 def test_classify_ood_assigns_every_node(tmp_path):
     g = text_graph(["about reef fish", "about query planners", "word salad"])

@@ -10,6 +10,7 @@ import ast
 import builtins
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -206,6 +207,21 @@ def test_validate_config_type_errors(fix):
         lambda c: c["split"].update(id_classes="circuit design"))
     with pytest.raises(ConfigError, match="expected a list of strings"):
         validate_config(bad)
+    # JSON's NaN and Infinity, and an integer beyond the float range
+    for block, key, value in (("train", "learning_rate", math.nan),
+                              ("train", "learning_rate", 10 ** 400),
+                              ("train", "weight_decay", math.inf),
+                              ("gateway", "temperature", math.nan),
+                              ("gateway", "request_timeout", math.nan)):
+        bad = _variant_config(fix, "non_finite.json",
+                              lambda c: c.setdefault(block, {}).update({key: value}))
+        with pytest.raises(ConfigError, match=f"{block}.{key}: expected a finite number"):
+            validate_config(bad)
+    for timeout in (-1, 0):
+        bad = _variant_config(fix, "timeout.json",
+                              lambda c: c["gateway"].update(request_timeout=timeout))
+        with pytest.raises(ConfigError, match="request_timeout must be > 0"):
+            validate_config(bad)
 
 
 def test_validate_config_checks_dataset_paths(fix):
@@ -498,6 +514,13 @@ def test_only_the_template_files_cfc_reads_are_hashed(tmp_path):
     edited.write_text(edited.read_text(encoding="utf-8") + "\n", encoding="utf-8")
     executed = run_all(rc)
     assert [s for s, ran in executed.items() if ran] == ["coarse", "classify-ood"]
+
+
+def test_a_run_reads_each_template_it_uses_once(tmp_path, template_reads):
+    paths = fixture_tools.write_fixture(str(tmp_path))
+    template_reads.clear()          # the fixture renders the mock's prompts
+    assert all(run_all(validate_config(paths["config"])).values())
+    assert sorted(template_reads) == ["easy_reject.txt", "ood_classification.txt"]
 
 
 def test_upstream_stages_are_the_producers_of_what_a_stage_reads():
