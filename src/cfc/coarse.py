@@ -172,13 +172,16 @@ def build_easy_reject_prompt(node_text: str, id_labels,
 
 
 def checked_node_ids(g, node_ids) -> list[int]:
-    """node_ids sorted and deduplicated, each checked against the node range."""
+    """node_ids sorted and deduplicated, each checked against the node range
+    and for a text to ask about, before any prompt is paid for."""
     ids = sorted({int(i) for i in node_ids})
     if not ids:
         raise ValueError("node id list is empty")
     for i in ids:
         if not (0 <= i < g.num_nodes):
             raise ValueError(f"node id {i} outside node range")
+        if not g.node_text[i].strip():
+            raise ValueError(f"node {i} text is empty")
     return ids
 
 
@@ -188,13 +191,9 @@ def ask_per_node(g, ids, template: str, fields: dict[str, str],
     """Ask template once per node of ids (from checked_node_ids), with the
     node's text, truncated to text_budget, as its TEXT field; returns
     (id, parse(reply) or None, reply) per node, in ids order."""
-    prompts = []
-    for i in ids:
-        text = g.node_text[i]
-        if not text.strip():
-            raise ValueError(f"node {i} text is empty")
-        prompts.append(render(template, {**fields,
-                                         "TEXT": truncate_text(text, text_budget)}))
+    prompts = [render(template, {**fields,
+                                 "TEXT": truncate_text(g.node_text[i], text_budget)})
+               for i in ids]
     replies = gateway.ask_all(prompts, parse, retries)
     return [(i, parsed, raw) for i, (parsed, raw) in zip(ids, replies)]
 

@@ -24,6 +24,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .jsonl import read_jsonl
@@ -172,6 +173,7 @@ class LLMGateway:
         self._cache = _load_cache(self._cache_path) if self._cache_path else {}
         self._sem = threading.Semaphore(cfg.max_concurrent)
         self._write_lock = threading.Lock()
+        self._open_files: dict | None = None    # path -> handle, in ask_all
         self._fixture_hash: dict[str, str] = {}
         self._fixture_substr: list[tuple[str, str]] = []
         if cfg.mode == "mock" and cfg.mock_fixture_path:
@@ -214,7 +216,8 @@ class LLMGateway:
                 failed.set()
                 raise
 
-        with ThreadPoolExecutor(max_workers=self.cfg.max_concurrent) as pool:
+        with self._files_open(), \
+                ThreadPoolExecutor(max_workers=self.cfg.max_concurrent) as pool:
             futures = {k: pool.submit(ask, prompts[k]) for k in todo}
         for k, fut in futures.items():
             results[k] = fut.result()
@@ -322,9 +325,30 @@ class LLMGateway:
         if self._log_path is not None:
             self._append(self._log_path, exchange.to_dict())
 
+    @contextmanager
+    def _files_open(self):
+        """Keep each JSONL file the block appends to open until it ends, so a
+        batch opens the exchange log and the reply cache once each."""
+        self._open_files = {}
+        try:
+            yield
+        finally:
+            with self._write_lock:
+                files, self._open_files = self._open_files, None
+            for fh in files.values():
+                fh.close()
+
     def _append(self, path: str, record: dict) -> None:
-        """Append one line, flushed before the lock is released."""
+        """Append one line, flushed before the lock is released. A file is
+        opened on its first line, so nothing creates it before then."""
         line = json.dumps(record, ensure_ascii=False) + "\n"
         with self._write_lock:
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+            if self._open_files is None:        # a complete() outside ask_all
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(line)
+                return
+            fh = self._open_files.get(path)
+            if fh is None:
+                fh = self._open_files[path] = open(path, "a", encoding="utf-8")
+            fh.write(line)
+            fh.flush()

@@ -21,7 +21,10 @@ dataset bytes, consumed artifacts) and the sha256 of each file it wrote. It
 is skipped when that input hash matches and every output it writes still
 has its recorded sha256, so LLM-backed stages never recompute by accident,
 an output cut or edited by hand is rebuilt, and an edit to screening or
-merging reruns eval without retraining a model. In live mode the gateway
+merging reruns eval without retraining a model. The manifest's "files"
+block remembers each file's sha256 beside its stat, so a rerun reads only
+the files whose stat changed or that were changed too close to their
+hashing to trust it (see _Runtime.file_hash). In live mode the gateway
 also keeps every parsed reply in llm_cache.jsonl, so a rerun after an edit
 or a crash asks the endpoint only for prompts it has not answered yet. The
 config is checked by cfc.config; a stage that runs echoes it, every default
@@ -86,6 +89,12 @@ RESOLVED_FILE = "resolved.json"
 LOCK_FILE = ".lock"
 
 SIGMOID_FIXED_TAU = 0.5
+
+# A remembered sha256 is trusted only for a file whose last change (ctime)
+# came at least this long before the hash was taken: a change made later, in
+# the same timestamp tick, could leave the stat as it was (git's "racily
+# clean" rule). Two seconds cover filesystems with 1 s timestamps.
+RACY_WINDOW_NS = 2_000_000_000
 
 # The model input X is multiplied as a CSR copy when at most this share of
 # its entries is nonzero (bag-of-words features). Denser X stays an array:
@@ -160,10 +169,13 @@ def _stage_inputs(rt: _Runtime, stage: str) -> dict:
 
 class _Runtime:
     """Per-command cache of expensive shared state (file hashes, graph,
-    split, A-hat, model input)."""
+    split, A-hat, model input). memo is the manifest's "files" block, path ->
+    {"stat", "sha256", "hashed_at_ns"}; it is written with the manifest, so
+    only when a stage executes."""
 
-    def __init__(self, rc: RunConfig):
+    def __init__(self, rc: RunConfig, memo: dict | None = None):
         self.rc = rc
+        self._memo = {} if memo is None else memo
         self._hashes: dict[str, str] = {}
         self._graph: Graph | None = None
         self._split: SplitAssignment | None = None
@@ -171,10 +183,24 @@ class _Runtime:
         self._x = None
 
     def file_hash(self, path: str, fresh: bool = False) -> str:
-        """sha256 of a file, read once per command: only a stage writes in
-        the artifacts directory, and it rehashes (fresh) what it wrote."""
+        """sha256 of a file, looked up once per command: only a stage writes
+        in the artifacts directory, and it rehashes (fresh) what it wrote.
+        The memo's sha256 stands in for reading the file when the file's
+        device, inode, size, mtime and ctime all match the memo's and its
+        ctime lies RACY_WINDOW_NS or more before the memo's hash was taken;
+        otherwise the file is read and its memo entry replaced."""
         if fresh or path not in self._hashes:
-            self._hashes[path] = _file_hash(path)
+            hashed_at = time.time_ns()          # before the stat, never after
+            st = os.stat(path)
+            stat = [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+            entry = self._memo.get(path)
+            if not fresh and entry is not None and entry["stat"] == stat \
+                    and st.st_ctime_ns < entry["hashed_at_ns"] - RACY_WINDOW_NS:
+                self._hashes[path] = entry["sha256"]
+            else:
+                self._hashes[path] = _file_hash(path)
+                self._memo[path] = {"stat": stat, "sha256": self._hashes[path],
+                                    "hashed_at_ns": hashed_at}
         return self._hashes[path]
 
     @property
@@ -617,7 +643,8 @@ def _run(rc: RunConfig, stages: tuple[str, ...], strict: bool) -> dict:
             "config hash mismatch: these artifacts were produced by a "
             "different configuration (drop --strict to let stages rerun)")
     os.makedirs(rc.artifacts_dir, exist_ok=True)
-    rt = _Runtime(rc)
+    # a new manifest, or one written before the memo, gains it on its next write
+    rt = _Runtime(rc, manifest.setdefault("files", {}))
     return {stage: _execute(rt, stage, manifest) for stage in stages}
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import socket
 import sys
 import threading
@@ -7,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from cfc import gateway as gateway_module
 from cfc.gateway import (
     GatewayConfig,
     GatewayError,
@@ -410,6 +412,41 @@ def test_reply_cache_appends_survive_many_workers(monkeypatch, tmp_path):
     calls = []
     again = LLMGateway(live_cfg(), transport=echo_transport(calls), cache_path=str(cache))
     assert again.ask_all(prompts, parse_int) == got and calls == []
+
+
+def test_a_batch_opens_the_log_and_the_reply_cache_once(monkeypatch, tmp_path):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    log, cache = tmp_path / "log.jsonl", tmp_path / "cache.jsonl"
+    echo = echo_transport([])
+    lines_seen = []
+
+    def transport(*args):
+        # each line is flushed before the next prompt is asked
+        lines_seen.append(tuple(len(f.read_bytes().splitlines()) if f.exists() else 0
+                                for f in (log, cache)))
+        return echo(*args)
+
+    gw = LLMGateway(live_cfg(max_concurrent=1), transport=transport,
+                    log_path=str(log), cache_path=str(cache))
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.path.basename(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(gateway_module, "open", counting_open, raising=False)
+    assert gw.ask_all([f"q {i}" for i in range(5)], parse_int) == \
+        [(i, str(i)) for i in range(5)]
+    assert sorted(opened) == ["cache.jsonl", "log.jsonl"]
+    assert lines_seen == [(k, k) for k in range(5)]
+    # one line per record, as json.dumps writes it
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert log.read_text() == "".join(
+        json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    assert gw._open_files is None           # closed when the batch ends
+    gw.complete("q 5")                      # outside a batch: opened per line
+    assert opened.count("log.jsonl") == 2
+    assert len(log.read_text().splitlines()) == 6
 
 
 def test_mock_mode_ignores_reply_cache(tmp_path):

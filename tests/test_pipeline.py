@@ -8,6 +8,7 @@ artifacts run in their own artifact directories against the same dataset.
 
 import ast
 import builtins
+import copy
 import dataclasses
 import json
 import math
@@ -17,6 +18,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -72,6 +74,29 @@ def primary(fix):
     rc = validate_config(fix["config"])
     executed = run_all(rc)
     return rc, executed
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The paths pipeline._file_hash reads, in order."""
+    seen = []
+    file_hash = pipeline._file_hash
+
+    def counting(path):
+        seen.append(path)
+        return file_hash(path)
+
+    monkeypatch.setattr(pipeline, "_file_hash", counting)
+    return seen
+
+
+@pytest.fixture
+def trusted_memo(monkeypatch):
+    """No racy window: every remembered sha256 counts as taken long enough
+    after its file's last change, as it does once a stage executes more than
+    RACY_WINDOW_NS after the files it reads were written. Only a changed stat
+    can then make a file be read again."""
+    monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
 
 
 def _variant_config(fix, name, mutate):
@@ -314,7 +339,9 @@ def test_rerun_is_fully_cached(primary):
     assert _read_bytes(rc.artifact(MANIFEST_FILE)) == before
 
 
-def test_an_output_cut_or_edited_in_place_reruns_its_stage(fix, tmp_path):
+def test_an_output_cut_or_edited_in_place_reruns_its_stage(fix, tmp_path, hashed,
+                                                          trusted_memo):
+    # with the memo trusted, only the changed stat gets the file read again
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
     run_all(rc)
     detect = rc.artifact(DETECT_FILE)
@@ -322,8 +349,10 @@ def test_an_output_cut_or_edited_in_place_reruns_its_stage(fix, tmp_path):
     lines = clean.splitlines(keepends=True)
     with open(detect, "wb") as fh:                 # cut at a line boundary
         fh.write(b"".join(lines[:len(lines) // 2]))
+    hashed.clear()
     executed = run_all(rc)
     assert [s for s, ran in executed.items() if ran] == ["detect"]
+    assert detect in hashed
     assert _read_bytes(detect) == clean
 
     path = rc.artifact(EVAL_FILE)
@@ -332,8 +361,10 @@ def test_an_output_cut_or_edited_in_place_reruns_its_stage(fix, tmp_path):
     assert edited != clean and len(edited) == len(clean)
     with open(path, "wb") as fh:                   # same size, same place
         fh.write(edited)
+    hashed.clear()
     executed = run_all(rc)
     assert [s for s, ran in executed.items() if ran] == ["eval"]
+    assert path in hashed
     assert _read_bytes(path) == clean
     assert not any(run_all(rc).values())
 
@@ -395,20 +426,151 @@ def test_eval_json_reproducible(primary, fix, tmp_path):
     assert doc["cluster_accuracy"] is not None
 
 
-def test_run_all_hashes_each_dataset_file_once(fix, tmp_path, monkeypatch):
-    seen = []
-    file_hash = pipeline._file_hash
-
-    def counting(path):
-        seen.append(path)
-        return file_hash(path)
-
-    monkeypatch.setattr(pipeline, "_file_hash", counting)
+def test_run_all_hashes_each_dataset_file_once(fix, tmp_path, hashed, trusted_memo):
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
     assert all(run_all(rc).values())
-    assert not any(run_all(rc).values())
     for path in (rc.dataset.nodes, rc.dataset.edges, rc.dataset.features):
-        assert seen.count(path) == 2        # once per command, cold and cached
+        assert hashed.count(path) == 1
+    hashed.clear()
+    assert not any(run_all(rc).values())
+    assert hashed == []             # a cached run reads no file it has hashed
+
+
+def test_memo_records_the_stat_and_sha256_of_every_file_read(fix, tmp_path):
+    rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
+    before = time.time_ns()
+    run_all(rc)
+    files = load_manifest(rc.artifacts_dir)["files"]
+    dataset = [rc.dataset.nodes, rc.dataset.edges, rc.dataset.features,
+               rc.gateway.mock_fixture_path]
+    outputs = [rc.artifact(n) for spec in pipeline._STAGES.values() for n in spec.writes]
+    assert sorted(files) == sorted(dataset + outputs)
+    for path, entry in files.items():
+        st = os.stat(path)
+        assert entry["stat"] == [st.st_dev, st.st_ino, st.st_size,
+                                 st.st_mtime_ns, st.st_ctime_ns], path
+        assert entry["sha256"] == pipeline._file_hash(path), path
+        assert before <= entry["hashed_at_ns"] <= time.time_ns(), path
+
+
+def test_memo_rehashes_a_dataset_file_rewritten_with_its_old_size_and_mtime(
+        tmp_path, hashed, trusted_memo):
+    paths = fixture_tools.write_fixture(str(tmp_path))
+    rc = validate_config(paths["config"])
+    run_all(rc)
+    clean = _read_bytes(rc.artifact(EVAL_FILE))
+    edges = rc.dataset.edges
+    st = os.stat(edges)
+    data = _read_bytes(edges)
+    first = data.split(b"\n", 1)[0]
+    rec = json.loads(first)
+    flipped = json.dumps({"src": rec["dst"], "dst": rec["src"]}).encode()
+    assert len(flipped) == len(first) and flipped != first   # the same edge
+    with open(edges, "r+b") as fh:                  # in place: the inode stays
+        fh.write(flipped)
+    os.utime(edges, ns=(st.st_atime_ns, st.st_mtime_ns))
+    now = os.stat(edges)
+    assert (now.st_ino, now.st_size, now.st_mtime_ns) == \
+        (st.st_ino, st.st_size, st.st_mtime_ns)
+    assert now.st_ctime_ns != st.st_ctime_ns
+    hashed.clear()
+    # the dataset's hash is an input of every stage
+    assert all(run_all(rc).values())
+    assert edges in hashed
+    assert _read_bytes(rc.artifact(EVAL_FILE)) == clean
+
+
+def test_memo_rehashes_a_file_replaced_by_a_same_size_file(fix, tmp_path, hashed,
+                                                           trusted_memo):
+    rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
+    run_all(rc)
+    path = rc.artifact(EVAL_FILE)
+    clean, st = _read_bytes(path), os.stat(path)
+    edited = clean.replace(b'"ood_class_index": 2', b'"ood_class_index": 3')
+    assert edited != clean and len(edited) == len(clean)
+    with open(path + ".new", "wb") as fh:
+        fh.write(edited)
+    os.utime(path + ".new", ns=(st.st_atime_ns, st.st_mtime_ns))
+    os.replace(path + ".new", path)
+    assert os.stat(path).st_ino != st.st_ino
+    hashed.clear()
+    executed = run_all(rc)
+    assert [s for s, ran in executed.items() if ran] == ["eval"]
+    assert path in hashed
+    assert _read_bytes(path) == clean
+
+
+def test_memo_compares_every_stat_field(fix, tmp_path, hashed, trusted_memo):
+    # a file's own ctime already flags most changes as racy; each stat field
+    # must still count alone, e.g. for an old file renamed into place on a
+    # filesystem that keeps its ctime
+    rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
+    run_all(rc)
+    path = rc.artifact(EVAL_FILE)
+    clean = load_manifest(rc.artifacts_dir)
+    for field in range(5):
+        manifest = copy.deepcopy(clean)
+        entry = manifest["files"][path]
+        entry["stat"][field] += 1
+        entry["sha256"] = "0" * 64              # what the stat now vouches for
+        pipeline._save_manifest(rc.artifacts_dir, manifest)
+        hashed.clear()
+        assert not any(run_all(rc).values()), field
+        assert hashed == [path], field
+
+
+def test_memo_rehashes_a_file_changed_inside_the_racy_window(fix, tmp_path, hashed):
+    rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
+    run_all(rc)
+    detect = rc.artifact(DETECT_FILE)
+    clean = _read_bytes(detect)
+    edited = clean.replace(b'"pred": 0', b'"pred": 1', 1)
+    assert edited != clean and len(edited) == len(clean)
+
+    def forge(hashed_after_change_ns):
+        # a filesystem with coarse timestamps can leave a file changed after
+        # its hash with the stat the hash recorded; stand in for one by
+        # giving the memo the edited file's stat and the old sha256
+        with open(detect, "wb") as fh:
+            fh.write(edited)
+        st = os.stat(detect)
+        manifest = load_manifest(rc.artifacts_dir)
+        manifest["files"][detect].update(
+            stat=[st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns],
+            hashed_at_ns=st.st_ctime_ns + hashed_after_change_ns)
+        pipeline._save_manifest(rc.artifacts_dir, manifest)
+        hashed.clear()
+
+    forge(pipeline.RACY_WINDOW_NS // 2)
+    executed = run_all(rc)
+    assert [s for s, ran in executed.items() if ran] == ["detect"]
+    assert detect in hashed
+    assert _read_bytes(detect) == clean
+
+    # the same memo entry, hashed a window after the change, is trusted
+    forge(pipeline.RACY_WINDOW_NS + 1)
+    assert not any(run_all(rc).values())
+    assert detect not in hashed
+
+
+def test_memo_entry_of_a_missing_file_is_a_miss(fix, tmp_path, hashed, trusted_memo):
+    rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
+    run_all(rc)
+    denoised = rc.artifact(DENOISED_FILE)
+    saved = _read_bytes(denoised)
+    manifest = load_manifest(rc.artifacts_dir)
+    gone = str(tmp_path / "gone.jsonl")
+    manifest["files"][gone] = manifest["files"][denoised]
+    pipeline._save_manifest(rc.artifacts_dir, manifest)
+    os.remove(denoised)
+    hashed.clear()
+    executed = run_all(rc)
+    # denoise writes the same bytes again, so nothing downstream reruns
+    assert [s for s, ran in executed.items() if ran] == ["denoise"]
+    assert hashed == [denoised]
+    assert _read_bytes(denoised) == saved
+    assert gone in load_manifest(rc.artifacts_dir)["files"]
+    assert not any(run_all(rc).values())
 
 
 def test_sparse_features_take_the_csr_path(tmp_path, monkeypatch):
@@ -747,6 +909,11 @@ def test_a_write_cut_at_any_point_reruns_to_the_clean_bytes(tmp_path, monkeypatc
                     del entry["wall_time_s"], entry["completed_at"]
                     for log in (COARSE_LOG_FILE, CLASSIFY_LOG_FILE):
                         entry["outputs"].pop(log, None)     # the logs vary
+                # every remembered hash is the file's hash now; the stat
+                # fields and hashed_at_ns vary like wall_time_s
+                for path, entry in manifest["files"].items():
+                    assert entry["sha256"] == pipeline._file_hash(path), path
+                manifest["files"] = sorted(manifest["files"])
                 data = manifest
             out[name] = data
         return out
@@ -888,6 +1055,23 @@ def test_live_threshold_edit_reuses_every_reply(tmp_path, monkeypatch):
     result = load_coarse_result(rc2.artifact(COARSE_FILE))
     assert result.confidence_threshold == 0.95 and result.ood_ids == ()
     assert os.path.getsize(rc2.artifact(COARSE_LOG_FILE)) == 0
+
+
+def test_a_blank_node_text_is_refused_before_any_prompt(tmp_path, monkeypatch):
+    paths, state = _live_fixture(tmp_path, monkeypatch)
+    hard = _variant_config(paths, "hard.json", lambda c: c.setdefault(
+        "coarse", {}).update(mode="hard_reject", candidate_count=3))
+    nodes = [rec for _, rec in jsonl.read_jsonl(paths["nodes"])]
+    for rec in nodes:
+        if rec["id"] % 10 == 3:
+            rec["text"] = ""
+    jsonl.write_jsonl(paths["nodes"], nodes)
+    rc = validate_config(hard)
+    assert run_stage(rc, "ingest") is True
+    with pytest.raises(StageError, match=r"^coarse: node \d*3 text is empty$"):
+        run_stage(rc, "coarse")
+    # not even the two hard_reject setup prompts were asked
+    assert state["calls"] == []
 
 
 # ------------------------------------------------------------ command line
