@@ -273,8 +273,11 @@ def train(a_hat: sp.csr_array, x: np.ndarray | sp.csr_array, y: np.ndarray,
             raise ValueError(f"val node {i} has target {y[i]} outside [0, {out_dim})")
 
     params = init_params(x.shape[1], cfg.hidden_dim, out_dim, cfg.seed)
+    # Adam moments and two scratch buffers per weight, updated in place
     mom = [np.zeros_like(params.w0), np.zeros_like(params.w1)]
     vel = [np.zeros_like(params.w0), np.zeros_like(params.w1)]
+    step = [np.empty_like(params.w0), np.empty_like(params.w1)]
+    denom = [np.empty_like(params.w0), np.empty_like(params.w1)]
 
     history: list[dict] = []
     best_params = params
@@ -288,11 +291,24 @@ def train(a_hat: sp.csr_array, x: np.ndarray | sp.csr_array, y: np.ndarray,
                          cfg.weight_decay, cfg.head, cache)
         new_w = []
         for k, (w, g) in enumerate(zip((params.w0, params.w1), grads)):
-            mom[k] = ADAM_BETA1 * mom[k] + (1 - ADAM_BETA1) * g
-            vel[k] = ADAM_BETA2 * vel[k] + (1 - ADAM_BETA2) * g * g
-            m_hat = mom[k] / (1 - ADAM_BETA1 ** epoch)
-            v_hat = vel[k] / (1 - ADAM_BETA2 ** epoch)
-            new_w.append(w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+            # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+            # w - (lr m_hat) / (sqrt(v_hat) + eps), one rounding at a time in
+            # that order, so the weights stay bitwise those of the formula
+            s, d = step[k], denom[k]
+            mom[k] *= ADAM_BETA1
+            np.multiply(g, 1 - ADAM_BETA1, out=s)
+            mom[k] += s
+            vel[k] *= ADAM_BETA2
+            np.multiply(g, 1 - ADAM_BETA2, out=s)
+            s *= g
+            vel[k] += s
+            np.divide(mom[k], 1 - ADAM_BETA1 ** epoch, out=s)
+            np.divide(vel[k], 1 - ADAM_BETA2 ** epoch, out=d)
+            np.sqrt(d, out=d)
+            d += ADAM_EPS
+            s *= cfg.learning_rate
+            s /= d
+            new_w.append(w - s)
         params = GCNParams(w0=new_w[0], w1=new_w[1])
 
         cache = forward(params, a_hat, x, synth, cfg.head)

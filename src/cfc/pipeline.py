@@ -6,12 +6,14 @@ A run is nine stages over one artifacts directory:
     coarse        LLM screening of test nodes for OOD suspects
     denoise       label propagation prunes false OOD candidates
     train-prelim  closed-set GCN on the ID training nodes, and the
-                  sigmoid-head GCN of the threshold baselines
+                  sigmoid-head GCN of the threshold baselines; records
+                  both models' class probabilities for every node
     augment       mixup synthesis of OOD rows in hidden space
     train-fine    (C+1)-class GCN with the synthetic OOD samples
     detect        fine-model predictions + OOD scores on test nodes
     classify-ood  merge logged categories, LLM-label the detected set
-    eval          scores the pipeline and the threshold baselines
+    eval          scores the pipeline, and the threshold baselines from
+                  the recorded probabilities (no features, no checkpoint)
 
 Each stage is declared once, in the _STAGES table: its function, the
 config keys it reads, the artifacts it consumes and those it writes; the
@@ -21,14 +23,16 @@ dataset bytes, consumed artifacts) and the sha256 of each file it wrote. It
 is skipped when that input hash matches and every output it writes still
 has its recorded sha256, so LLM-backed stages never recompute by accident,
 an output cut or edited by hand is rebuilt, and an edit to screening or
-merging reruns eval without retraining a model. The manifest's "files"
-block remembers each file's sha256 beside its stat, so a rerun reads only
-the files whose stat changed or that were changed too close to their
-hashing to trust it (see _Runtime.file_hash). In live mode the gateway
-also keeps every parsed reply in llm_cache.jsonl, so a rerun after an edit
-or a crash asks the endpoint only for prompts it has not answered yet. The
-config is checked by cfc.config; a stage that runs echoes it, every default
-made explicit, to resolved.json beside the manifest that records its hash.
+merging reruns eval without retraining a model or reading the features.
+The manifest's "files" block remembers each file's sha256 beside its stat,
+so a rerun reads only the files whose stat changed or that were changed
+too close to their hashing to trust it (see _Runtime.file_hash); a pass
+that read a file again and can now trust its hash saves the manifest once
+more. In live mode the gateway also keeps every parsed reply in
+llm_cache.jsonl, so a rerun after an edit or a crash asks the endpoint
+only for prompts it has not answered yet. The config is checked by
+cfc.config; a stage that runs echoes it, every default made explicit, to
+resolved.json beside the manifest that records its hash.
 
 Artifacts are written through cfc.jsonl's atomic writer, so a killed run
 never leaves a torn file that the cache would take for done.
@@ -59,8 +63,8 @@ from .denoise import denoise_ood, initial_label_matrix, label_propagate, \
 from .gateway import GatewayError, LLMGateway
 from .gcn import TrainingDiverged, hidden_states, load_checkpoint, predict, \
     save_checkpoint, train
-from .graph import Graph, load_graph, rw_normalize_adjacency, \
-    split_dataset, sym_normalize_adjacency, SplitAssignment
+from .graph import Graph, load_features, load_graph, rw_normalize_adjacency, \
+    save_features, split_dataset, sym_normalize_adjacency, SplitAssignment
 from .jsonl import read_json, read_jsonl, remove_orphaned_temp_files, \
     write_json, write_jsonl
 from .labelspace import classify_ood, cluster_accuracy, \
@@ -77,6 +81,7 @@ SYNTH_BIN_FILE = "synth.bin"
 SYNTH_META_FILE = "synth.jsonl"
 PRELIM_CKPT = "prelim.ckpt"
 BASELINE_CKPT = "baseline.ckpt"
+BASELINE_PROBS_FILE = "baseline_probs.bin"
 FINE_CKPT = "fine.ckpt"
 DETECT_FILE = "detect.jsonl"
 POST_LABELS_FILE = "post_labels.json"
@@ -169,15 +174,21 @@ def _stage_inputs(rt: _Runtime, stage: str) -> dict:
 
 class _Runtime:
     """Per-command cache of expensive shared state (file hashes, graph,
-    split, A-hat, model input). memo is the manifest's "files" block, path ->
-    {"stat", "sha256", "hashed_at_ns"}; it is written with the manifest, so
-    only when a stage executes."""
+    features, split, A-hat, model input), each loaded on first use: graph
+    reads only nodes.jsonl and edges.jsonl, and features.bin is read only by
+    a stage that touches features or x. ingest touches features, so a bad
+    feature file is rejected there. memo is the manifest's "files" block,
+    path -> {"stat", "sha256", "hashed_at_ns"}; it is written with the
+    manifest, when a stage executes or when memo_refreshed is set."""
 
     def __init__(self, rc: RunConfig, memo: dict | None = None):
         self.rc = rc
         self._memo = {} if memo is None else memo
         self._hashes: dict[str, str] = {}
+        # set when a file was read again and its new memo entry is trusted
+        self.memo_refreshed = False
         self._graph: Graph | None = None
+        self._features: np.ndarray | None = None
         self._split: SplitAssignment | None = None
         self._a_hat = None
         self._x = None
@@ -201,18 +212,29 @@ class _Runtime:
                 self._hashes[path] = _file_hash(path)
                 self._memo[path] = {"stat": stat, "sha256": self._hashes[path],
                                     "hashed_at_ns": hashed_at}
+                if st.st_ctime_ns < hashed_at - RACY_WINDOW_NS:
+                    self.memo_refreshed = True
         return self._hashes[path]
 
     @property
     def graph(self) -> Graph:
+        """Node texts, labels and edges; the feature matrix is features."""
         if self._graph is None:
             try:
-                dataset = self.rc.dataset
-                self._graph = load_graph(dataset.nodes, dataset.edges,
-                                         dataset.features)
+                self._graph = load_graph(self.rc.dataset.nodes, self.rc.dataset.edges)
             except ValueError as exc:
                 raise ConfigError(f"dataset rejected: {exc}") from exc
         return self._graph
+
+    @property
+    def features(self) -> np.ndarray:
+        if self._features is None:
+            try:
+                self._features = load_features(self.rc.dataset.features,
+                                               self.graph.num_nodes)
+            except ValueError as exc:
+                raise ConfigError(f"dataset rejected: {exc}") from exc
+        return self._features
 
     @property
     def a_hat(self):
@@ -226,7 +248,7 @@ class _Runtime:
         SPARSE_FEATURE_DENSITY)."""
         if self._x is None:
             import scipy.sparse as sp
-            f = self.graph.features
+            f = self.features
             sparse = np.count_nonzero(f) <= SPARSE_FEATURE_DENSITY * f.size
             self._x = sp.csr_array(f) if sparse else f
         return self._x
@@ -257,6 +279,7 @@ class _Runtime:
 
 def _stage_ingest(rt: _Runtime) -> None:
     rc, g = rt.rc, rt.graph                # a bad dataset is not a bad split
+    rt.features                            # so the features are checked here
     try:
         split = split_dataset(g, rc.split.id_classes,
                               rc.split.ood_classes, rc.seed,
@@ -316,8 +339,10 @@ def _stage_denoise(rt: _Runtime) -> None:
 
 
 def _stage_train_prelim(rt: _Runtime) -> None:
-    """The closed-set GCN that augment and eval read, and the sigmoid-head
-    GCN that eval scores as a baseline: same inputs, so trained together."""
+    """The closed-set GCN that augment reads, and the sigmoid-head GCN of
+    the threshold baselines: same inputs, so trained together. Both models'
+    class probabilities for every node, the prelim model's columns first,
+    are recorded for eval's baselines."""
     rc = rt.rc
     split = rt.split()
     y = rt.id_train_targets()
@@ -327,6 +352,7 @@ def _stage_train_prelim(rt: _Runtime) -> None:
         ("sigmoid baseline", BASELINE_CKPT, replace(
             rc.train, head="sigmoid", seed=rc.seed + SEED_OFFSETS["baseline"])),
     )
+    probs = []
     for what, name, cfg in models:
         try:
             params, _ = train(rt.a_hat, rt.x, y, split.train_ids, val_ids,
@@ -334,6 +360,8 @@ def _stage_train_prelim(rt: _Runtime) -> None:
         except TrainingDiverged as exc:
             raise StageError(f"{what} training diverged: {exc}") from exc
         save_checkpoint(params, rc.artifact(name))
+        probs.append(predict(params, rt.a_hat, rt.x, head=cfg.head))
+    save_features(rc.artifact(BASELINE_PROBS_FILE), np.hstack(probs))
 
 
 def _stage_augment(rt: _Runtime) -> None:
@@ -457,10 +485,8 @@ def _stage_eval(rt: _Runtime) -> None:
     cluster = (cluster_accuracy(ood_pairs, {n: g.labels[n] for n, _ in ood_pairs})
                if ood_pairs else None)
 
-    probs_soft = predict(load_checkpoint(rc.artifact(PRELIM_CKPT)),
-                         rt.a_hat, rt.x)
-    probs_sig = predict(load_checkpoint(rc.artifact(BASELINE_CKPT)),
-                        rt.a_hat, rt.x, head="sigmoid")
+    probs = load_features(rc.artifact(BASELINE_PROBS_FILE), g.num_nodes)
+    probs_soft, probs_sig = probs[:, :c], probs[:, c:]
 
     val_ids = sorted(split.val_ids)
     truth_val = np.array([cindex.get(g.labels[i], c) for i in val_ids])
@@ -510,7 +536,8 @@ _STAGES = {
     "denoise": _Stage(_stage_denoise, {"propagation": "propagation"},
                       consumes=(SPLIT_FILE, COARSE_FILE), writes=(DENOISED_FILE,)),
     "train-prelim": _Stage(_stage_train_prelim, {"seed": "seed", "train": "train"},
-                           consumes=(SPLIT_FILE,), writes=(PRELIM_CKPT, BASELINE_CKPT)),
+                           consumes=(SPLIT_FILE,),
+                           writes=(PRELIM_CKPT, BASELINE_CKPT, BASELINE_PROBS_FILE)),
     "augment": _Stage(_stage_augment, {"seed": "seed", "mixup": "mixup"},
                       consumes=(SPLIT_FILE, DENOISED_FILE, PRELIM_CKPT),
                       writes=(SYNTH_BIN_FILE, SYNTH_META_FILE)),
@@ -525,8 +552,8 @@ _STAGES = {
         consumes=(SPLIT_FILE, COARSE_FILE, DETECT_FILE),
         writes=(POST_LABELS_FILE, ASSIGN_FILE, CLASSIFY_LOG_FILE)),
     "eval": _Stage(_stage_eval, {},
-                   consumes=(SPLIT_FILE, DETECT_FILE, ASSIGN_FILE, PRELIM_CKPT,
-                             BASELINE_CKPT), writes=(EVAL_FILE,)),
+                   consumes=(SPLIT_FILE, DETECT_FILE, ASSIGN_FILE,
+                             BASELINE_PROBS_FILE), writes=(EVAL_FILE,)),
 }
 
 STAGE_ORDER = tuple(_STAGES)
@@ -630,6 +657,7 @@ def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:
     manifest["version"] = __version__
     write_json(rc.artifact(RESOLVED_FILE), rc.resolved)
     _save_manifest(rc.artifacts_dir, manifest)
+    rt.memo_refreshed = False
     return True
 
 
@@ -645,7 +673,10 @@ def _run(rc: RunConfig, stages: tuple[str, ...], strict: bool) -> dict:
     os.makedirs(rc.artifacts_dir, exist_ok=True)
     # a new manifest, or one written before the memo, gains it on its next write
     rt = _Runtime(rc, manifest.setdefault("files", {}))
-    return {stage: _execute(rt, stage, manifest) for stage in stages}
+    executed = {stage: _execute(rt, stage, manifest) for stage in stages}
+    if rt.memo_refreshed:       # trusted hashes that no stage's save recorded
+        _save_manifest(rc.artifacts_dir, manifest)
+    return executed
 
 
 def run_stage(rc: RunConfig, stage: str, strict: bool = False) -> bool:

@@ -28,14 +28,16 @@ import scipy.sparse as sp
 
 import fixture_tools
 from cfc import gateway as gateway_module
+from cfc import graph as graph_module
 from cfc import config, jsonl, pipeline
 from cfc.coarse import load_coarse_result
 from cfc.gateway import GatewayConfig, LLMGateway
-from cfc.gcn import load_checkpoint
-from cfc.graph import save_features
+from cfc.gcn import load_checkpoint, predict
+from cfc.graph import load_features, save_features
 from cfc.pipeline import (
     ASSIGN_FILE,
     BASELINE_CKPT,
+    BASELINE_PROBS_FILE,
     CLASSIFY_LOG_FILE,
     COARSE_FILE,
     COARSE_LOG_FILE,
@@ -97,6 +99,28 @@ def trusted_memo(monkeypatch):
     RACY_WINDOW_NS after the files it reads were written. Only a changed stat
     can then make a file be read again."""
     monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
+
+
+def _move_clock_past_window(monkeypatch):
+    """Every hash taken from now on is taken more than RACY_WINDOW_NS after
+    the last change of any file written so far."""
+    time_ns = time.time_ns
+    monkeypatch.setattr(pipeline.time, "time_ns",
+                        lambda: time_ns() + 2 * pipeline.RACY_WINDOW_NS)
+
+
+@pytest.fixture
+def manifest_saves(monkeypatch):
+    """The number of times the manifest is written, as a one-item list."""
+    saves = [0]
+    save = pipeline._save_manifest
+
+    def counting(art_dir, manifest):
+        saves[0] += 1
+        save(art_dir, manifest)
+
+    monkeypatch.setattr(pipeline, "_save_manifest", counting)
+    return saves
 
 
 def _variant_config(fix, name, mutate):
@@ -330,13 +354,43 @@ def test_run_all_executes_every_stage(primary):
             assert os.path.isfile(rc.artifact(name)), (stage, name)
 
 
-def test_rerun_is_fully_cached(primary):
+def test_rerun_is_fully_cached(primary, monkeypatch, manifest_saves):
+    # a cached pass rewrites the manifest at most once, to record the hashes
+    # it could trust, and the next one leaves it byte-identical
     rc, _ = primary
+    _move_clock_past_window(monkeypatch)
+    stages = load_manifest(rc.artifacts_dir)["stages"]
+    assert not any(run_all(rc).values())
+    assert manifest_saves[0] <= 1
     before = _read_bytes(rc.artifact(MANIFEST_FILE))
-    executed = run_all(rc)
-    assert not any(executed.values())
-    # a cached pass must not rewrite the manifest (timestamps preserved)
+    assert not any(run_all(rc).values())
     assert _read_bytes(rc.artifact(MANIFEST_FILE)) == before
+    assert manifest_saves[0] <= 1
+    assert load_manifest(rc.artifacts_dir)["stages"] == stages   # timestamps kept
+
+
+def test_a_cached_pass_records_the_hashes_it_can_trust(fix, tmp_path, hashed,
+                                                       monkeypatch):
+    rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
+    run_all(rc)
+    # every output was hashed right after its write, inside the racy window
+    before = _read_bytes(rc.artifact(MANIFEST_FILE))
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "RACY_WINDOW_NS", 10 ** 18)
+        assert not any(run_all(rc).values())
+    assert hashed                   # racy entries are read again,
+    assert _read_bytes(rc.artifact(MANIFEST_FILE)) == before   # but not saved
+
+    _move_clock_past_window(monkeypatch)
+    hashed.clear()
+    assert not any(run_all(rc).values())
+    outputs = {rc.artifact(name) for spec in pipeline._STAGES.values()
+               for name in spec.writes}
+    assert outputs <= set(hashed)
+    assert _read_bytes(rc.artifact(MANIFEST_FILE)) != before
+    hashed.clear()
+    assert not any(run_all(rc).values())
+    assert hashed == []             # the refreshed entries are trusted
 
 
 def test_an_output_cut_or_edited_in_place_reruns_its_stage(fix, tmp_path, hashed,
@@ -417,7 +471,7 @@ def test_eval_json_reproducible(primary, fix, tmp_path):
     rc, _ = primary
     rc2 = validate_config(fix["config"], artifacts_override=str(tmp_path / "b"))
     run_all(rc2)
-    for name in (EVAL_FILE, PRELIM_CKPT, BASELINE_CKPT, FINE_CKPT):
+    for name in (EVAL_FILE, PRELIM_CKPT, BASELINE_CKPT, BASELINE_PROBS_FILE, FINE_CKPT):
         assert _read_bytes(rc2.artifact(name)) == _read_bytes(rc.artifact(name)), name
     doc = json.loads(_read_bytes(rc.artifact(EVAL_FILE)))
     assert set(doc["methods"]) == {"CFC", "GCN_softmax", "GCN_softmax_tau",
@@ -632,6 +686,61 @@ def test_merge_edit_reruns_eval_without_training(fix, tmp_path, monkeypatch):
     executed = run_all(validate_config(edited, artifacts_override=arts))
     assert [s for s, ran in executed.items() if ran] == ["classify-ood", "eval"]
     assert trained == []
+
+
+def test_classify_ood_and_eval_never_read_the_feature_matrix(fix, tmp_path,
+                                                             monkeypatch):
+    rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
+    run_all(rc)
+    # the recorded probabilities are those of the saved checkpoints, so eval
+    # writes the bytes that scoring the checkpoints would
+    rt = pipeline._Runtime(rc)
+    c = len(rc.split.id_classes)
+    recorded = load_features(rc.artifact(BASELINE_PROBS_FILE), rt.graph.num_nodes)
+    assert np.array_equal(recorded[:, :c], predict(
+        load_checkpoint(rc.artifact(PRELIM_CKPT)), rt.a_hat, rt.x))
+    assert np.array_equal(recorded[:, c:], predict(
+        load_checkpoint(rc.artifact(BASELINE_CKPT)), rt.a_hat, rt.x, head="sigmoid"))
+    clean = _read_bytes(rc.artifact(EVAL_FILE))
+
+    def refusing(path, num_nodes):
+        assert os.path.realpath(path) != os.path.realpath(rc.dataset.features)
+        return load_features(path, num_nodes)
+
+    for module in (pipeline, graph_module):
+        monkeypatch.setattr(module, "load_features", refusing)
+    for stage in ("classify-ood", "eval"):
+        pipeline._STAGES[stage].run(pipeline._Runtime(rc))
+    assert _read_bytes(rc.artifact(EVAL_FILE)) == clean
+
+    edited = _variant_config(fix, "merge0-features.json", lambda cfg: cfg.setdefault(
+        "merge", {}).update(sim_threshold=0.0))
+    executed = run_all(validate_config(edited, artifacts_override=rc.artifacts_dir))
+    assert [s for s, ran in executed.items() if ran] == ["classify-ood", "eval"]
+
+
+def test_manifest_from_before_baseline_probs_reruns_train_prelim(primary, fix, tmp_path):
+    # an artifacts directory written when eval scored the baselines from the
+    # two checkpoints: train-prelim reruns to record the probabilities, and
+    # eval, whose inputs are now those probabilities, reruns to the same bytes
+    rc, _ = primary
+    rc2 = validate_config(fix["config"], artifacts_override=str(tmp_path / "old"))
+    run_all(rc2)
+    os.remove(rc2.artifact(BASELINE_PROBS_FILE))
+    manifest = load_manifest(rc2.artifacts_dir)
+    del manifest["stages"]["train-prelim"]["outputs"][BASELINE_PROBS_FILE]
+    inputs = manifest["stages"]["eval"]["inputs"]
+    del inputs[BASELINE_PROBS_FILE]
+    for name in (PRELIM_CKPT, BASELINE_CKPT):
+        inputs[name] = pipeline._file_hash(rc2.artifact(name))
+    manifest["stages"]["eval"]["input_hash"] = pipeline._json_hash(inputs)
+    pipeline._save_manifest(rc2.artifacts_dir, manifest)
+
+    executed = run_all(rc2)
+    assert [s for s, ran in executed.items() if ran] == ["train-prelim", "eval"]
+    for name in (EVAL_FILE, BASELINE_PROBS_FILE):
+        assert _read_bytes(rc2.artifact(name)) == _read_bytes(rc.artifact(name)), name
+    assert not any(run_all(rc2).values())
 
 
 def test_manifest_from_before_baseline_ckpt_reruns_train_prelim(primary, fix, tmp_path):
