@@ -31,46 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
+# the config block lives in cfc.config; TEMPLATE_NAMES is re-exported
+from .config import DEFAULT_TEXT_BUDGET, TEMPLATE_NAMES, TRUNCATION_MARKER, \
+    CoarseConfig
 from .gateway import LLMGateway, ParseError
 from .jsonl import read_jsonl, write_jsonl
-
-DEFAULT_TEXT_BUDGET = 4000
-TRUNCATION_MARKER = "..."
-
-# each template is the file <name>.txt; the screening ones are named by mode
-TEMPLATE_NAMES = ("easy_reject", "hard_reject", "major_category",
-                  "candidate_ood", "ood_classification")
 
 
 class CoarseDetectError(RuntimeError):
     """The hard_reject setup prompts gave no usable answer."""
-
-
-@dataclass(frozen=True)
-class CoarseConfig:
-    mode: str = "easy_reject"             # or "hard_reject"
-    confidence_threshold: float = 0.7
-    candidate_count: int = 10
-    max_parse_retries: int = 2
-    node_budget: int | None = None        # None queries every requested node
-    text_budget: int = DEFAULT_TEXT_BUDGET
-    template_dir: str | None = None
-    seed: int = 0                         # drives node_budget subsampling only
-    id_labels: tuple[str, ...] = ()       # known label space shown to the LLM
-
-    def __post_init__(self):
-        if self.mode not in ("easy_reject", "hard_reject"):
-            raise ValueError(f"unknown coarse mode {self.mode!r}")
-        if not (0.0 <= self.confidence_threshold <= 1.0):
-            raise ValueError("confidence_threshold must lie in [0, 1]")
-        if self.candidate_count < 1:
-            raise ValueError("candidate_count must be >= 1")
-        if self.max_parse_retries < 0:
-            raise ValueError("max_parse_retries must be >= 0")
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError("node_budget must be >= 1 when set")
-        if self.text_budget <= len(TRUNCATION_MARKER):
-            raise ValueError("text_budget too small")
 
 
 @dataclass(frozen=True)

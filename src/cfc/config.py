@@ -3,6 +3,11 @@ RunConfig is a top-level key, one typed as a dataclass is a block (omitted
 means {}), a field with a default is an optional key, one without is
 required, and the annotation gives the JSON type. _NOT_KEYS lists the fields
 no key sets. Unknown keys are rejected; range checks live in __post_init__.
+
+Every config dataclass lives here, the block of each numeric module too
+(CoarseConfig, PropagationConfig, MixupConfig, TrainConfig, GatewayConfig);
+each module imports its block back. So validating a config imports no
+numpy.
 """
 
 from __future__ import annotations
@@ -13,10 +18,6 @@ import sys
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 
-from .coarse import CoarseConfig
-from .denoise import MixupConfig, PropagationConfig
-from .gateway import BASE_URL_ENV, GatewayConfig
-from .gcn import TrainConfig
 from .jsonl import read_json
 
 # offset of each random stream from the config seed, so no two collide
@@ -52,6 +53,118 @@ class SplitConfig:
             raise ValueError("id_classes and ood_classes overlap")
         if not (0.0 < self.train_frac < 1.0) or not (0.0 < self.val_frac < 1.0):
             raise ValueError("split fractions must lie in (0, 1)")
+
+
+DEFAULT_TEXT_BUDGET = 4000
+TRUNCATION_MARKER = "..."
+
+# each prompt template is the file <name>.txt; the screening ones are named
+# by mode
+TEMPLATE_NAMES = ("easy_reject", "hard_reject", "major_category",
+                  "candidate_ood", "ood_classification")
+
+BASE_URL_ENV = "CFC_LLM_BASE_URL"
+
+
+@dataclass(frozen=True)
+class CoarseConfig:
+    mode: str = "easy_reject"             # or "hard_reject"
+    confidence_threshold: float = 0.7
+    candidate_count: int = 10
+    max_parse_retries: int = 2
+    node_budget: int | None = None        # None queries every requested node
+    text_budget: int = DEFAULT_TEXT_BUDGET
+    template_dir: str | None = None
+    seed: int = 0                         # drives node_budget subsampling only
+    id_labels: tuple[str, ...] = ()       # known label space shown to the LLM
+
+    def __post_init__(self):
+        if self.mode not in ("easy_reject", "hard_reject"):
+            raise ValueError(f"unknown coarse mode {self.mode!r}")
+        if not (0.0 <= self.confidence_threshold <= 1.0):
+            raise ValueError("confidence_threshold must lie in [0, 1]")
+        if self.candidate_count < 1:
+            raise ValueError("candidate_count must be >= 1")
+        if self.max_parse_retries < 0:
+            raise ValueError("max_parse_retries must be >= 0")
+        if self.node_budget is not None and self.node_budget < 1:
+            raise ValueError("node_budget must be >= 1 when set")
+        if self.text_budget <= len(TRUNCATION_MARKER):
+            raise ValueError("text_budget too small")
+
+
+@dataclass(frozen=True)
+class PropagationConfig:
+    steps: int = 10
+
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
+
+
+@dataclass(frozen=True)
+class MixupConfig:
+    alpha: float = 0.5
+    boundary_count: int = 10
+    synth_count: int = 100
+    seed: int = 0
+
+    def __post_init__(self):
+        if not (0.0 <= self.alpha <= 1.0):
+            raise ValueError("alpha must lie in [0, 1]")
+        if self.boundary_count < 1:
+            raise ValueError("boundary_count must be >= 1")
+        if self.synth_count < 1:
+            raise ValueError("synth_count must be >= 1")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    learning_rate: float = 0.01
+    weight_decay: float = 5e-4
+    epochs: int = 200
+    hidden_dim: int = 64
+    early_stop_patience: int = 30
+    seed: int = 0
+    head: str = "softmax"
+
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.hidden_dim < 1:
+            raise ValueError("hidden_dim must be >= 1")
+        if self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
+        if self.head not in ("softmax", "sigmoid"):
+            raise ValueError(f"unknown head {self.head!r}")
+
+
+@dataclass(frozen=True)
+class GatewayConfig:
+    mode: str = "mock"                    # "mock" or "live"
+    base_url: str = ""
+    model_name: str = "mock-model"
+    temperature: float = 0.0
+    max_retries: int = 3
+    request_timeout: float = 30.0
+    max_concurrent: int = 4
+    mock_fixture_path: str | None = None
+
+    def __post_init__(self):
+        if self.mode not in ("mock", "live"):
+            raise ValueError(f"mode must be 'mock' or 'live', got {self.mode!r}")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if not self.request_timeout > 0:
+            raise ValueError("request_timeout must be > 0")
+        if self.max_concurrent < 1:
+            raise ValueError("max_concurrent must be >= 1")
 
 
 @dataclass(frozen=True)

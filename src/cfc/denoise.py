@@ -17,36 +17,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import MixupConfig, PropagationConfig
 from .graph import load_features, save_features, spmm
 from .jsonl import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-
-@dataclass(frozen=True)
-class PropagationConfig:
-    steps: int = 10
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-
-
-@dataclass(frozen=True)
-class MixupConfig:
-    alpha: float = 0.5
-    boundary_count: int = 10
-    synth_count: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.boundary_count < 1:
-            raise ValueError("boundary_count must be >= 1")
-        if self.synth_count < 1:
-            raise ValueError("synth_count must be >= 1")
 
 
 @dataclass(frozen=True)

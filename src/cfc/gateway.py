@@ -27,10 +27,10 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from .config import BASE_URL_ENV, GatewayConfig
 from .jsonl import read_jsonl
 
 API_KEY_ENV = "CFC_LLM_API_KEY"
-BASE_URL_ENV = "CFC_LLM_BASE_URL"
 
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
@@ -41,30 +41,6 @@ class GatewayError(RuntimeError):
 
 class ParseError(ValueError):
     """LLM reply did not contain the expected JSON payload."""
-
-
-@dataclass(frozen=True)
-class GatewayConfig:
-    mode: str = "mock"                    # "mock" or "live"
-    base_url: str = ""
-    model_name: str = "mock-model"
-    temperature: float = 0.0
-    max_retries: int = 3
-    request_timeout: float = 30.0
-    max_concurrent: int = 4
-    mock_fixture_path: str | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("mock", "live"):
-            raise ValueError(f"mode must be 'mock' or 'live', got {self.mode!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if not self.request_timeout > 0:
-            raise ValueError("request_timeout must be > 0")
-        if self.max_concurrent < 1:
-            raise ValueError("max_concurrent must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import TrainConfig
 from .graph import spmm
 from .jsonl import atomic_write
 
@@ -69,31 +70,6 @@ class GCNParams:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.w0.shape[0], self.w0.shape[1], self.w1.shape[1]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.01
-    weight_decay: float = 5e-4
-    epochs: int = 200
-    hidden_dim: int = 64
-    early_stop_patience: int = 30
-    seed: int = 0
-    head: str = "softmax"
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
-        if self.head not in ("softmax", "sigmoid"):
-            raise ValueError(f"unknown head {self.head!r}")
 
 
 @dataclass(frozen=True)

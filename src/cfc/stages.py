@@ -1,0 +1,356 @@
+"""The bodies of the nine pipeline stages, and the data they share.
+
+cfc.pipeline declares each stage (the config it reads, the artifacts it
+consumes and writes) and decides whether it runs; it imports this module
+when a stage first executes. This is where numpy and the numeric modules
+load, so a command that executes no stage never imports them.
+
+A stage body takes the command's StageData and writes the artifacts its
+declaration lists. StageData loads each part of the run's input on first
+use, once per command: the graph reads only nodes.jsonl and edges.jsonl,
+and features.bin is read only by a stage that touches features or x.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+
+from .coarse import CoarseDetectError, coarse_detect, load_coarse_result, \
+    save_coarse_result
+from .config import SEED_OFFSETS, ConfigError, RunConfig
+from .denoise import denoise_ood, initial_label_matrix, label_propagate, \
+    load_synthetic, mixup_augment, ood_center, save_synthetic, \
+    select_boundary_nodes
+from .gateway import GatewayError, LLMGateway
+from .gcn import TrainingDiverged, forward, load_checkpoint, predict, \
+    save_checkpoint, train
+from .graph import Graph, load_features, load_graph, rw_normalize_adjacency, \
+    save_features, split_dataset, sym_normalize_adjacency, SplitAssignment
+from .jsonl import read_json, read_jsonl, write_json, write_jsonl
+from .labelspace import classify_ood, cluster_accuracy, \
+    load_assignments, merge_categories, save_assignments, \
+    save_post_label_space
+from .metrics import accuracy_report, auroc, threshold_baseline, \
+    tune_threshold
+from .pipeline import ASSIGN_FILE, BASELINE_CKPT, BASELINE_PROBS_FILE, \
+    CLASSIFY_LOG_FILE, COARSE_FILE, COARSE_LOG_FILE, DENOISED_FILE, \
+    DETECT_FILE, EVAL_FILE, FINE_CKPT, LLM_CACHE_FILE, POST_LABELS_FILE, \
+    PRELIM_CKPT, SPLIT_FILE, SYNTH_BIN_FILE, SYNTH_META_FILE, StageError
+
+SIGMOID_FIXED_TAU = 0.5
+
+# The model input X is multiplied as a CSR copy when at most this share of
+# its entries is nonzero (bag-of-words features). Denser X stays an array:
+# there a BLAS product beats the sparse one several times over.
+SPARSE_FEATURE_DENSITY = 0.10
+
+
+class StageData:
+    """Per-command cache of the graph, features, split, A-hat and model
+    input, each loaded on first use. ingest touches features, so a bad
+    feature file is rejected there."""
+
+    def __init__(self, rc: RunConfig):
+        self.rc = rc
+        self._graph: Graph | None = None
+        self._features: np.ndarray | None = None
+        self._split: SplitAssignment | None = None
+        self._a_hat = None
+        self._x = None
+
+    @property
+    def graph(self) -> Graph:
+        """Node texts, labels and edges; the feature matrix is features."""
+        if self._graph is None:
+            try:
+                self._graph = load_graph(self.rc.dataset.nodes, self.rc.dataset.edges)
+            except ValueError as exc:
+                raise ConfigError(f"dataset rejected: {exc}") from exc
+        return self._graph
+
+    @property
+    def features(self) -> np.ndarray:
+        if self._features is None:
+            try:
+                self._features = load_features(self.rc.dataset.features,
+                                               self.graph.num_nodes)
+            except ValueError as exc:
+                raise ConfigError(f"dataset rejected: {exc}") from exc
+        return self._features
+
+    @property
+    def a_hat(self):
+        if self._a_hat is None:
+            self._a_hat = sym_normalize_adjacency(self.graph)
+        return self._a_hat
+
+    @property
+    def x(self):
+        """Model input X: the feature matrix, or a CSR copy of it (see
+        SPARSE_FEATURE_DENSITY)."""
+        if self._x is None:
+            import scipy.sparse as sp
+            f = self.features
+            sparse = np.count_nonzero(f) <= SPARSE_FEATURE_DENSITY * f.size
+            self._x = sp.csr_array(f) if sparse else f
+        return self._x
+
+    def split(self) -> SplitAssignment:
+        if self._split is None:
+            split = read_json(self.rc.artifact(SPLIT_FILE))
+            self._split = SplitAssignment.from_dict(split)
+        return self._split
+
+    def id_train_targets(self) -> np.ndarray:
+        """Full-length target array with ID class indices on labeled ID nodes
+        and -1 elsewhere (train/val restricted to ID classes)."""
+        g, split = self.graph, self.split()
+        cindex = split.class_index()
+        y = np.full(g.num_nodes, -1, dtype=np.int64)
+        for i in range(g.num_nodes):
+            lab = g.labels[i]
+            if lab in cindex:
+                y[i] = cindex[lab]
+        return y
+
+    def id_val_ids(self) -> list[int]:
+        g, split = self.graph, self.split()
+        cindex = split.class_index()
+        return [i for i in split.val_ids if g.labels[i] in cindex]
+
+
+def stage_ingest(data: StageData) -> None:
+    rc, g = data.rc, data.graph            # a bad dataset is not a bad split
+    data.features                          # so the features are checked here
+    try:
+        split = split_dataset(g, rc.split.id_classes,
+                              rc.split.ood_classes, rc.seed,
+                              rc.split.train_frac, rc.split.val_frac)
+    except ValueError as exc:
+        raise ConfigError(f"split rejected: {exc}") from exc
+    write_json(rc.artifact(SPLIT_FILE), split.to_dict())
+    data._split = split
+
+
+def _gateway(rc: RunConfig, log_name: str) -> LLMGateway:
+    """A stage's gateway: a fresh exchange log, the shared reply cache."""
+    log_path = rc.artifact(log_name)
+    open(log_path, "w").close()             # exists even when nothing is asked
+    return LLMGateway(rc.gateway, log_path=log_path,
+                      cache_path=rc.artifact(LLM_CACHE_FILE))
+
+
+def stage_coarse(data: StageData) -> None:
+    rc = data.rc
+    gateway = _gateway(rc, COARSE_LOG_FILE)
+    try:
+        result = coarse_detect(data.graph, data.split().test_ids, rc.coarse,
+                               gateway)
+    except (GatewayError, CoarseDetectError) as exc:
+        raise StageError(f"coarse detection failed: {exc}") from exc
+    save_coarse_result(result, rc.artifact(COARSE_FILE))
+
+
+def _load_survivors(path: str) -> tuple[int, ...]:
+    """The denoised candidates that were kept."""
+    return tuple(int(rec["node_id"]) for _, rec in read_jsonl(path)
+                 if rec.get("kind") == "candidate" and rec["kept"])
+
+
+def stage_denoise(data: StageData) -> None:
+    rc = data.rc
+    g, split = data.graph, data.split()
+    coarse = load_coarse_result(rc.artifact(COARSE_FILE))
+    cindex = split.class_index()
+    train_labels = {i: cindex[g.labels[i]] for i in split.train_ids}
+    candidates = coarse.ood_ids
+
+    survivors: tuple[int, ...] = ()
+    if candidates:
+        init = initial_label_matrix(g.num_nodes, len(split.id_classes),
+                                    train_labels, candidates)
+        propagated = label_propagate(rw_normalize_adjacency(g), init, rc.propagation)
+        survivors = denoise_ood(propagated, candidates)
+
+    kept = set(survivors)
+    summary = {"kind": "summary", "steps": rc.propagation.steps,
+               "candidate_count": len(candidates),
+               "survivor_count": len(survivors)}
+    write_jsonl(rc.artifact(DENOISED_FILE), [summary] + [
+        {"kind": "candidate", "node_id": i, "kept": i in kept} for i in candidates])
+
+
+def stage_train_prelim(data: StageData) -> None:
+    """The closed-set GCN that augment reads, and the sigmoid-head GCN of
+    the threshold baselines: same inputs, so trained together. Both models'
+    class probabilities for every node, the prelim model's columns first,
+    are recorded for eval's baselines."""
+    rc = data.rc
+    split = data.split()
+    y = data.id_train_targets()
+    val_ids = data.id_val_ids()
+    models = (
+        ("preliminary", PRELIM_CKPT, rc.train),
+        ("sigmoid baseline", BASELINE_CKPT, replace(
+            rc.train, head="sigmoid", seed=rc.seed + SEED_OFFSETS["baseline"])),
+    )
+    probs = []
+    for what, name, cfg in models:
+        try:
+            params, _ = train(data.a_hat, data.x, y, split.train_ids, val_ids,
+                              out_dim=len(split.id_classes), cfg=cfg)
+        except TrainingDiverged as exc:
+            raise StageError(f"{what} training diverged: {exc}") from exc
+        save_checkpoint(params, rc.artifact(name))
+        probs.append(predict(params, data.a_hat, data.x, head=cfg.head))
+    save_features(rc.artifact(BASELINE_PROBS_FILE), np.hstack(probs))
+
+
+def stage_augment(data: StageData) -> None:
+    rc = data.rc
+    split = data.split()
+    survivors = _load_survivors(rc.artifact(DENOISED_FILE))
+    if not survivors:
+        raise StageError("no denoised OOD candidates survive; nothing to "
+                         "augment (coarse stage found too few OOD nodes)")
+    # one pass gives both the hidden space and the training confidences
+    prelim = forward(load_checkpoint(rc.artifact(PRELIM_CKPT)), data.a_hat, data.x)
+    confidence = {i: float(prelim.z_real[i].max()) for i in split.train_ids}
+    boundary = select_boundary_nodes(confidence, rc.mixup.boundary_count)
+    center = ood_center(prelim.h1, survivors)
+    synth = mixup_augment(prelim.h1, boundary, center, rc.mixup)
+    save_synthetic(synth, rc.artifact(SYNTH_BIN_FILE), rc.artifact(SYNTH_META_FILE))
+
+
+def stage_train_fine(data: StageData) -> None:
+    rc = data.rc
+    g, split = data.graph, data.split()
+    survivors = _load_survivors(rc.artifact(DENOISED_FILE))
+    synth = load_synthetic(rc.artifact(SYNTH_BIN_FILE), rc.artifact(SYNTH_META_FILE))
+    c = len(split.id_classes)
+    cindex = split.class_index()
+
+    y = data.id_train_targets()
+    for i in survivors:
+        y[i] = c
+    for i in split.val_ids:
+        if g.labels[i] not in cindex:
+            y[i] = c
+    train_ids = sorted(set(split.train_ids) | set(survivors))
+    cfg = replace(rc.train, seed=rc.seed + SEED_OFFSETS["fine"])
+    try:
+        params, _ = train(data.a_hat, data.x, y, train_ids, split.val_ids,
+                          out_dim=c + 1, synth=synth, cfg=cfg)
+    except TrainingDiverged as exc:
+        raise StageError(f"fine training diverged: {exc}") from exc
+    save_checkpoint(params, rc.artifact(FINE_CKPT))
+
+
+def stage_detect(data: StageData) -> None:
+    rc = data.rc
+    split = data.split()
+    params = load_checkpoint(rc.artifact(FINE_CKPT))
+    probs = predict(params, data.a_hat, data.x)
+    ood_index = probs.shape[1] - 1
+    write_jsonl(rc.artifact(DETECT_FILE), (
+        {"node_id": i, "pred": int(np.argmax(probs[i])),
+         "ood_score": float(probs[i, ood_index])} for i in sorted(split.test_ids)))
+
+
+def stage_classify_ood(data: StageData) -> None:
+    rc = data.rc
+    coarse = load_coarse_result(rc.artifact(COARSE_FILE))
+    if not coarse.category_log:
+        raise StageError("coarse stage logged no OOD categories; cannot build "
+                         "a label space")
+    try:
+        post = merge_categories(coarse.category_log, rc.merge.sim_threshold,
+                                rc.merge.min_count)
+    except ValueError as exc:
+        raise StageError(f"category merge failed: {exc}") from exc
+    save_post_label_space(post, rc.artifact(POST_LABELS_FILE))
+
+    c = len(data.split().id_classes)
+    ood_nodes = [r["node_id"] for _, r in read_jsonl(rc.artifact(DETECT_FILE))
+                 if r["pred"] == c]
+
+    gateway = _gateway(rc, CLASSIFY_LOG_FILE)
+    assignments = ()
+    if ood_nodes:
+        try:
+            assignments = classify_ood(
+                ood_nodes, data.graph, post, gateway,
+                text_budget=rc.coarse.text_budget,
+                template_dir=rc.coarse.template_dir,
+                max_parse_retries=rc.coarse.max_parse_retries)
+        except GatewayError as exc:
+            raise StageError(f"OOD classification failed: {exc}") from exc
+    save_assignments(assignments, rc.artifact(ASSIGN_FILE))
+
+
+def _baseline_report(probs: np.ndarray, test_ids, truth: dict, tau: float,
+                     mode: str, ood_index: int):
+    # probs has one column per ID class, so threshold_baseline's reject
+    # index (the column count) coincides with the pipeline's OOD index
+    preds_arr = threshold_baseline(probs, mode, tau)
+    preds = {node: int(preds_arr[k]) for k, node in enumerate(test_ids)}
+    scores = {node: 1.0 - float(probs[k].max()) for k, node in enumerate(test_ids)}
+    return accuracy_report(preds, truth, ood_index,
+                           auroc_value=_safe_auroc(scores, truth, ood_index))
+
+
+def _safe_auroc(scores: dict, truth: dict, ood_index: int):
+    flags = {n: truth[n] == ood_index for n in scores}
+    if all(flags.values()) or not any(flags.values()):
+        return None
+    return auroc(scores, flags)
+
+
+def stage_eval(data: StageData) -> None:
+    rc = data.rc
+    g, split = data.graph, data.split()
+    c = len(split.id_classes)
+    cindex = split.class_index()
+    test_ids = sorted(split.test_ids)
+    truth = {i: cindex.get(g.labels[i], c) for i in test_ids}
+
+    detect_records = [r for _, r in read_jsonl(rc.artifact(DETECT_FILE))]
+    cfc_preds = {r["node_id"]: r["pred"] for r in detect_records}
+    cfc_scores = {r["node_id"]: r["ood_score"] for r in detect_records}
+    cfc = accuracy_report(cfc_preds, truth, c,
+                          auroc_value=_safe_auroc(cfc_scores, truth, c))
+
+    assignments = load_assignments(rc.artifact(ASSIGN_FILE))
+    ood_pairs = [(a.node_id, a.label) for a in assignments
+                 if truth.get(a.node_id) == c]
+    cluster = (cluster_accuracy(ood_pairs, {n: g.labels[n] for n, _ in ood_pairs})
+               if ood_pairs else None)
+
+    probs = load_features(rc.artifact(BASELINE_PROBS_FILE), g.num_nodes)
+    probs_soft, probs_sig = probs[:, :c], probs[:, c:]
+
+    val_ids = sorted(split.val_ids)
+    truth_val = np.array([cindex.get(g.labels[i], c) for i in val_ids])
+    tau_soft, _ = tune_threshold(probs_soft[val_ids], truth_val, "softmax")
+    tau_sig, _ = tune_threshold(probs_sig[val_ids], truth_val, "sigmoid")
+
+    methods = {
+        "CFC": cfc,
+        "GCN_softmax": _baseline_report(probs_soft[test_ids], test_ids, truth,
+                                        0.0, "softmax", c),
+        "GCN_softmax_tau": _baseline_report(probs_soft[test_ids], test_ids,
+                                            truth, tau_soft, "softmax", c),
+        "GCN_sigmoid": _baseline_report(probs_sig[test_ids], test_ids, truth,
+                                        SIGMOID_FIXED_TAU, "sigmoid", c),
+        "GCN_sigmoid_tau": _baseline_report(probs_sig[test_ids], test_ids,
+                                            truth, tau_sig, "sigmoid", c),
+    }
+    doc = {
+        "ood_class_index": c,
+        "cluster_accuracy": cluster,
+        "tuned_tau": {"softmax": tau_soft, "sigmoid": tau_sig},
+        "methods": {name: rep.to_dict() for name, rep in methods.items()},
+    }
+    write_json(rc.artifact(EVAL_FILE), doc)

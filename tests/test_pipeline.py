@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import fixture_tools
 from cfc import gateway as gateway_module
 from cfc import graph as graph_module
-from cfc import config, jsonl, pipeline
+from cfc import config, jsonl, pipeline, stages
 from cfc.coarse import load_coarse_result
 from cfc.gateway import GatewayConfig, LLMGateway
 from cfc.gcn import load_checkpoint, predict
@@ -634,10 +634,10 @@ def test_sparse_features_take_the_csr_path(tmp_path, monkeypatch):
     save_features(paths["features"], feats)
 
     arts = {}
-    for name, rule in (("csr", pipeline.SPARSE_FEATURE_DENSITY), ("dense", 0.0)):
-        monkeypatch.setattr(pipeline, "SPARSE_FEATURE_DENSITY", rule)
+    for name, rule in (("csr", stages.SPARSE_FEATURE_DENSITY), ("dense", 0.0)):
+        monkeypatch.setattr(stages, "SPARSE_FEATURE_DENSITY", rule)
         rc = validate_config(paths["config"], artifacts_override=str(tmp_path / name))
-        x = pipeline._Runtime(rc).x
+        x = stages.StageData(rc).x
         assert sp.issparse(x) == (name == "csr")
         npt.assert_array_equal(x.toarray() if sp.issparse(x) else x, feats)
         assert all(run_all(rc).values())
@@ -667,13 +667,13 @@ def test_artifact_deletion_reruns_only_that_stage(fix, tmp_path):
 
 def test_merge_edit_reruns_eval_without_training(fix, tmp_path, monkeypatch):
     trained = []
-    train = pipeline.train
+    train = stages.train
 
     def counting(*args, **kwargs):
         trained.append(kwargs["cfg"].head)
         return train(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "train", counting)
+    monkeypatch.setattr(stages, "train", counting)
     arts = str(tmp_path / "a")
     assert all(run_all(validate_config(fix["config"], artifacts_override=arts)).values())
     assert trained == ["softmax", "sigmoid", "softmax"]
@@ -694,24 +694,28 @@ def test_classify_ood_and_eval_never_read_the_feature_matrix(fix, tmp_path,
     run_all(rc)
     # the recorded probabilities are those of the saved checkpoints, so eval
     # writes the bytes that scoring the checkpoints would
-    rt = pipeline._Runtime(rc)
+    data = stages.StageData(rc)
     c = len(rc.split.id_classes)
-    recorded = load_features(rc.artifact(BASELINE_PROBS_FILE), rt.graph.num_nodes)
+    recorded = load_features(rc.artifact(BASELINE_PROBS_FILE), data.graph.num_nodes)
     assert np.array_equal(recorded[:, :c], predict(
-        load_checkpoint(rc.artifact(PRELIM_CKPT)), rt.a_hat, rt.x))
+        load_checkpoint(rc.artifact(PRELIM_CKPT)), data.a_hat, data.x))
     assert np.array_equal(recorded[:, c:], predict(
-        load_checkpoint(rc.artifact(BASELINE_CKPT)), rt.a_hat, rt.x, head="sigmoid"))
+        load_checkpoint(rc.artifact(BASELINE_CKPT)), data.a_hat, data.x, head="sigmoid"))
     clean = _read_bytes(rc.artifact(EVAL_FILE))
+
+    read = []
 
     def refusing(path, num_nodes):
         assert os.path.realpath(path) != os.path.realpath(rc.dataset.features)
+        read.append(os.path.basename(path))
         return load_features(path, num_nodes)
 
-    for module in (pipeline, graph_module):
+    for module in (stages, graph_module):
         monkeypatch.setattr(module, "load_features", refusing)
     for stage in ("classify-ood", "eval"):
         pipeline._STAGES[stage].run(pipeline._Runtime(rc))
     assert _read_bytes(rc.artifact(EVAL_FILE)) == clean
+    assert read == [BASELINE_PROBS_FILE]        # eval's read went through the patch
 
     edited = _variant_config(fix, "merge0-features.json", lambda cfg: cfg.setdefault(
         "merge", {}).update(sim_threshold=0.0))
@@ -1202,31 +1206,41 @@ def _cli(args, cwd):
                           capture_output=True, text=True, cwd=cwd, env=_child_env())
 
 
-_SCIPY_PROBE = (
+# runs one command in a fresh interpreter; the last line printed is the
+# exit code and the numpy and scipy modules the command left loaded
+_IMPORT_PROBE = (
     "import sys, cfc.cli\n"
-    "from cfc.pipeline import emit_report, run_all, validate_config\n"
-    "rc = validate_config(sys.argv[1])\n"
-    "if sys.argv[2] == 'run-all':\n"
-    "    run_all(rc)\n"
-    "elif sys.argv[2] == 'report':\n"
-    "    emit_report(rc)\n"
-    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    "if sys.argv[1] == 'validate':\n"
+    "    cfc.cli.validate_config(sys.argv[3])\n"
+    "    code = 0\n"
+    "else:\n"
+    "    code = cfc.cli.main(sys.argv[1:])\n"
+    "print((code, sorted(m for m in sys.modules\n"
+    "                    if m.split('.')[0] in ('numpy', 'scipy'))))\n")
 
 
 def test_scipy_is_loaded_only_by_commands_that_use_it(tmp_path):
+    # numpy too: a command that executes no stage imports neither
     config = fixture_tools.write_fixture(str(tmp_path))["config"]
+    edited = _variant_config({"config": config}, "merge0.json", lambda c: c.setdefault(
+        "merge", {}).update(sim_threshold=0.0))
 
-    def scipy_modules(command):
-        probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, config, command],
+    def loaded(command, *flags, config=config):
+        probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, command,
+                                "--config", config, *flags],
                                capture_output=True, text=True, env=_child_env())
         assert probe.returncode == 0, probe.stderr
-        return ast.literal_eval(probe.stdout)
+        return (*ast.literal_eval(probe.stdout.splitlines()[-1]), probe.stderr)
 
-    assert scipy_modules("validate") == []
-    cold = scipy_modules("run-all")
-    assert "scipy.sparse" in cold and "scipy.optimize" not in cold
-    assert scipy_modules("run-all") == []       # every stage cached
-    assert scipy_modules("report") == []
+    assert loaded("validate") == (0, [], "")
+    code, cold, _ = loaded("run-all")
+    assert code == 0
+    assert "numpy" in cold and "scipy.sparse" in cold and "scipy.optimize" not in cold
+    assert loaded("run-all") == (0, [], "")     # every stage cached
+    assert loaded("report") == (0, [], "")
+    # artifacts of another config: refused before any stage is looked at
+    code, mismatch, err = loaded("run-all", "--strict", config=edited)
+    assert (code, mismatch) == (1, []) and "config hash mismatch" in err
 
 
 def test_cli_closed_stdout_exits_like_sigpipe(fix, tmp_path):
