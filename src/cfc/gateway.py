@@ -5,7 +5,9 @@ LLMGateway.ask_all is the one concurrent fan-out: it asks a batch of prompts
 through a thread pool, re-asks a prompt whose reply does not parse, and stops
 at the first gateway failure. In live mode it also keeps a content-addressed
 reply cache (append-only JSONL), so answers already paid for are never bought
-twice, whether a stage reruns after an edit or after a crash.
+twice, whether a stage reruns after an edit or after a crash. A batch keeps
+its HTTP connections alive between calls, so it opens at most one per
+concurrent slot, and closes them all when it ends.
 
 Mock fixtures are JSONL rule files. Each line is
     {"match": "hash:<hex>" | "substr:<text>", "response": "<reply>"}
@@ -24,7 +26,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 
 from .config import BASE_URL_ENV, GatewayConfig
@@ -108,40 +110,133 @@ def _load_cache(path: str) -> dict[str, str]:
     return cache
 
 
-def _http_transport(url: str, payload: dict, headers: dict, timeout: float):
-    """POST payload as JSON on a fresh connection; returns (status, body) for
-    every HTTP status, with a non-JSON body as {"raw": text}. Connection
-    errors and timeouts raise. A fresh connection per call on purpose: on a
-    reused socket a server that writes headers and body separately can stall
-    each reply by the client's delayed ACK (about 40 ms)."""
-    import urllib.error
-    import urllib.request
+# how a request on a kept-alive connection fails when the server closed or
+# reset that connection while it was idle
+_CLOSED_BY_SERVER = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 
-    req = urllib.request.Request(
-        url, data=json.dumps(payload).encode("utf-8"), method="POST",
-        headers={"Content-Type": "application/json", **headers})
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
+
+def _open_connection(url: str, timeout: float):
+    """A new HTTP/1.1 connection for url (it connects on its first request),
+    the request target to send on it, and the headers the proxy needs. The
+    proxy is the one urllib would use: http_proxy or https_proxy, unless
+    no_proxy covers the host. An http URL is asked of the proxy by its
+    absolute URI, an https URL through a CONNECT tunnel. Certificates are
+    checked against the system CA store."""
+    import base64
+    import http.client
+    import ssl
+    from urllib.parse import unquote, urlsplit
+    from urllib.request import getproxies, proxy_bypass
+
+    parts = urlsplit(url)
+    target = parts.path + ("?" + parts.query if parts.query else "") or "/"
+    scheme, host, port = parts.scheme, parts.hostname, parts.port
+    proxy, proxy_headers, tunnel = getproxies().get(scheme), {}, None
+    if proxy and not proxy_bypass(parts.netloc):
+        via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        auth = {}
+        if via.username and via.password:
+            creds = f"{unquote(via.username)}:{unquote(via.password)}".encode("utf-8")
+            auth = {"Proxy-Authorization":
+                    "Basic " + base64.b64encode(creds).decode("ascii")}
+        if scheme == "https":
+            tunnel = (host, port, auth)
+        else:
+            scheme, target, proxy_headers = via.scheme, url, auth
+        host, port = via.hostname, via.port
+    if scheme != "https":
+        return http.client.HTTPConnection(host, port, timeout=timeout), target, proxy_headers
+    conn = http.client.HTTPSConnection(host, port, timeout=timeout,
+                                       context=ssl.create_default_context())
+    if tunnel:
+        conn.set_tunnel(*tunnel)
+    return conn, target, proxy_headers
+
+
+def _request(conn, target: str, body: bytes, headers: dict):
+    """Send one POST on conn and read the reply's status line and headers."""
+    import socket
+
+    conn.request("POST", target, body, headers)
+    # ack each reply segment at once: a server that writes its headers and
+    # its body apart would otherwise wait for our delayed ACK (about 40 ms)
+    # before it sends the body
+    if hasattr(socket, "TCP_QUICKACK"):
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+    return conn.getresponse()
+
+
+class _Connections:
+    """The transport of live mode: transport(url, payload, headers, timeout)
+    -> (status, body), over HTTP/1.1 connections kept alive between calls.
+
+    A call takes an idle connection to its URL, or opens one, and gives it
+    back after a complete reply. After an error, a timeout, or a reply that
+    ends the connection, the connection is closed instead. So concurrent
+    callers hold at most one connection each. close() closes the idle ones.
+    """
+
+    def __init__(self):
+        self._idle: dict[str, list] = {}        # url -> [(conn, target, proxy headers)]
+        self._lock = threading.Lock()
+
+    def __call__(self, url: str, payload: dict, headers: dict, timeout: float):
+        """POST payload as JSON; returns (status, body) for every HTTP
+        status, with a non-JSON body as {"raw": text}. Connection errors and
+        timeouts raise. An idle connection that the server has closed is
+        opened again once, and the request sent again."""
+        body = json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json", **headers}
+        with self._lock:
+            idle = self._idle.get(url)
+            kept = idle.pop() if idle else None
+        conn, target, proxy_headers = kept or _open_connection(url, timeout)
+        resp = None
+        try:
+            if kept:
+                conn.sock.settimeout(timeout)
+                try:
+                    resp = _request(conn, target, body, {**headers, **proxy_headers})
+                except _CLOSED_BY_SERVER:
+                    conn.close()
+                    conn, target, proxy_headers = _open_connection(url, timeout)
+            if resp is None:
+                resp = _request(conn, target, body, {**headers, **proxy_headers})
             status, raw = resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        with exc:
-            status, raw = exc.code, exc.read()
-    text = raw.decode("utf-8", errors="replace")
-    try:
-        return status, json.loads(text)
-    except ValueError:
-        return status, {"raw": text}
+        except BaseException:
+            if resp is not None:
+                resp.close()
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(url, []).append((conn, target, proxy_headers))
+        text = raw.decode("utf-8", errors="replace")
+        try:
+            return status, json.loads(text)
+        except ValueError:
+            return status, {"raw": text}
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for kept in idle.values():
+            for conn, _, _ in kept:
+                conn.close()
 
 
 class LLMGateway:
     """Thread-safe client. A semaphore caps in-flight endpoint calls at
     cfg.max_concurrent; the optional exchange log and, in live mode, the
-    optional reply cache are append-only JSONL."""
+    optional reply cache are append-only JSONL. transport(url, payload,
+    headers, timeout) -> (status, body) replaces HTTP, for tests."""
 
     def __init__(self, cfg: GatewayConfig, transport=None, sleep_fn=time.sleep,
                  log_path: str | None = None, cache_path: str | None = None):
         self.cfg = cfg
-        self._transport = transport or _http_transport
+        self._transport = transport or self._http_post
         self._sleep = sleep_fn
         self._log_path = log_path
         # mock replies are already a local lookup: nothing to cache
@@ -150,6 +245,7 @@ class LLMGateway:
         self._sem = threading.Semaphore(cfg.max_concurrent)
         self._write_lock = threading.Lock()
         self._open_files: dict | None = None    # path -> handle, in ask_all
+        self._connections: _Connections | None = None   # kept alive, in ask_all
         self._fixture_hash: dict[str, str] = {}
         self._fixture_substr: list[tuple[str, str]] = []
         if cfg.mode == "mock" and cfg.mock_fixture_path:
@@ -172,34 +268,36 @@ class LLMGateway:
         results: list = [None] * len(prompts)
         todo = []
         for k, prompt in enumerate(prompts):
-            reply = self._cache.get(self._cache_key(prompt))
+            key = self._cache_key(prompt) if self._cache_path is not None else None
+            reply = self._cache.get(key)
             if reply is not None:
                 try:
                     results[k] = (parse(reply), reply)
                     continue
                 except ParseError:
                     pass
-            todo.append(k)
+            todo.append((k, key))
 
         failed = threading.Event()
 
-        def ask(prompt: str):
+        def ask(prompt: str, key: str | None):
             if failed.is_set():         # after a failure, start nothing new
                 return None
             try:
-                return self._ask(prompt, parse, retries)
+                return self._ask(prompt, key, parse, retries)
             except BaseException:
                 failed.set()
                 raise
 
-        with self._files_open(), \
+        with self._batch(), \
                 ThreadPoolExecutor(max_workers=self.cfg.max_concurrent) as pool:
-            futures = {k: pool.submit(ask, prompts[k]) for k in todo}
+            futures = {k: pool.submit(ask, prompts[k], key) for k, key in todo}
         for k, fut in futures.items():
             results[k] = fut.result()
         return results
 
-    def _ask(self, prompt: str, parse, retries: int) -> tuple:
+    def _ask(self, prompt: str, key: str | None, parse, retries: int) -> tuple:
+        """key is the prompt's reply-cache key, None when there is no cache."""
         reply = ""
         for _ in range(retries + 1):
             reply = self.complete(prompt).response_text
@@ -208,8 +306,7 @@ class LLMGateway:
             except ParseError:
                 continue
             # only parsed replies are kept, so a parse retry reaches the endpoint
-            if self._cache_path is not None:
-                key = self._cache_key(prompt)
+            if key is not None:
                 self._append(self._cache_path, {"key": key, "response": reply})
                 self._cache[key] = reply
             return value, reply
@@ -282,6 +379,14 @@ class LLMGateway:
                 self._sleep(1.0 * (2 ** (attempt - 1)))
         raise GatewayError(f"{url}: giving up after {self.cfg.max_retries + 1} attempts ({last_err})")
 
+    def _http_post(self, url: str, payload: dict, headers: dict, timeout: float):
+        """The default transport: over the connections of the running
+        ask_all batch, or over a connection of its own outside one."""
+        if self._connections is not None:
+            return self._connections(url, payload, headers, timeout)
+        with closing(_Connections()) as one_shot:
+            return one_shot(url, payload, headers, timeout)
+
     def _live_complete(self, prompt: str) -> tuple[str, int]:
         url = self._resolve_base_url() + "/chat/completions"
         payload = {
@@ -302,15 +407,19 @@ class LLMGateway:
             self._append(self._log_path, exchange.to_dict())
 
     @contextmanager
-    def _files_open(self):
-        """Keep each JSONL file the block appends to open until it ends, so a
-        batch opens the exchange log and the reply cache once each."""
-        self._open_files = {}
+    def _batch(self):
+        """Keep each JSONL file the block appends to, and each HTTP
+        connection it opens, open until it ends: a batch opens the exchange
+        log and the reply cache once each, and one connection per
+        concurrent slot."""
+        self._open_files, self._connections = {}, _Connections()
         try:
             yield
         finally:
             with self._write_lock:
                 files, self._open_files = self._open_files, None
+            connections, self._connections = self._connections, None
+            connections.close()
             for fh in files.values():
                 fh.close()
 

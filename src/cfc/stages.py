@@ -296,7 +296,7 @@ def _baseline_report(probs: np.ndarray, test_ids, truth: dict, tau: float,
     # index (the column count) coincides with the pipeline's OOD index
     preds_arr = threshold_baseline(probs, mode, tau)
     preds = {node: int(preds_arr[k]) for k, node in enumerate(test_ids)}
-    scores = {node: 1.0 - float(probs[k].max()) for k, node in enumerate(test_ids)}
+    scores = dict(zip(test_ids, (1.0 - probs.max(axis=1)).tolist()))
     return accuracy_report(preds, truth, ood_index,
                            auroc_value=_safe_auroc(scores, truth, ood_index))
 

@@ -27,7 +27,6 @@ import pytest
 import scipy.sparse as sp
 
 import fixture_tools
-from cfc import gateway as gateway_module
 from cfc import graph as graph_module
 from cfc import config, jsonl, pipeline, stages
 from cfc.coarse import load_coarse_result
@@ -1117,7 +1116,8 @@ def _live_fixture(dir_path, monkeypatch, **gateway):
         reply = rules.complete(prompt).response_text
         return 200, {"choices": [{"message": {"content": reply}}]}
 
-    monkeypatch.setattr(gateway_module, "_http_transport", transport)
+    monkeypatch.setattr(LLMGateway, "_http_post",
+                        lambda self, *args: transport(*args))
     monkeypatch.setenv("CFC_LLM_API_KEY", "k")
     monkeypatch.delenv("CFC_LLM_BASE_URL", raising=False)
     return paths, state
