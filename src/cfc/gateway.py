@@ -5,9 +5,9 @@ LLMGateway.ask_all is the one concurrent fan-out: it asks a batch of prompts
 through a thread pool, re-asks a prompt whose reply does not parse, and stops
 at the first gateway failure. In live mode it also keeps a content-addressed
 reply cache (append-only JSONL), so answers already paid for are never bought
-twice, whether a stage reruns after an edit or after a crash. A batch keeps
-its HTTP connections alive between calls, so it opens at most one per
-concurrent slot, and closes them all when it ends.
+twice, whether a stage reruns after an edit or after a crash. A gateway
+keeps its HTTP connections alive between calls, so it opens at most one per
+concurrent slot, and keeps them and its JSONL files open until it is closed.
 
 Mock fixtures are JSONL rule files. Each line is
     {"match": "hash:<hex>" | "substr:<text>", "response": "<reply>"}
@@ -26,7 +26,6 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager
 from dataclasses import dataclass
 
 from .config import BASE_URL_ENV, GatewayConfig
@@ -228,28 +227,43 @@ class _Connections:
 
 
 class LLMGateway:
-    """Thread-safe client. A semaphore caps in-flight endpoint calls at
-    cfg.max_concurrent; the optional exchange log and, in live mode, the
-    optional reply cache are append-only JSONL. transport(url, payload,
-    headers, timeout) -> (status, body) replaces HTTP, for tests."""
+    """Thread-safe client; ask_all's pool of cfg.max_concurrent workers caps
+    the calls in flight. The optional exchange log and, in live mode, the
+    optional reply cache are append-only JSONL, each open from its first
+    line until close(), which also closes the kept-alive connections; use a
+    gateway in a with block. transport(url, payload, headers, timeout) ->
+    (status, body) replaces HTTP, for tests."""
 
     def __init__(self, cfg: GatewayConfig, transport=None, sleep_fn=time.sleep,
                  log_path: str | None = None, cache_path: str | None = None):
         self.cfg = cfg
-        self._transport = transport or self._http_post
+        self._connections = _Connections()
+        self._transport = transport or self._connections
         self._sleep = sleep_fn
         self._log_path = log_path
         # mock replies are already a local lookup: nothing to cache
         self._cache_path = cache_path if cfg.mode == "live" else None
         self._cache = _load_cache(self._cache_path) if self._cache_path else {}
-        self._sem = threading.Semaphore(cfg.max_concurrent)
         self._write_lock = threading.Lock()
-        self._open_files: dict | None = None    # path -> handle, in ask_all
-        self._connections: _Connections | None = None   # kept alive, in ask_all
+        self._open_files: dict = {}             # path -> append handle
         self._fixture_hash: dict[str, str] = {}
         self._fixture_substr: list[tuple[str, str]] = []
         if cfg.mode == "mock" and cfg.mock_fixture_path:
             self._fixture_hash, self._fixture_substr = _load_fixture(cfg.mock_fixture_path)
+
+    def close(self) -> None:
+        """Close the kept-alive connections and the JSONL files; idempotent."""
+        with self._write_lock:
+            files, self._open_files = self._open_files, {}
+        self._connections.close()
+        for fh in files.values():
+            fh.close()
+
+    def __enter__(self) -> LLMGateway:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------- fan-out
 
@@ -289,8 +303,7 @@ class LLMGateway:
                 failed.set()
                 raise
 
-        with self._batch(), \
-                ThreadPoolExecutor(max_workers=self.cfg.max_concurrent) as pool:
+        with ThreadPoolExecutor(max_workers=self.cfg.max_concurrent) as pool:
             futures = {k: pool.submit(ask, prompts[k], key) for k, key in todo}
         for k, fut in futures.items():
             results[k] = fut.result()
@@ -323,11 +336,10 @@ class LLMGateway:
         if not isinstance(prompt, str) or not prompt:
             raise ValueError("prompt must be a non-empty string")
         start = time.perf_counter()
-        with self._sem:
-            if self.cfg.mode == "mock":
-                text, attempts = self._mock_lookup(prompt), 1
-            else:
-                text, attempts = self._live_complete(prompt)
+        if self.cfg.mode == "mock":
+            text, attempts = self._mock_lookup(prompt), 1
+        else:
+            text, attempts = self._live_complete(prompt)
         exchange = ChatExchange(
             prompt_text=prompt,
             response_text=text,
@@ -379,14 +391,6 @@ class LLMGateway:
                 self._sleep(1.0 * (2 ** (attempt - 1)))
         raise GatewayError(f"{url}: giving up after {self.cfg.max_retries + 1} attempts ({last_err})")
 
-    def _http_post(self, url: str, payload: dict, headers: dict, timeout: float):
-        """The default transport: over the connections of the running
-        ask_all batch, or over a connection of its own outside one."""
-        if self._connections is not None:
-            return self._connections(url, payload, headers, timeout)
-        with closing(_Connections()) as one_shot:
-            return one_shot(url, payload, headers, timeout)
-
     def _live_complete(self, prompt: str) -> tuple[str, int]:
         url = self._resolve_base_url() + "/chat/completions"
         payload = {
@@ -406,32 +410,11 @@ class LLMGateway:
         if self._log_path is not None:
             self._append(self._log_path, exchange.to_dict())
 
-    @contextmanager
-    def _batch(self):
-        """Keep each JSONL file the block appends to, and each HTTP
-        connection it opens, open until it ends: a batch opens the exchange
-        log and the reply cache once each, and one connection per
-        concurrent slot."""
-        self._open_files, self._connections = {}, _Connections()
-        try:
-            yield
-        finally:
-            with self._write_lock:
-                files, self._open_files = self._open_files, None
-            connections, self._connections = self._connections, None
-            connections.close()
-            for fh in files.values():
-                fh.close()
-
     def _append(self, path: str, record: dict) -> None:
         """Append one line, flushed before the lock is released. A file is
         opened on its first line, so nothing creates it before then."""
         line = json.dumps(record, ensure_ascii=False) + "\n"
         with self._write_lock:
-            if self._open_files is None:        # a complete() outside ask_all
-                with open(path, "a", encoding="utf-8") as fh:
-                    fh.write(line)
-                return
             fh = self._open_files.get(path)
             if fh is None:
                 fh = self._open_files[path] = open(path, "a", encoding="utf-8")

@@ -333,6 +333,8 @@ def load_checkpoint(path: str) -> GCNParams:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic, expected {CHECKPOINT_MAGIC!r}")
+    if len(blob) < 16:
+        raise ValueError(f"{path}: header cut short ({len(blob)} of 16 bytes)")
     d, h, out = struct.unpack("<III", blob[4:16])
     expect = 16 + 8 * (d * h + h * out)
     if len(blob) != expect:

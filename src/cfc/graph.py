@@ -9,8 +9,10 @@ every propagation. scipy.sparse is imported when the first matrix is built,
 not with this module, so commands that build none never load it.
 
 Functions:
-    load_graph: read a node/edge JSONL pair (plus optional feature file) into a Graph
+    load_graph: read a node/edge JSONL pair into a Graph
     save_graph: write a Graph back out in the same formats
+    load_features, save_features: the one way to read and write a feature
+        matrix, which a Graph does not hold
     canonical_edges: dedupe and canonicalize an undirected edge list
     sym_normalize_adjacency: D^{-1/2} (A + I) D^{-1/2} with self loops
     rw_normalize_adjacency: D^{-1} A, no self loops, zero rows for isolated nodes
@@ -65,9 +67,8 @@ def canonical_edges(edges) -> tuple[tuple[int, int], ...]:
 class Graph:
     """Undirected text-attributed graph. Immutable after construction.
 
-    edges are canonical (src < dst, sorted, unique). features is an (N, d)
-    float64 array or None when no feature source was supplied yet. labels may
-    contain None for unlabeled nodes. class_names lists every distinct label.
+    edges are canonical (src < dst, sorted, unique). labels may contain None
+    for unlabeled nodes. class_names lists every distinct label.
     """
 
     num_nodes: int
@@ -75,7 +76,6 @@ class Graph:
     node_text: tuple[str, ...]
     labels: tuple[str | None, ...]
     class_names: tuple[str, ...]
-    features: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.num_nodes
@@ -96,15 +96,6 @@ class Graph:
         for i, lab in enumerate(self.labels):
             if lab is not None and lab not in known:
                 raise ValueError(f"node {i} has label {lab!r} missing from class_names")
-        if self.features is not None:
-            if self.features.ndim != 2 or self.features.shape[0] != n:
-                raise ValueError("features must be (num_nodes, d)")
-            if self.features.shape[1] < 1:
-                raise ValueError("feature dimension must be >= 1")
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
 
     def nodes_of_class(self, name: str) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if lab == name]
@@ -179,7 +170,7 @@ def save_features(path: str, mat: np.ndarray) -> None:
         fh.write(mat.astype("<f8").tobytes(order="C"))
 
 
-def load_graph(nodes_path: str, edges_path: str, features_path: str | None = None) -> Graph:
+def load_graph(nodes_path: str, edges_path: str) -> Graph:
     """Read node records {"id", "text", "label"} and edge records {"src", "dst"}.
 
     Node ids must be exactly 0..N-1. label may be null for unlabeled nodes.
@@ -221,7 +212,6 @@ def load_graph(nodes_path: str, edges_path: str, features_path: str | None = Non
         raw_edges.append((a, b))
     edges = canonical_edges(raw_edges)
 
-    features = load_features(features_path, n) if features_path else None
     class_names = tuple(sorted({lab for lab in labels.values() if lab is not None}))
     return Graph(
         num_nodes=n,
@@ -229,20 +219,14 @@ def load_graph(nodes_path: str, edges_path: str, features_path: str | None = Non
         node_text=tuple(texts[i] for i in range(n)),
         labels=tuple(labels[i] for i in range(n)),
         class_names=class_names,
-        features=features,
     )
 
 
-def save_graph(g: Graph, nodes_path: str, edges_path: str,
-               features_path: str | None = None) -> None:
+def save_graph(g: Graph, nodes_path: str, edges_path: str) -> None:
     """Inverse of load_graph: load_graph(save_graph(g)) reproduces g."""
     write_jsonl(nodes_path, ({"id": i, "text": g.node_text[i], "label": g.labels[i]}
                              for i in range(g.num_nodes)))
     write_jsonl(edges_path, ({"src": a, "dst": b} for a, b in g.edges))
-    if features_path is not None:
-        if g.features is None:
-            raise ValueError("graph has no features to save")
-        save_features(features_path, g.features)
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_array:

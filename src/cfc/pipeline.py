@@ -67,7 +67,6 @@ DENOISED_FILE = "denoised.jsonl"
 SYNTH_BIN_FILE = "synth.bin"
 SYNTH_META_FILE = "synth.jsonl"
 PRELIM_CKPT = "prelim.ckpt"
-BASELINE_CKPT = "baseline.ckpt"
 BASELINE_PROBS_FILE = "baseline_probs.bin"
 FINE_CKPT = "fine.ckpt"
 DETECT_FILE = "detect.jsonl"
@@ -221,8 +220,7 @@ _STAGES = {
     "denoise": _Stage("stage_denoise", {"propagation": "propagation"},
                       consumes=(SPLIT_FILE, COARSE_FILE), writes=(DENOISED_FILE,)),
     "train-prelim": _Stage("stage_train_prelim", {"seed": "seed", "train": "train"},
-                           consumes=(SPLIT_FILE,),
-                           writes=(PRELIM_CKPT, BASELINE_CKPT, BASELINE_PROBS_FILE)),
+                           consumes=(SPLIT_FILE,), writes=(PRELIM_CKPT, BASELINE_PROBS_FILE)),
     "augment": _Stage("stage_augment", {"seed": "seed", "mixup": "mixup"},
                       consumes=(SPLIT_FILE, DENOISED_FILE, PRELIM_CKPT),
                       writes=(SYNTH_BIN_FILE, SYNTH_META_FILE)),

@@ -34,7 +34,7 @@ from .labelspace import classify_ood, cluster_accuracy, \
     save_post_label_space
 from .metrics import accuracy_report, auroc, threshold_baseline, \
     tune_threshold
-from .pipeline import ASSIGN_FILE, BASELINE_CKPT, BASELINE_PROBS_FILE, \
+from .pipeline import ASSIGN_FILE, BASELINE_PROBS_FILE, \
     CLASSIFY_LOG_FILE, COARSE_FILE, COARSE_LOG_FILE, DENOISED_FILE, \
     DETECT_FILE, EVAL_FILE, FINE_CKPT, LLM_CACHE_FILE, POST_LABELS_FILE, \
     PRELIM_CKPT, SPLIT_FILE, SYNTH_BIN_FILE, SYNTH_META_FILE, StageError
@@ -144,12 +144,12 @@ def _gateway(rc: RunConfig, log_name: str) -> LLMGateway:
 
 def stage_coarse(data: StageData) -> None:
     rc = data.rc
-    gateway = _gateway(rc, COARSE_LOG_FILE)
-    try:
-        result = coarse_detect(data.graph, data.split().test_ids, rc.coarse,
-                               gateway)
-    except (GatewayError, CoarseDetectError) as exc:
-        raise StageError(f"coarse detection failed: {exc}") from exc
+    with _gateway(rc, COARSE_LOG_FILE) as gateway:
+        try:
+            result = coarse_detect(data.graph, data.split().test_ids, rc.coarse,
+                                   gateway)
+        except (GatewayError, CoarseDetectError) as exc:
+            raise StageError(f"coarse detection failed: {exc}") from exc
     save_coarse_result(result, rc.artifact(COARSE_FILE))
 
 
@@ -186,14 +186,14 @@ def stage_train_prelim(data: StageData) -> None:
     """The closed-set GCN that augment reads, and the sigmoid-head GCN of
     the threshold baselines: same inputs, so trained together. Both models'
     class probabilities for every node, the prelim model's columns first,
-    are recorded for eval's baselines."""
+    are recorded for eval's baselines; only the prelim model is saved."""
     rc = data.rc
     split = data.split()
     y = data.id_train_targets()
     val_ids = data.id_val_ids()
     models = (
         ("preliminary", PRELIM_CKPT, rc.train),
-        ("sigmoid baseline", BASELINE_CKPT, replace(
+        ("sigmoid baseline", None, replace(
             rc.train, head="sigmoid", seed=rc.seed + SEED_OFFSETS["baseline"])),
     )
     probs = []
@@ -203,7 +203,8 @@ def stage_train_prelim(data: StageData) -> None:
                               out_dim=len(split.id_classes), cfg=cfg)
         except TrainingDiverged as exc:
             raise StageError(f"{what} training diverged: {exc}") from exc
-        save_checkpoint(params, rc.artifact(name))
+        if name is not None:
+            save_checkpoint(params, rc.artifact(name))
         probs.append(predict(params, data.a_hat, data.x, head=cfg.head))
     save_features(rc.artifact(BASELINE_PROBS_FILE), np.hstack(probs))
 
@@ -276,17 +277,17 @@ def stage_classify_ood(data: StageData) -> None:
     ood_nodes = [r["node_id"] for _, r in read_jsonl(rc.artifact(DETECT_FILE))
                  if r["pred"] == c]
 
-    gateway = _gateway(rc, CLASSIFY_LOG_FILE)
     assignments = ()
-    if ood_nodes:
-        try:
-            assignments = classify_ood(
-                ood_nodes, data.graph, post, gateway,
-                text_budget=rc.coarse.text_budget,
-                template_dir=rc.coarse.template_dir,
-                max_parse_retries=rc.coarse.max_parse_retries)
-        except GatewayError as exc:
-            raise StageError(f"OOD classification failed: {exc}") from exc
+    with _gateway(rc, CLASSIFY_LOG_FILE) as gateway:
+        if ood_nodes:
+            try:
+                assignments = classify_ood(
+                    ood_nodes, data.graph, post, gateway,
+                    text_budget=rc.coarse.text_budget,
+                    template_dir=rc.coarse.template_dir,
+                    max_parse_retries=rc.coarse.max_parse_retries)
+            except GatewayError as exc:
+                raise StageError(f"OOD classification failed: {exc}") from exc
     save_assignments(assignments, rc.artifact(ASSIGN_FILE))
 
 

@@ -10,8 +10,7 @@ from cfc.coarse import TEMPLATE_NAMES
 from cfc.graph import Graph, canonical_edges
 
 
-def random_graph(rng, n=None, p=0.2, n_classes=3, with_features=True,
-                 unlabeled_frac=0.0, dim=4):
+def random_graph(rng, n=None, p=0.2, n_classes=3, unlabeled_frac=0.0):
     """Random undirected graph with class labels, for oracle-style tests."""
     if n is None:
         n = int(rng.integers(2, 25))
@@ -27,7 +26,6 @@ def random_graph(rng, n=None, p=0.2, n_classes=3, with_features=True,
             labels.append(None)
         else:
             labels.append(names[int(rng.integers(n_classes))])
-    feats = rng.standard_normal((n, dim)) if with_features else None
     texts = tuple(f"node {i} text" for i in range(n))
     return Graph(
         num_nodes=n,
@@ -35,7 +33,6 @@ def random_graph(rng, n=None, p=0.2, n_classes=3, with_features=True,
         node_text=texts,
         labels=tuple(labels),
         class_names=names,
-        features=feats,
     )
 
 

@@ -72,7 +72,8 @@ def _class_means():
     return m
 
 
-def build_graph(seed: int = 0) -> Graph:
+def build_graph(seed: int = 0) -> tuple[Graph, np.ndarray]:
+    """The graph and its (N, FEATURE_DIM) feature matrix."""
     rng = np.random.default_rng(seed)
     order = list(ID_CLASSES) + list(OOD_CLASSES)
     labels, texts = [], []
@@ -100,8 +101,7 @@ def build_graph(seed: int = 0) -> Graph:
         node_text=tuple(texts),
         labels=tuple(labels),
         class_names=tuple(sorted(set(labels))),
-        features=features,
-    )
+    ), features
 
 
 def _detection_response(flagged: bool, category: str = "") -> str:
@@ -195,7 +195,7 @@ def write_fixture(dir_path: str, seed: int = 0, config_overrides: dict | None = 
     default config blocks (shallow, per top-level key).
     """
     os.makedirs(dir_path, exist_ok=True)
-    g = build_graph(seed)
+    g, features = build_graph(seed)
     paths = {
         "nodes": os.path.join(dir_path, "nodes.jsonl"),
         "edges": os.path.join(dir_path, "edges.jsonl"),
@@ -205,7 +205,7 @@ def write_fixture(dir_path: str, seed: int = 0, config_overrides: dict | None = 
         "artifacts": os.path.join(dir_path, "artifacts"),
     }
     save_graph(g, paths["nodes"], paths["edges"])
-    save_features(paths["features"], g.features)
+    save_features(paths["features"], features)
     with open(paths["mock"], "w", encoding="utf-8") as fh:
         for rule in build_mock_rules(g, seed):
             fh.write(json.dumps(rule, ensure_ascii=False) + "\n")

@@ -28,7 +28,7 @@ from cfc.denoise import (
     reconstruct_rows,
 )
 from cfc.gcn import backward, hidden_states, load_checkpoint
-from cfc.graph import Graph, canonical_edges, load_graph, \
+from cfc.graph import Graph, canonical_edges, load_features, load_graph, \
     rw_normalize_adjacency, sym_normalize_adjacency
 from cfc.labelspace import cluster_accuracy
 from cfc.metrics import accuracy_report, auroc, threshold_baseline
@@ -152,9 +152,10 @@ def test_criterion_03_auroc_matches_pairwise_counting():
 
 def test_criterion_04_synthetic_rows_reconstruct_bit_exactly(full_run):
     rc, _ = full_run
-    g = load_graph(rc.dataset.nodes, rc.dataset.edges, rc.dataset.features)
+    g = load_graph(rc.dataset.nodes, rc.dataset.edges)
+    x = load_features(rc.dataset.features, g.num_nodes)
     params = load_checkpoint(rc.artifact(PRELIM_CKPT))
-    hidden = hidden_states(params, sym_normalize_adjacency(g), g.features)
+    hidden = hidden_states(params, sym_normalize_adjacency(g), x)
     s = load_synthetic(rc.artifact(SYNTH_BIN_FILE), rc.artifact(SYNTH_META_FILE))
     rebuilt = reconstruct_rows(s.boundary_ids, s.alphas, s.center, hidden)
     exact = np.array_equal(rebuilt, s.embeddings)

@@ -358,9 +358,9 @@ def test_coarse_detect_parse_fallback_retries(tmp_path):
         {"match": "substr:", "response": detection_json(True, 0.9, "theory")},
     ]
     path = write_jsonl(tmp_path / "f.jsonl", rules)
-    gw = LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path),
-                    log_path=str(log))
-    res = coarse_detect(g, [0, 1], easy_cfg(max_parse_retries=2), gw)
+    with LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path),
+                    log_path=str(log)) as gw:
+        res = coarse_detect(g, [0, 1], easy_cfg(max_parse_retries=2), gw)
     broken = res.annotations[1]
     assert (broken.is_id, broken.confidence, broken.category) == (True, 0.0, "")
     assert broken.raw_response == "no json here"
@@ -398,10 +398,10 @@ def test_coarse_detect_hard_mode_setup_must_parse(tmp_path):
         {"match": "substr:major category", "response": "no idea"},
         {"match": "substr:", "response": detection_json(True, 0.9, "theory")},
     ])
-    gw = LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path),
-                    log_path=str(log))
     cfg = easy_cfg(mode="hard_reject", max_parse_retries=1)
-    with pytest.raises(CoarseDetectError, match="major-category reply never parsed"):
+    with LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path),
+                    log_path=str(log)) as gw, \
+            pytest.raises(CoarseDetectError, match="major-category reply never parsed"):
         coarse_detect(g, [0], cfg, gw)
     assert len(log.read_text().splitlines()) == 2       # 1 + 1 retry
 

@@ -84,7 +84,7 @@ def test_propagation_zero_steps_returns_init():
 
 def test_propagation_matches_dense_oracle(rng):
     for trial in range(25):
-        g = random_graph(rng, n=int(rng.integers(3, 25)), p=0.2, with_features=False)
+        g = random_graph(rng, n=int(rng.integers(3, 25)), p=0.2)
         n = g.num_nodes
         c = 2
         train = {int(i): int(rng.integers(c)) for i in
@@ -102,7 +102,7 @@ def test_propagation_matches_dense_oracle(rng):
 
 def test_propagation_keeps_rows_in_unit_box(rng):
     for _ in range(10):
-        g = random_graph(rng, n=20, p=0.15, with_features=False)
+        g = random_graph(rng, n=20, p=0.15)
         init = initial_label_matrix(20, 3, {0: 0, 1: 1}, {5, 6, 7})
         out = label_propagate(rw_normalize_adjacency(g), init, PropagationConfig(10))
         assert out.min() >= 0.0

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -29,7 +31,7 @@ from conftest import random_graph
 def make_instance(seed, n=8, d=5, h=4, out=3, with_synth=False, synth_count=3):
     """Small random training instance for gradient checks."""
     rng = np.random.default_rng(seed)
-    g = random_graph(rng, n=n, p=0.4, with_features=False)
+    g = random_graph(rng, n=n, p=0.4)
     a_hat = sym_normalize_adjacency(g)
     x = rng.standard_normal((n, d))
     y = rng.integers(0, out, size=n)
@@ -313,7 +315,7 @@ def test_train_matches_backward_then_forward_loop(head, with_synth):
 def bag_of_words_instance(seed, n=40, d=60, words=3):
     """Random graph with binary features, `words` ones per row (5% dense)."""
     rng = np.random.default_rng(seed)
-    g = random_graph(rng, n=n, p=0.1, with_features=False)
+    g = random_graph(rng, n=n, p=0.1)
     x = np.zeros((n, d))
     for i in range(n):
         x[i, rng.choice(d, size=words, replace=False)] = 1.0
@@ -364,6 +366,14 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
     with open(path, "wb") as fh:
         fh.write(blob[:-8])
     with pytest.raises(ValueError, match="bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_cut_inside_header_is_rejected(tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(init_params(3, 2, 2, seed=0), path)
+    os.truncate(path, 6)
+    with pytest.raises(ValueError, match="header cut short"):
         load_checkpoint(path)
 
 

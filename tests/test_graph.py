@@ -76,7 +76,7 @@ def triples(m):
 def normalized(rng, count, **kw):
     """(graph, sym, rw) for count random graphs, some with isolated nodes."""
     for _ in range(count):
-        g = random_graph(rng, with_features=False, **kw)
+        g = random_graph(rng, **kw)
         yield g, sym_normalize_adjacency(g), rw_normalize_adjacency(g)
 
 
@@ -102,8 +102,8 @@ def test_normalized_csr_has_no_duplicate_entries(rng):
 def test_sparse_never_stores_zeros(rng):
     for g, sym, rw in normalized(rng, 20, p=0.1):
         assert np.all(sym.data != 0.0) and np.all(rw.data != 0.0)
-        assert sym.nnz == 2 * g.num_edges + g.num_nodes
-        assert rw.nnz == 2 * g.num_edges
+        assert sym.nnz == 2 * len(g.edges) + g.num_nodes
+        assert rw.nnz == 2 * len(g.edges)
 
 
 def test_normalized_csr_columns_sorted(rng):
@@ -175,7 +175,7 @@ def test_rw_normalize_path_middle_row():
 
 def test_normalizations_match_dense_oracle(rng):
     for _ in range(30):
-        g = random_graph(rng, with_features=False)
+        g = random_graph(rng)
         npt.assert_allclose(sym_normalize_adjacency(g).toarray(),
                             dense_sym_normalize(g.num_nodes, g.edges), atol=1e-13)
         npt.assert_allclose(rw_normalize_adjacency(g).toarray(),
@@ -184,14 +184,14 @@ def test_normalizations_match_dense_oracle(rng):
 
 def test_sym_normalize_is_symmetric(rng):
     for _ in range(10):
-        g = random_graph(rng, with_features=False)
+        g = random_graph(rng)
         dense = sym_normalize_adjacency(g).toarray()
         npt.assert_allclose(dense, dense.T, atol=0)
 
 
 def test_rw_rows_sum_to_one_or_zero(rng):
     for _ in range(10):
-        g = random_graph(rng, p=0.1, with_features=False)
+        g = random_graph(rng, p=0.1)
         sums = rw_normalize_adjacency(g).toarray().sum(axis=1)
         assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
 
@@ -225,7 +225,6 @@ def test_load_graph_basic(tmp_path):
     assert g.edges == ((0, 1), (1, 2))     # both directions collapse to one
     assert g.labels == ("nets", "theory", None)
     assert g.class_names == ("nets", "theory")
-    assert g.features is None
 
 
 def test_load_graph_rejects_gap_in_ids(tmp_path):
@@ -315,16 +314,18 @@ def test_feature_jsonl_id_must_be_an_integer(tmp_path):
 def test_graph_roundtrip_identity(tmp_path, rng):
     for trial in range(10):
         g = random_graph(rng, unlabeled_frac=0.2)
+        feats = rng.standard_normal((g.num_nodes, 4))
         base = tmp_path / f"t{trial}"
         base.mkdir()
-        paths = (str(base / "n.jsonl"), str(base / "e.jsonl"), str(base / "f.bin"))
+        paths = (str(base / "n.jsonl"), str(base / "e.jsonl"))
         save_graph(g, *paths)
+        save_features(str(base / "f.bin"), feats)
         back = load_graph(*paths)
         assert back.num_nodes == g.num_nodes
         assert back.edges == g.edges
         assert back.node_text == g.node_text
         assert back.labels == g.labels
-        assert np.array_equal(back.features, g.features)
+        assert np.array_equal(load_features(str(base / "f.bin"), g.num_nodes), feats)
 
 
 def test_roundtrip_preserves_unicode_text(tmp_path):
@@ -348,7 +349,7 @@ def test_citation_scale_fixture(tmp_path, rng):
     npath, epath = write_graph_files(tmp_path, nodes, edges)
     g = load_graph(npath, epath)
     assert g.num_nodes == 2708
-    assert g.num_edges == 5429
+    assert len(g.edges) == 5429
 
 
 # ---------------------------------------------------------------- splits
@@ -362,7 +363,7 @@ def labeled_graph(counts, seed=0):
     rng.shuffle(labels)
     n = len(labels)
     return Graph(n, (), tuple(f"t{i}" for i in range(n)), tuple(labels),
-                 tuple(sorted(counts)), None)
+                 tuple(sorted(counts)))
 
 
 def test_split_pure_ood_pool_ratio():
@@ -376,14 +377,14 @@ def test_split_pure_ood_pool_ratio():
 
 def test_split_sets_are_disjoint_and_cover_labeled(rng):
     for seed in range(10):
-        g = random_graph(rng, n=40, n_classes=4, with_features=False)
+        g = random_graph(rng, n=40, n_classes=4)
         s = split_dataset(g, ["class 0", "class 1", "class 2"], ["class 3"], seed=seed)
         all_ids = list(s.train_ids) + list(s.val_ids) + list(s.test_ids)
         assert len(all_ids) == len(set(all_ids)) == g.num_nodes
 
 
 def test_split_train_only_id_classes(rng):
-    g = random_graph(rng, n=50, n_classes=3, with_features=False)
+    g = random_graph(rng, n=50, n_classes=3)
     s = split_dataset(g, ["class 0", "class 1"], ["class 2"], seed=3)
     for i in s.train_ids:
         assert g.labels[i] in ("class 0", "class 1")
@@ -410,7 +411,7 @@ def test_split_is_deterministic():
 
 
 def test_split_excludes_unlabeled(rng):
-    g = random_graph(rng, n=60, n_classes=2, with_features=False, unlabeled_frac=0.3)
+    g = random_graph(rng, n=60, n_classes=2, unlabeled_frac=0.3)
     s = split_dataset(g, ["class 0"], ["class 1"], seed=2)
     covered = set(s.train_ids) | set(s.val_ids) | set(s.test_ids)
     for i, lab in enumerate(g.labels):

@@ -281,9 +281,9 @@ def classification_prompts(tmp_path, texts, post, **kw):
     log = tmp_path / "log.jsonl"
     path = write_jsonl(tmp_path / "f.jsonl", [
         {"match": "substr:", "response": classification_json("x")}])
-    gw = LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path,
-                                  max_concurrent=1), log_path=str(log))
-    classify_ood(range(len(texts)), text_graph(texts), post, gw, **kw)
+    with LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path,
+                                  max_concurrent=1), log_path=str(log)) as gw:
+        classify_ood(range(len(texts)), text_graph(texts), post, gw, **kw)
     return [json.loads(l)["prompt_text"] for l in log.read_text().splitlines()]
 
 
@@ -376,9 +376,9 @@ def test_classify_ood_retries_parse_failures(tmp_path):
     log = tmp_path / "log.jsonl"
     path = write_jsonl(tmp_path / "f.jsonl",
                        [{"match": "substr:gibberish", "response": "not json"}])
-    gw = LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path),
-                    log_path=str(log))
-    classify_ood([0], g, space(["a b"]), gw, max_parse_retries=2)
+    with LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path),
+                    log_path=str(log)) as gw:
+        classify_ood([0], g, space(["a b"]), gw, max_parse_retries=2)
     assert len(log.read_text().splitlines()) == 3
 
 

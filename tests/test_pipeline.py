@@ -30,12 +30,11 @@ import fixture_tools
 from cfc import graph as graph_module
 from cfc import config, jsonl, pipeline, stages
 from cfc.coarse import load_coarse_result
-from cfc.gateway import GatewayConfig, LLMGateway
-from cfc.gcn import load_checkpoint, predict
+from cfc.gateway import GatewayConfig, LLMGateway, _Connections
+from cfc.gcn import load_checkpoint, predict, train
 from cfc.graph import load_features, save_features
 from cfc.pipeline import (
     ASSIGN_FILE,
-    BASELINE_CKPT,
     BASELINE_PROBS_FILE,
     CLASSIFY_LOG_FILE,
     COARSE_FILE,
@@ -470,7 +469,7 @@ def test_eval_json_reproducible(primary, fix, tmp_path):
     rc, _ = primary
     rc2 = validate_config(fix["config"], artifacts_override=str(tmp_path / "b"))
     run_all(rc2)
-    for name in (EVAL_FILE, PRELIM_CKPT, BASELINE_CKPT, BASELINE_PROBS_FILE, FINE_CKPT):
+    for name in (EVAL_FILE, PRELIM_CKPT, BASELINE_PROBS_FILE, FINE_CKPT):
         assert _read_bytes(rc2.artifact(name)) == _read_bytes(rc.artifact(name)), name
     doc = json.loads(_read_bytes(rc.artifact(EVAL_FILE)))
     assert set(doc["methods"]) == {"CFC", "GCN_softmax", "GCN_softmax_tau",
@@ -628,7 +627,7 @@ def test_memo_entry_of_a_missing_file_is_a_miss(fix, tmp_path, hashed, trusted_m
 
 def test_sparse_features_take_the_csr_path(tmp_path, monkeypatch):
     paths = fixture_tools.write_fixture(str(tmp_path))
-    dense = fixture_tools.build_graph(0).features
+    _, dense = fixture_tools.build_graph(0)
     feats = np.where(dense > 0.5, dense, 0.0)     # 7% nonzero
     save_features(paths["features"], feats)
 
@@ -652,9 +651,10 @@ def test_sparse_features_take_the_csr_path(tmp_path, monkeypatch):
 def test_artifact_deletion_reruns_only_that_stage(fix, tmp_path):
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
     run_all(rc)
-    # baseline.ckpt: train-prelim rewrites prelim.ckpt with the same bytes,
-    # so augment stays cached
-    for name, producer in ((DENOISED_FILE, "denoise"), (BASELINE_CKPT, "train-prelim")):
+    # baseline_probs.bin: train-prelim rewrites prelim.ckpt and the
+    # probabilities with the same bytes, so augment and eval stay cached
+    for name, producer in ((DENOISED_FILE, "denoise"),
+                           (BASELINE_PROBS_FILE, "train-prelim")):
         saved = _read_bytes(rc.artifact(name))
         os.remove(rc.artifact(name))
         executed = run_all(rc)
@@ -691,15 +691,20 @@ def test_classify_ood_and_eval_never_read_the_feature_matrix(fix, tmp_path,
                                                              monkeypatch):
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
     run_all(rc)
-    # the recorded probabilities are those of the saved checkpoints, so eval
-    # writes the bytes that scoring the checkpoints would
+    # the recorded probabilities are those of the saved checkpoint and of
+    # the sigmoid model retrained under the same config, so eval writes the
+    # bytes that scoring the two models would
     data = stages.StageData(rc)
     c = len(rc.split.id_classes)
     recorded = load_features(rc.artifact(BASELINE_PROBS_FILE), data.graph.num_nodes)
     assert np.array_equal(recorded[:, :c], predict(
         load_checkpoint(rc.artifact(PRELIM_CKPT)), data.a_hat, data.x))
-    assert np.array_equal(recorded[:, c:], predict(
-        load_checkpoint(rc.artifact(BASELINE_CKPT)), data.a_hat, data.x, head="sigmoid"))
+    sigmoid = dataclasses.replace(rc.train, head="sigmoid",
+                                  seed=rc.seed + config.SEED_OFFSETS["baseline"])
+    params, _ = train(data.a_hat, data.x, data.id_train_targets(),
+                      data.split().train_ids, data.id_val_ids(), out_dim=c, cfg=sigmoid)
+    assert np.array_equal(recorded[:, c:], predict(params, data.a_hat, data.x,
+                                                   head="sigmoid"))
     clean = _read_bytes(rc.artifact(EVAL_FILE))
 
     read = []
@@ -722,6 +727,20 @@ def test_classify_ood_and_eval_never_read_the_feature_matrix(fix, tmp_path,
     assert [s for s, ran in executed.items() if ran] == ["classify-ood", "eval"]
 
 
+OLD_BASELINE_CKPT = "baseline.ckpt"
+
+
+def _manifest_with_baseline_ckpt(rc) -> dict:
+    """rc's manifest as it was when train-prelim also wrote the sigmoid
+    model's checkpoint, baseline.ckpt (here a stand-in file)."""
+    path = rc.artifact(OLD_BASELINE_CKPT)
+    shutil.copyfile(rc.artifact(PRELIM_CKPT), path)
+    manifest = load_manifest(rc.artifacts_dir)
+    manifest["stages"]["train-prelim"]["outputs"][OLD_BASELINE_CKPT] = \
+        pipeline._file_hash(path)
+    return manifest
+
+
 def test_manifest_from_before_baseline_probs_reruns_train_prelim(primary, fix, tmp_path):
     # an artifacts directory written when eval scored the baselines from the
     # two checkpoints: train-prelim reruns to record the probabilities, and
@@ -730,11 +749,11 @@ def test_manifest_from_before_baseline_probs_reruns_train_prelim(primary, fix, t
     rc2 = validate_config(fix["config"], artifacts_override=str(tmp_path / "old"))
     run_all(rc2)
     os.remove(rc2.artifact(BASELINE_PROBS_FILE))
-    manifest = load_manifest(rc2.artifacts_dir)
+    manifest = _manifest_with_baseline_ckpt(rc2)
     del manifest["stages"]["train-prelim"]["outputs"][BASELINE_PROBS_FILE]
     inputs = manifest["stages"]["eval"]["inputs"]
     del inputs[BASELINE_PROBS_FILE]
-    for name in (PRELIM_CKPT, BASELINE_CKPT):
+    for name in (PRELIM_CKPT, OLD_BASELINE_CKPT):
         inputs[name] = pipeline._file_hash(rc2.artifact(name))
     manifest["stages"]["eval"]["input_hash"] = pipeline._json_hash(inputs)
     pipeline._save_manifest(rc2.artifacts_dir, manifest)
@@ -752,7 +771,6 @@ def test_manifest_from_before_baseline_ckpt_reruns_train_prelim(primary, fix, tm
     rc, _ = primary
     rc2 = validate_config(fix["config"], artifacts_override=str(tmp_path / "old"))
     run_all(rc2)
-    os.remove(rc2.artifact(BASELINE_CKPT))
     manifest = load_manifest(rc2.artifacts_dir)
     manifest["stages"]["train-prelim"]["outputs"] = [PRELIM_CKPT]
     pipeline._save_manifest(rc2.artifacts_dir, manifest)
@@ -761,6 +779,21 @@ def test_manifest_from_before_baseline_ckpt_reruns_train_prelim(primary, fix, tm
     assert [s for s, ran in executed.items() if ran] == ["train-prelim"]
     assert _read_bytes(rc2.artifact(EVAL_FILE)) == _read_bytes(rc.artifact(EVAL_FILE))
     assert not any(run_all(rc2).values())
+
+
+def test_a_directory_that_lists_baseline_ckpt_reruns_no_stage(primary, fix, tmp_path):
+    # no stage reads the sigmoid model's checkpoint, and a stage's outputs
+    # are checked against what it writes now: the old file stays, unread
+    rc, _ = primary
+    rc2 = validate_config(fix["config"], artifacts_override=str(tmp_path / "old"))
+    run_all(rc2)
+    manifest = _manifest_with_baseline_ckpt(rc2)
+    pipeline._save_manifest(rc2.artifacts_dir, manifest)
+    stale = _read_bytes(rc2.artifact(OLD_BASELINE_CKPT))
+
+    assert not any(run_all(rc2).values())
+    assert _read_bytes(rc2.artifact(EVAL_FILE)) == _read_bytes(rc.artifact(EVAL_FILE))
+    assert _read_bytes(rc2.artifact(OLD_BASELINE_CKPT)) == stale
 
 
 def test_gateway_settings_that_cannot_change_a_reply_rerun_nothing(fix, tmp_path):
@@ -1116,8 +1149,7 @@ def _live_fixture(dir_path, monkeypatch, **gateway):
         reply = rules.complete(prompt).response_text
         return 200, {"choices": [{"message": {"content": reply}}]}
 
-    monkeypatch.setattr(LLMGateway, "_http_post",
-                        lambda self, *args: transport(*args))
+    monkeypatch.setattr(_Connections, "__call__", lambda self, *args: transport(*args))
     monkeypatch.setenv("CFC_LLM_API_KEY", "k")
     monkeypatch.delenv("CFC_LLM_BASE_URL", raising=False)
     return paths, state
