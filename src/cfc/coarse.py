@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -56,15 +56,6 @@ class Annotation:
     def __post_init__(self):
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError("confidence must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "is_id": self.is_id,
-            "confidence": self.confidence,
-            "category": self.category,
-            "raw_response": self.raw_response,
-        }
 
 
 @dataclass(frozen=True)
@@ -331,7 +322,7 @@ def save_coarse_result(result: CoarseResult, path: str) -> None:
         "major_category": result.major_category,
         "candidate_ood_labels": list(result.candidate_ood_labels),
     }
-    write_jsonl(path, [header] + [{"kind": "annotation", **ann.to_dict()}
+    write_jsonl(path, [header] + [{"kind": "annotation", **asdict(ann)}
                                   for ann in result.annotations])
 
 
@@ -339,12 +330,11 @@ def load_coarse_result(path: str) -> CoarseResult:
     header = None
     anns: list[Annotation] = []
     for lineno, rec in read_jsonl(path):
-        if rec.get("kind") == "header":
+        kind = rec.pop("kind", None)
+        if kind == "header":
             header = rec
-        elif rec.get("kind") == "annotation":
-            anns.append(Annotation(rec["node_id"], rec["is_id"],
-                                   rec["confidence"], rec["category"],
-                                   rec["raw_response"]))
+        elif kind == "annotation":
+            anns.append(Annotation(**rec))
         else:
             raise ValueError(f"{path}:{lineno}: unknown record kind")
     if header is None:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import MixupConfig, PropagationConfig
-from .graph import load_features, save_features, spmm
+from .graph import load_matrices, save_matrices, spmm
 from .jsonl import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
@@ -207,7 +207,7 @@ def reconstruct_rows(boundary_ids, alphas, center: np.ndarray,
 # --------------------------------------------------------------- persistence
 
 def save_synthetic(s: SyntheticOODSet, matrix_path: str, sidecar_path: str) -> None:
-    save_features(matrix_path, s.embeddings)
+    save_matrices(matrix_path, s.embeddings)
     header = {"kind": "header", "seed": s.seed, "center": list(s.center)}
     write_jsonl(sidecar_path, [header] + [
         {"kind": "row", "row": r, "boundary_id": s.boundary_ids[r],
@@ -227,7 +227,7 @@ def load_synthetic(matrix_path: str, sidecar_path: str) -> SyntheticOODSet:
     count = len(rows)
     if set(rows) != set(range(count)):
         raise ValueError(f"{sidecar_path}: row records are not 0..{count - 1}")
-    emb = load_features(matrix_path, count)
+    [emb] = load_matrices(matrix_path, rows=count)
     return SyntheticOODSet(
         embeddings=emb,
         boundary_ids=tuple(rows[r][0] for r in range(count)),

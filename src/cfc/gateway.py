@@ -26,7 +26,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .config import BASE_URL_ENV, GatewayConfig
 from .jsonl import read_jsonl
@@ -53,15 +53,6 @@ class ChatExchange:
     latency_s: float
     attempt_count: int
     model_name: str
-
-    def to_dict(self) -> dict:
-        return {
-            "prompt_text": self.prompt_text,
-            "response_text": self.response_text,
-            "latency_s": self.latency_s,
-            "attempt_count": self.attempt_count,
-            "model_name": self.model_name,
-        }
 
 
 def mock_prompt_hash(prompt: str) -> str:
@@ -408,7 +399,7 @@ class LLMGateway:
 
     def _append_log(self, exchange: ChatExchange) -> None:
         if self._log_path is not None:
-            self._append(self._log_path, exchange.to_dict())
+            self._append(self._log_path, asdict(exchange))
 
     def _append(self, path: str, record: dict) -> None:
         """Append one line, flushed before the lock is released. A file is

@@ -19,23 +19,22 @@ symmetric, which both normalizations used with this model satisfy.
 X may be a dense array or a scipy.sparse CSR array (bag-of-words features);
 both enter only through X W0 and X^T (...), so a sparse X skips its zeros.
 
-Training is full-batch Adam with early stopping on validation accuracy and a
-binary checkpoint format (magic CFCW). Each epoch takes its gradients from
-the forward pass computed after the previous update, so an epoch costs one
-forward and one backward pass: four sparse products.
+Training is full-batch Adam with early stopping on validation accuracy. Each
+epoch takes its gradients from the forward pass computed after the previous
+update, so an epoch costs one forward and one backward pass: four sparse
+products. A checkpoint is W0 and W1 in cfc.graph's binary matrix format
+under the magic CFCW (dims d, hidden, out).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import TrainConfig
-from .graph import spmm
-from .jsonl import atomic_write
+from .graph import load_matrices, save_matrices, spmm
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -320,26 +319,9 @@ def train(a_hat: sp.csr_array, x: np.ndarray | sp.csr_array, y: np.ndarray,
 # --------------------------------------------------------------- checkpoints
 
 def save_checkpoint(params: GCNParams, path: str) -> None:
-    d, h, out = params.dims
-    with atomic_write(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<III", d, h, out))
-        fh.write(params.w0.astype("<f8").tobytes(order="C"))
-        fh.write(params.w1.astype("<f8").tobytes(order="C"))
+    save_matrices(path, params.w0, params.w1, magic=CHECKPOINT_MAGIC)
 
 
 def load_checkpoint(path: str) -> GCNParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad magic, expected {CHECKPOINT_MAGIC!r}")
-    if len(blob) < 16:
-        raise ValueError(f"{path}: header cut short ({len(blob)} of 16 bytes)")
-    d, h, out = struct.unpack("<III", blob[4:16])
-    expect = 16 + 8 * (d * h + h * out)
-    if len(blob) != expect:
-        raise ValueError(f"{path}: expected {expect} bytes, found {len(blob)}")
-    w0 = np.frombuffer(blob, dtype="<f8", count=d * h, offset=16).reshape(d, h)
-    w1 = np.frombuffer(blob, dtype="<f8", count=h * out,
-                       offset=16 + 8 * d * h).reshape(h, out)
-    return GCNParams(w0=np.ascontiguousarray(w0), w1=np.ascontiguousarray(w1))
+    w0, w1 = load_matrices(path, CHECKPOINT_MAGIC, count=2)
+    return GCNParams(w0=w0, w1=w1)

@@ -1,4 +1,5 @@
-"""Graph container, adjacency normalizations and data splits.
+"""Graph container, adjacency normalizations, data splits and the binary
+matrix format.
 
 Sparse matrices are scipy.sparse CSR arrays (float64) in canonical form:
 column indices strictly increasing inside each row, no duplicates and no
@@ -11,8 +12,10 @@ not with this module, so commands that build none never load it.
 Functions:
     load_graph: read a node/edge JSONL pair into a Graph
     save_graph: write a Graph back out in the same formats
-    load_features, save_features: the one way to read and write a feature
-        matrix, which a Graph does not hold
+    save_matrices, load_matrices: the one binary matrix format, for the
+        feature-shaped files (magic CFCF) and cfc.gcn's checkpoints (CFCW)
+    load_features: read the dataset's feature matrix, which a Graph does
+        not hold: binary or JSONL, every value finite
     canonical_edges: dedupe and canonicalize an undirected edge list
     sym_normalize_adjacency: D^{-1/2} (A + I) D^{-1/2} with self loops
     rw_normalize_adjacency: D^{-1} A, no self loops, zero rows for isolated nodes
@@ -23,7 +26,7 @@ Functions:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -101,25 +104,6 @@ class Graph:
         return [i for i, lab in enumerate(self.labels) if lab == name]
 
 
-def _load_features_binary(path: str, num_nodes: int) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != FEATURE_MAGIC:
-        raise ValueError(f"{path}: bad magic, expected {FEATURE_MAGIC!r}")
-    if len(blob) < 12:
-        raise ValueError(f"{path}: header cut short ({len(blob)} of 12 bytes)")
-    n, d = struct.unpack("<II", blob[4:12])
-    if n != num_nodes:
-        raise ValueError(f"{path}: feature row count {n} != node count {num_nodes}")
-    if d < 1:
-        raise ValueError(f"{path}: feature dimension must be >= 1")
-    expect = 12 + 8 * n * d
-    if len(blob) != expect:
-        raise ValueError(f"{path}: expected {expect} bytes, found {len(blob)}")
-    mat = np.frombuffer(blob, dtype="<f8", offset=12).reshape(n, d)
-    return np.ascontiguousarray(mat, dtype=np.float64)
-
-
 def _is_int(value) -> bool:
     """A JSON integer: Python's bool is an int, JSON's true is not."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -151,23 +135,66 @@ def _load_features_jsonl(path: str, num_nodes: int) -> np.ndarray:
 
 
 def load_features(path: str, num_nodes: int) -> np.ndarray:
-    """Load a feature matrix, binary (magic header) or JSONL {id, vec}."""
+    """Load the dataset's feature matrix, binary (magic CFCF) or JSONL
+    {id, vec}. A NaN or infinite value is rejected in either format (json.loads
+    accepts the NaN and Infinity literals): training would fail on it only
+    after the LLM stages had paid for their calls."""
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == FEATURE_MAGIC:
-        return _load_features_binary(path, num_nodes)
-    return _load_features_jsonl(path, num_nodes)
+        [mat] = load_matrices(path, rows=num_nodes)
+    else:
+        mat = _load_features_jsonl(path, num_nodes)
+    finite = np.isfinite(mat).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: feature row {int(np.argmin(finite))} holds a "
+                         f"non-finite value")
+    return mat
 
 
-def save_features(path: str, mat: np.ndarray) -> None:
-    """Write a feature matrix in the binary format load_features reads."""
-    mat = np.ascontiguousarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError("feature matrix must be 2-D")
+def save_matrices(path: str, *mats: np.ndarray, magic: bytes = FEATURE_MAGIC) -> None:
+    """Write a chain of matrices, each with as many rows as the one before
+    has columns: the 4-byte magic, then the dims as little-endian u32 (the
+    first matrix's rows, then each matrix's columns), then each matrix as
+    C-order little-endian float64."""
+    mats = [np.asarray(m, dtype="<f8") for m in mats]
+    if any(m.ndim != 2 for m in mats):
+        raise ValueError("matrices must be 2-D")
+    dims = [mats[0].shape[0]] + [m.shape[1] for m in mats]
     with atomic_write(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
-        fh.write(mat.astype("<f8").tobytes(order="C"))
+        fh.write(magic)
+        fh.write(struct.pack(f"<{len(dims)}I", *dims))
+        for m in mats:
+            fh.write(m.tobytes(order="C"))
+
+
+def load_matrices(path: str, magic: bytes = FEATURE_MAGIC, count: int = 1,
+                  rows: int | None = None) -> list[np.ndarray]:
+    """Read the count matrices save_matrices wrote under magic; rows, when
+    given, is the row count the first one must have. The arrays are
+    read-only views of the file's bytes."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != magic:
+        raise ValueError(f"{path}: bad magic, expected {magic!r}")
+    start = 8 + 4 * count
+    if len(blob) < start:
+        raise ValueError(f"{path}: header cut short ({len(blob)} of {start} bytes)")
+    dims = struct.unpack(f"<{count + 1}I", blob[4:start])
+    if rows is not None and dims[0] != rows:
+        raise ValueError(f"{path}: feature row count {dims[0]} != node count {rows}")
+    if min(dims[1:]) < 1:
+        raise ValueError(f"{path}: matrix dimensions must be >= 1")
+    shapes = list(zip(dims, dims[1:]))
+    expect = start + 8 * sum(r * c for r, c in shapes)
+    if len(blob) != expect:
+        raise ValueError(f"{path}: expected {expect} bytes, found {len(blob)}")
+    mats = []
+    for r, c in shapes:
+        mats.append(np.frombuffer(blob, dtype="<f8", count=r * c,
+                                  offset=start).reshape(r, c))
+        start += 8 * r * c
+    return mats
 
 
 def load_graph(nodes_path: str, edges_path: str) -> Graph:
@@ -279,6 +306,9 @@ class SplitAssignment:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):          # split.json holds the tuples as lists
+            if isinstance(getattr(self, f.name), list):
+                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         a, b, c = set(self.train_ids), set(self.val_ids), set(self.test_ids)
         if a & b or a & c or b & c:
             raise ValueError("train/val/test sets overlap")
@@ -289,27 +319,6 @@ class SplitAssignment:
         """ID class name -> model class index, in id_classes order."""
         return {name: k for k, name in enumerate(self.id_classes)}
 
-    def to_dict(self) -> dict:
-        return {
-            "train_ids": list(self.train_ids),
-            "val_ids": list(self.val_ids),
-            "test_ids": list(self.test_ids),
-            "id_classes": list(self.id_classes),
-            "ood_classes": list(self.ood_classes),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitAssignment":
-        return cls(
-            train_ids=tuple(d["train_ids"]),
-            val_ids=tuple(d["val_ids"]),
-            test_ids=tuple(d["test_ids"]),
-            id_classes=tuple(d["id_classes"]),
-            ood_classes=tuple(d["ood_classes"]),
-            seed=int(d.get("seed", 0)),
-        )
-
 
 def split_dataset(g: Graph, id_classes, ood_classes, seed: int,
                   train_frac: float = 0.5, val_frac: float = 0.4) -> SplitAssignment:
@@ -318,7 +327,8 @@ def split_dataset(g: Graph, id_classes, ood_classes, seed: int,
     Per ID class, floor(train_frac * count) nodes go to train. The leftover ID
     nodes and all OOD nodes form a pool that is split per class into
     floor(val_frac * count) validation nodes, remainder test. Unlabeled nodes
-    join no set. Deterministic in (graph, seed).
+    join no set. A split without validation nodes is refused: eval tunes the
+    baselines' thresholds on them. Deterministic in (graph, seed).
     """
     id_classes = tuple(id_classes)
     ood_classes = tuple(ood_classes)
@@ -361,6 +371,8 @@ def split_dataset(g: Graph, id_classes, ood_classes, seed: int,
         n_val = int(val_frac * len(pool))
         val.extend(pool[:n_val])
         test.extend(pool[n_val:])
+    if not val:
+        raise ValueError(f"val_frac={val_frac} leaves the validation set empty")
 
     return SplitAssignment(
         train_ids=tuple(sorted(train)),

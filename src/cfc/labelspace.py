@@ -17,7 +17,7 @@ injective mapping from predicted labels to true classes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,15 +92,6 @@ class PostLabelSpace:
         for raw, merged in self.raw_to_merged.items():
             if merged not in targets:
                 raise ValueError(f"{raw!r} maps to unknown label {merged!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "merged_labels": list(self.merged_labels),
-            "raw_to_merged": dict(self.raw_to_merged),
-            "counts": dict(self.counts),
-            "sim_threshold": self.sim_threshold,
-            "min_count": self.min_count,
-        }
 
 
 def merge_categories(category_counts: dict, sim_threshold: float = 0.5,
@@ -177,14 +168,6 @@ class OODAssignment:
     label: str                  # one of the merged labels
     confidence: float
     raw_response: str
-
-    def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "label": self.label,
-            "confidence": self.confidence,
-            "raw_response": self.raw_response,
-        }
 
 
 def parse_classification_response(raw: str) -> tuple[str, float]:
@@ -298,14 +281,12 @@ def _max_matching(table: np.ndarray):
 # --------------------------------------------------------------- persistence
 
 def save_post_label_space(post: PostLabelSpace, path: str) -> None:
-    write_json(path, post.to_dict())
+    write_json(path, asdict(post))
 
 
 def save_assignments(assignments, path: str) -> None:
-    write_jsonl(path, (a.to_dict() for a in assignments))
+    write_jsonl(path, (asdict(a) for a in assignments))
 
 
 def load_assignments(path: str) -> tuple[OODAssignment, ...]:
-    return tuple(OODAssignment(rec["node_id"], rec["label"], rec["confidence"],
-                               rec["raw_response"])
-                 for _, rec in read_jsonl(path))
+    return tuple(OODAssignment(**rec) for _, rec in read_jsonl(path))

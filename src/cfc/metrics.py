@@ -21,12 +21,14 @@ DEFAULT_TAU_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 class EvalReport:
     """Split accuracies plus metadata. overall_accuracy is micro (node
     weighted), so it always equals the count-weighted mean of the ID and OOD
-    accuracies. A missing side of the split reports accuracy 0.0 for it."""
+    accuracies. A missing side of the split reports accuracy 0.0 for it.
+    per_class_accuracy is keyed by the class index as a string, as eval.json
+    holds it, so the JSON keys sort as text ("10" before "2")."""
 
     id_accuracy: float
     ood_accuracy: float
     overall_accuracy: float
-    per_class_accuracy: dict
+    per_class_accuracy: dict[str, float]
     n_id_test: int
     n_ood_test: int
     auroc: float | None = None
@@ -49,18 +51,6 @@ class EvalReport:
             raise ValueError(
                 f"overall_accuracy {self.overall_accuracy} inconsistent with "
                 f"count-weighted mean {weighted}")
-
-    def to_dict(self) -> dict:
-        return {
-            "id_accuracy": self.id_accuracy,
-            "ood_accuracy": self.ood_accuracy,
-            "overall_accuracy": self.overall_accuracy,
-            "per_class_accuracy": {str(k): v
-                                   for k, v in self.per_class_accuracy.items()},
-            "n_id_test": self.n_id_test,
-            "n_ood_test": self.n_ood_test,
-            "auroc": self.auroc,
-        }
 
 
 def accuracy_report(predictions: dict, truth: dict, ood_class_index: int,
@@ -94,7 +84,7 @@ def accuracy_report(predictions: dict, truth: dict, ood_class_index: int,
         id_accuracy=correct_id / n_id if n_id else 0.0,
         ood_accuracy=correct_ood / n_ood if n_ood else 0.0,
         overall_accuracy=(correct_id + correct_ood) / len(truth),
-        per_class_accuracy={c: per_class_hit[c] / per_class_n[c]
+        per_class_accuracy={str(c): per_class_hit[c] / per_class_n[c]
                             for c in sorted(per_class_n)},
         n_id_test=n_id,
         n_ood_test=n_ood,

@@ -13,7 +13,7 @@ and features.bin is read only by a stage that touches features or x.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -26,8 +26,9 @@ from .denoise import denoise_ood, initial_label_matrix, label_propagate, \
 from .gateway import GatewayError, LLMGateway
 from .gcn import TrainingDiverged, forward, load_checkpoint, predict, \
     save_checkpoint, train
-from .graph import Graph, load_features, load_graph, rw_normalize_adjacency, \
-    save_features, split_dataset, sym_normalize_adjacency, SplitAssignment
+from .graph import Graph, load_features, load_graph, load_matrices, \
+    rw_normalize_adjacency, save_matrices, split_dataset, \
+    sym_normalize_adjacency, SplitAssignment
 from .jsonl import read_json, read_jsonl, write_json, write_jsonl
 from .labelspace import classify_ood, cluster_accuracy, \
     load_assignments, merge_categories, save_assignments, \
@@ -99,8 +100,7 @@ class StageData:
 
     def split(self) -> SplitAssignment:
         if self._split is None:
-            split = read_json(self.rc.artifact(SPLIT_FILE))
-            self._split = SplitAssignment.from_dict(split)
+            self._split = SplitAssignment(**read_json(self.rc.artifact(SPLIT_FILE)))
         return self._split
 
     def id_train_targets(self) -> np.ndarray:
@@ -130,7 +130,7 @@ def stage_ingest(data: StageData) -> None:
                               rc.split.train_frac, rc.split.val_frac)
     except ValueError as exc:
         raise ConfigError(f"split rejected: {exc}") from exc
-    write_json(rc.artifact(SPLIT_FILE), split.to_dict())
+    write_json(rc.artifact(SPLIT_FILE), asdict(split))
     data._split = split
 
 
@@ -206,7 +206,7 @@ def stage_train_prelim(data: StageData) -> None:
         if name is not None:
             save_checkpoint(params, rc.artifact(name))
         probs.append(predict(params, data.a_hat, data.x, head=cfg.head))
-    save_features(rc.artifact(BASELINE_PROBS_FILE), np.hstack(probs))
+    save_matrices(rc.artifact(BASELINE_PROBS_FILE), np.hstack(probs))
 
 
 def stage_augment(data: StageData) -> None:
@@ -329,7 +329,7 @@ def stage_eval(data: StageData) -> None:
     cluster = (cluster_accuracy(ood_pairs, {n: g.labels[n] for n, _ in ood_pairs})
                if ood_pairs else None)
 
-    probs = load_features(rc.artifact(BASELINE_PROBS_FILE), g.num_nodes)
+    [probs] = load_matrices(rc.artifact(BASELINE_PROBS_FILE), rows=g.num_nodes)
     probs_soft, probs_sig = probs[:, :c], probs[:, c:]
 
     val_ids = sorted(split.val_ids)
@@ -352,6 +352,6 @@ def stage_eval(data: StageData) -> None:
         "ood_class_index": c,
         "cluster_accuracy": cluster,
         "tuned_tau": {"softmax": tau_soft, "sigmoid": tau_sig},
-        "methods": {name: rep.to_dict() for name, rep in methods.items()},
+        "methods": {name: asdict(rep) for name, rep in methods.items()},
     }
     write_json(rc.artifact(EVAL_FILE), doc)

@@ -18,7 +18,7 @@ import numpy as np
 
 from cfc.coarse import build_easy_reject_prompt
 from cfc.gateway import mock_prompt_hash
-from cfc.graph import Graph, save_features, save_graph, split_dataset
+from cfc.graph import Graph, save_graph, save_matrices, split_dataset
 
 ID_CLASSES = ("circuit design", "compiler theory")
 OOD_CLASSES = ("marine biology", "volcanology")
@@ -205,7 +205,7 @@ def write_fixture(dir_path: str, seed: int = 0, config_overrides: dict | None = 
         "artifacts": os.path.join(dir_path, "artifacts"),
     }
     save_graph(g, paths["nodes"], paths["edges"])
-    save_features(paths["features"], features)
+    save_matrices(paths["features"], features)
     with open(paths["mock"], "w", encoding="utf-8") as fh:
         for rule in build_mock_rules(g, seed):
             fh.write(json.dumps(rule, ensure_ascii=False) + "\n")

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,10 +16,8 @@ from cfc.gcn import (
     forward,
     hidden_states,
     init_params,
-    load_checkpoint,
     loss,
     predict,
-    save_checkpoint,
     train,
 )
 from cfc.graph import Graph, canonical_edges, sym_normalize_adjacency
@@ -337,44 +333,6 @@ def test_sparse_features_train_like_dense():
                             rtol=0, atol=1e-12)
         npt.assert_allclose(hidden_states(sparse, a_hat, x_csr),
                             hidden_states(dense, a_hat, x), rtol=0, atol=1e-12)
-
-
-# ---------------------------------------------------------------- checkpoints
-
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    params = init_params(6, 4, 3, seed=8)
-    path = str(tmp_path / "model.ckpt")
-    save_checkpoint(params, path)
-    back = load_checkpoint(path)
-    assert np.array_equal(back.w0, params.w0)
-    assert np.array_equal(back.w1, params.w1)
-
-
-def test_checkpoint_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(ValueError, match="magic"):
-        load_checkpoint(str(path))
-
-
-def test_checkpoint_rejects_truncated_file(tmp_path):
-    params = init_params(3, 2, 2, seed=0)
-    path = str(tmp_path / "model.ckpt")
-    save_checkpoint(params, path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    with open(path, "wb") as fh:
-        fh.write(blob[:-8])
-    with pytest.raises(ValueError, match="bytes"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_cut_inside_header_is_rejected(tmp_path):
-    path = str(tmp_path / "model.ckpt")
-    save_checkpoint(init_params(3, 2, 2, seed=0), path)
-    os.truncate(path, 6)
-    with pytest.raises(ValueError, match="header cut short"):
-        load_checkpoint(path)
 
 
 def test_train_config_validation():

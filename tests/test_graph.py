@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,18 +7,23 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+from cfc.gcn import CHECKPOINT_MAGIC, GCNParams, load_checkpoint, save_checkpoint
 from cfc.graph import (
+    FEATURE_MAGIC,
     Graph,
+    SplitAssignment,
     canonical_edges,
     load_features,
     load_graph,
+    load_matrices,
     rw_normalize_adjacency,
-    save_features,
     save_graph,
+    save_matrices,
     split_dataset,
     spmm,
     sym_normalize_adjacency,
 )
+from cfc.jsonl import read_json, write_json
 from conftest import random_graph, write_jsonl
 
 
@@ -265,26 +271,85 @@ def test_load_graph_reports_bad_line_number(tmp_path):
         load_graph(str(path), str(epath))
 
 
-def test_feature_binary_roundtrip_is_bit_exact(tmp_path, rng):
-    mat = rng.standard_normal((7, 5))
-    path = str(tmp_path / "feat.bin")
-    save_features(path, mat)
-    back = load_features(path, 7)
-    assert np.array_equal(back, mat)
+# the binary matrix format, once per magic: a feature-shaped matrix (CFCF)
+# and a checkpoint (CFCW), each written and read by its own functions
+def _cfcf(rng, path):
+    mats = [rng.standard_normal((7, 5))]
+    save_matrices(path, *mats)
+    return mats, lambda: load_matrices(path, rows=7)
+
+
+def _cfcw(rng, path):
+    mats = [rng.standard_normal((6, 4)), rng.standard_normal((4, 3))]
+    save_checkpoint(GCNParams(*mats), path)
+    return mats, lambda: list(dataclasses.astuple(load_checkpoint(path)))
+
+
+@pytest.fixture(params=[(FEATURE_MAGIC, _cfcf), (CHECKPOINT_MAGIC, _cfcw)],
+                ids=["CFCF", "CFCW"])
+def binary_file(request, rng, tmp_path):
+    """(path, magic, the matrices written there, a reader of that file)."""
+    magic, write = request.param
+    path = str(tmp_path / "matrices.bin")
+    mats, read = write(rng, path)
+    return path, magic, mats, read
+
+
+def test_binary_roundtrip_is_bit_exact(binary_file):
+    path, magic, mats, read = binary_file
+    with open(path, "rb") as fh:
+        assert fh.read(4) == magic
+    back = read()
+    assert len(back) == len(mats)
+    for got, want in zip(back, mats):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+def test_binary_rejects_bad_magic(binary_file):
+    path, _, _, read = binary_file
+    with open(path, "r+b") as fh:
+        fh.write(b"NOPE")
+    with pytest.raises(ValueError, match="bad magic"):
+        read()
+
+
+def test_binary_rejects_wrong_byte_count(binary_file):
+    path, _, _, read = binary_file
+    size = os.path.getsize(path)
+    os.truncate(path, size - 8)
+    with pytest.raises(ValueError, match=f"expected {size} bytes, found {size - 8}"):
+        read()
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 16)
+    with pytest.raises(ValueError, match=f"expected {size} bytes, found {size + 8}"):
+        read()
+
+
+def test_binary_cut_inside_header_is_rejected(binary_file):
+    path, _, _, read = binary_file
+    os.truncate(path, 6)
+    with pytest.raises(ValueError, match="header cut short"):
+        read()
 
 
 def test_feature_row_count_must_match(tmp_path, rng):
     path = str(tmp_path / "feat.bin")
-    save_features(path, rng.standard_normal((4, 3)))
+    save_matrices(path, rng.standard_normal((4, 3)))
     with pytest.raises(ValueError, match="row count"):
         load_features(path, 5)
 
 
-def test_feature_binary_cut_inside_header_is_rejected(tmp_path, rng):
-    path = str(tmp_path / "feat.bin")
-    save_features(path, rng.standard_normal((4, 3)))
-    os.truncate(path, 8)
-    with pytest.raises(ValueError, match="header cut short"):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("layout", ["binary", "jsonl"])
+def test_features_must_be_finite(tmp_path, rng, layout, bad):
+    feats = rng.standard_normal((4, 3))
+    feats[2, 1] = bad
+    path = str(tmp_path / "feat")
+    if layout == "binary":
+        save_matrices(path, feats)
+    else:       # json.dumps writes NaN and Infinity, and json.loads reads them
+        write_jsonl(path, [{"id": i, "vec": row.tolist()} for i, row in enumerate(feats)])
+    with pytest.raises(ValueError, match=r"feature row 2 holds a non-finite value"):
         load_features(path, 4)
 
 
@@ -319,7 +384,7 @@ def test_graph_roundtrip_identity(tmp_path, rng):
         base.mkdir()
         paths = (str(base / "n.jsonl"), str(base / "e.jsonl"))
         save_graph(g, *paths)
-        save_features(str(base / "f.bin"), feats)
+        save_matrices(str(base / "f.bin"), feats)
         back = load_graph(*paths)
         assert back.num_nodes == g.num_nodes
         assert back.edges == g.edges
@@ -408,6 +473,16 @@ def test_split_is_deterministic():
     assert s1 == s2
     s3 = split_dataset(g, ["a", "b"], ["o"], seed=6)
     assert s1.train_ids != s3.train_ids
+
+
+def test_split_record_is_its_json_document(tmp_path):
+    # split.json is the dataclass's fields; reading it back gives the same
+    # record, tuples and all
+    s = split_dataset(labeled_graph({"a": 30, "b": 30, "o": 12}), ["a", "b"], ["o"],
+                      seed=5)
+    path = str(tmp_path / "split.json")
+    write_json(path, dataclasses.asdict(s))
+    assert SplitAssignment(**read_json(path)) == s
 
 
 def test_split_excludes_unlabeled(rng):

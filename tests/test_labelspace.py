@@ -497,7 +497,9 @@ def test_post_label_space_roundtrip(tmp_path):
     path = str(tmp_path / "post.json")
     save_post_label_space(post, path)
     with open(path, "r", encoding="utf-8") as fh:
-        assert json.load(fh) == post.to_dict()
+        doc = json.load(fh)
+    # the document is the record's fields, the label tuple as a JSON list
+    assert PostLabelSpace(**{**doc, "merged_labels": tuple(doc["merged_labels"])}) == post
 
 
 def test_post_label_space_validation():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cfc.jsonl import write_json
 from cfc.metrics import (
     DEFAULT_TAU_GRID,
     EvalReport,
@@ -86,7 +89,7 @@ def test_per_class_accuracy_breakdown():
     truth = {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}
     preds = {0: 0, 1: 1, 2: 1, 3: 2, 4: 0}
     rep = accuracy_report(preds, truth, ood_class_index=2)
-    assert rep.per_class_accuracy == {0: 0.5, 1: 1.0, 2: 0.5}
+    assert rep.per_class_accuracy == {"0": 0.5, "1": 1.0, "2": 0.5}
 
 
 def test_accuracy_report_without_ood_nodes():
@@ -256,3 +259,40 @@ def test_report_validation():
         EvalReport(1.0, 0.0, 0.9, {}, 5, 5)
     with pytest.raises(ValueError, match="auroc"):
         EvalReport(0.5, 0.5, 0.5, {}, 1, 1, auroc=-0.1)
+
+
+TWELVE_CLASS_REPORT = """\
+{
+  "auroc": 0.75,
+  "id_accuracy": 0.5454545454545454,
+  "n_id_test": 22,
+  "n_ood_test": 2,
+  "ood_accuracy": 0.5,
+  "overall_accuracy": 0.5416666666666666,
+  "per_class_accuracy": {
+    "0": 1.0,
+    "1": 0.5,
+    "10": 0.5,
+    "11": 0.5,
+    "2": 0.5,
+    "3": 0.5,
+    "4": 0.5,
+    "5": 0.5,
+    "6": 0.5,
+    "7": 0.5,
+    "8": 0.5,
+    "9": 0.5
+  }
+}
+"""
+
+
+def test_a_twelve_class_report_keeps_its_bytes(tmp_path):
+    # eval.json writes each method's report as its dataclass fields; the
+    # class keys are text, so "10" and "11" sort before "2"
+    truth = {node: node % 12 for node in range(24)}
+    preds = {node: node % 12 if node < 12 else 0 for node in range(24)}
+    rep = accuracy_report(preds, truth, ood_class_index=11, auroc_value=0.75)
+    path = tmp_path / "report.json"
+    write_json(str(path), dataclasses.asdict(rep))
+    assert path.read_text(encoding="utf-8") == TWELVE_CLASS_REPORT

@@ -10,6 +10,7 @@ import ast
 import builtins
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from cfc import config, jsonl, pipeline, stages
 from cfc.coarse import load_coarse_result
 from cfc.gateway import GatewayConfig, LLMGateway, _Connections
 from cfc.gcn import load_checkpoint, predict, train
-from cfc.graph import load_features, save_features
+from cfc.graph import load_matrices, save_matrices
 from cfc.pipeline import (
     ASSIGN_FILE,
     BASELINE_PROBS_FILE,
@@ -46,6 +47,7 @@ from cfc.pipeline import (
     LLM_CACHE_FILE,
     LOCK_FILE,
     MANIFEST_FILE,
+    POST_LABELS_FILE,
     PRELIM_CKPT,
     RESOLVED_FILE,
     SPLIT_FILE,
@@ -478,6 +480,23 @@ def test_eval_json_reproducible(primary, fix, tmp_path):
     assert doc["cluster_accuracy"] is not None
 
 
+# the record artifacts that no model touches, as the demo corpus writes
+# them: each record is its dataclass's fields in declaration order
+RECORD_SHA256 = {
+    SPLIT_FILE: "7acf05920339bad4d4680d3d9b2fc894d28cd2c26cf294dde7e6147c3753841c",
+    COARSE_FILE: "94888d365c2497d21140a4527d5e7d1e7b25fc5523bd3e4c381df5b303e35967",
+    DENOISED_FILE: "433cb9844e5617b428532f2408c22e97b631fa4c32ef3445b94f23dc07a2bd46",
+    POST_LABELS_FILE: "02dac3008217f912433447d318986f885c302f64d72b7253d5b68238b89d9e24",
+}
+
+
+def test_record_artifacts_are_pinned(primary):
+    rc, _ = primary
+    got = {name: hashlib.sha256(_read_bytes(rc.artifact(name))).hexdigest()
+           for name in RECORD_SHA256}
+    assert got == RECORD_SHA256
+
+
 def test_run_all_hashes_each_dataset_file_once(fix, tmp_path, hashed, trusted_memo):
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
     assert all(run_all(rc).values())
@@ -629,7 +648,7 @@ def test_sparse_features_take_the_csr_path(tmp_path, monkeypatch):
     paths = fixture_tools.write_fixture(str(tmp_path))
     _, dense = fixture_tools.build_graph(0)
     feats = np.where(dense > 0.5, dense, 0.0)     # 7% nonzero
-    save_features(paths["features"], feats)
+    save_matrices(paths["features"], feats)
 
     arts = {}
     for name, rule in (("csr", stages.SPARSE_FEATURE_DENSITY), ("dense", 0.0)):
@@ -696,7 +715,7 @@ def test_classify_ood_and_eval_never_read_the_feature_matrix(fix, tmp_path,
     # bytes that scoring the two models would
     data = stages.StageData(rc)
     c = len(rc.split.id_classes)
-    recorded = load_features(rc.artifact(BASELINE_PROBS_FILE), data.graph.num_nodes)
+    [recorded] = load_matrices(rc.artifact(BASELINE_PROBS_FILE), rows=data.graph.num_nodes)
     assert np.array_equal(recorded[:, :c], predict(
         load_checkpoint(rc.artifact(PRELIM_CKPT)), data.a_hat, data.x))
     sigmoid = dataclasses.replace(rc.train, head="sigmoid",
@@ -709,13 +728,17 @@ def test_classify_ood_and_eval_never_read_the_feature_matrix(fix, tmp_path,
 
     read = []
 
-    def refusing(path, num_nodes):
+    def refusing(path, *args, **kwargs):
         assert os.path.realpath(path) != os.path.realpath(rc.dataset.features)
         read.append(os.path.basename(path))
-        return load_features(path, num_nodes)
+        return load_matrices(path, *args, **kwargs)
+
+    def no_dataset_features(path, num_nodes):
+        raise AssertionError(f"dataset reader called on {path}")
 
     for module in (stages, graph_module):
-        monkeypatch.setattr(module, "load_features", refusing)
+        monkeypatch.setattr(module, "load_matrices", refusing)
+        monkeypatch.setattr(module, "load_features", no_dataset_features)
     for stage in ("classify-ood", "eval"):
         pipeline._STAGES[stage].run(pipeline._Runtime(rc))
     assert _read_bytes(rc.artifact(EVAL_FILE)) == clean
@@ -1378,3 +1401,30 @@ def test_cli_error_exit_codes(fix, tmp_path):
     lines = cut.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: dataset rejected: "), \
         cut.stderr
+
+
+def test_a_split_without_validation_nodes_is_refused_before_any_prompt(fix, tmp_path):
+    # 1% of each class pool rounds down to no validation node; eval would
+    # fail only after every LLM call was paid for
+    config = _variant_config(fix, "val001.json", lambda c: c["split"].update(
+        val_frac=0.01))
+    arts = tmp_path / "a"
+    res = _cli(["run-all", "--config", config, "--artifacts", str(arts)],
+               cwd=str(tmp_path))
+    assert res.returncode == 1
+    assert res.stderr == ("error: split rejected: val_frac=0.01 leaves the "
+                          "validation set empty\n")
+    assert not (arts / COARSE_LOG_FILE).exists()
+
+
+def test_a_non_finite_feature_is_refused_before_any_prompt(tmp_path):
+    paths = fixture_tools.write_fixture(str(tmp_path))
+    [feats] = load_matrices(paths["features"])
+    feats = feats.copy()
+    feats[5, 0] = np.nan
+    save_matrices(paths["features"], feats)
+    res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
+    assert res.returncode == 1
+    assert res.stderr == (f"error: dataset rejected: {paths['features']}: feature "
+                          f"row 5 holds a non-finite value\n")
+    assert not os.path.exists(os.path.join(paths["artifacts"], COARSE_LOG_FILE))
