@@ -35,7 +35,7 @@ import numpy as np
 from .config import DEFAULT_TEXT_BUDGET, TEMPLATE_NAMES, TRUNCATION_MARKER, \
     CoarseConfig
 from .gateway import LLMGateway, ParseError
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import build_record, read_jsonl, write_jsonl
 
 
 class CoarseDetectError(RuntimeError):
@@ -334,7 +334,7 @@ def load_coarse_result(path: str) -> CoarseResult:
         if kind == "header":
             header = rec
         elif kind == "annotation":
-            anns.append(Annotation(**rec))
+            anns.append(build_record(Annotation, rec, path, lineno))
         else:
             raise ValueError(f"{path}:{lineno}: unknown record kind")
     if header is None:

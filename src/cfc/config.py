@@ -228,6 +228,14 @@ def _spec(cls) -> dict:
             if f.name not in _NOT_KEYS.get(cls, ())}
 
 
+@functools.cache
+def _keys(cls) -> tuple:
+    """(key, hint, default, kind) per key of cls, classified once: kind is
+    None for a block (a dataclass hint), else the plain key's _KINDS entry."""
+    return tuple((key, hint, default, None if is_dataclass(hint) else _KINDS[hint])
+                 for key, (hint, default) in _spec(cls).items())
+
+
 def _walk(cls, raw: dict, prefix: str) -> dict:
     """Check raw against cls's keys; returns it typed and default-filled."""
     spec = _spec(cls)
@@ -235,9 +243,9 @@ def _walk(cls, raw: dict, prefix: str) -> dict:
         if key not in spec:
             raise ConfigError(f"unknown config key {prefix + key!r}")
     out = {}
-    for key, (hint, default) in spec.items():
+    for key, hint, default, kind in _keys(cls):
         dotted = prefix + key
-        if is_dataclass(hint):
+        if kind is None:
             block = raw.get(key, {})
             if not isinstance(block, dict):
                 raise ConfigError(f"{dotted}: expected an object")
@@ -248,7 +256,7 @@ def _walk(cls, raw: dict, prefix: str) -> dict:
             out[key] = default
         else:
             value = raw[key]
-            expected, test = _KINDS[hint]
+            expected, test = kind
             if not test(value):
                 raise ConfigError(f"{dotted}: expected {expected}, got {value!r}")
             out[key] = float(value) if hint is float else value
@@ -258,9 +266,9 @@ def _walk(cls, raw: dict, prefix: str) -> dict:
 def _build(cls, values: dict, derived: dict):
     """cls from walked values; derived[cls] holds the fields that are not keys."""
     kwargs = dict(derived.get(cls, {}))
-    for key, (hint, _) in _spec(cls).items():
+    for key, hint, _, kind in _keys(cls):
         value = values[key]
-        kwargs[key] = (_build(hint, value, derived) if is_dataclass(hint)
+        kwargs[key] = (_build(hint, value, derived) if kind is None
                        else tuple(value) if isinstance(value, list) else value)
     return cls(**kwargs)
 

@@ -3,12 +3,14 @@
 JSON documents are written with indent 2, sorted keys and a final newline;
 JSONL holds one record per line, keys in insertion order, non-ASCII text
 unescaped. Readers skip blank lines and raise ValueError("path:line:
-malformed JSON (...)"). atomic_write puts the bytes in <path>.<pid>.tmp
-beside path and renames that onto path once complete, so a killed run leaves
-the old file or the new one, never a torn one the stage cache would take for
-done. There is no fsync: the guarantee covers a killed process, not a power
-loss. A killed process also leaves its temp file; remove_orphaned_temp_files
-clears those of dead processes.
+malformed JSON (...)"); build_record makes a record's dataclass and raises
+ValueError("path:line: ...") for a record that does not fit it.
+atomic_write puts the bytes in <path>.<pid>.tmp beside path and renames
+that onto path once complete, so a killed run leaves the old file or the
+new one, never a torn one the stage cache would take for done. There is no
+fsync: the guarantee covers a killed process, not a power loss. A killed
+process also leaves its temp file; remove_orphaned_temp_files clears those
+of dead processes.
 """
 
 from __future__ import annotations
@@ -41,6 +43,16 @@ def read_jsonl(path: str):
 def read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return _parse(fh.read(), path, 1)
+
+
+def build_record(cls, record, path: str, lineno: int = 1):
+    """cls(**record), for the record read from line lineno of path. A record
+    that is not an object with exactly cls's fields, or whose values cls
+    refuses, raises ValueError("path:line: ...")."""
+    try:
+        return cls(**record)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from exc
 
 
 @contextmanager

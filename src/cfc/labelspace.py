@@ -25,7 +25,7 @@ from .coarse import DEFAULT_TEXT_BUDGET, answer_objects, ask_per_node, \
     checked_node_ids, load_template, normalize_category, parse_confidence, \
     render_label_list
 from .gateway import LLMGateway, ParseError
-from .jsonl import read_jsonl, write_json, write_jsonl
+from .jsonl import build_record, read_jsonl, write_json, write_jsonl
 
 DISCARDED = "DISCARDED"
 
@@ -289,4 +289,5 @@ def save_assignments(assignments, path: str) -> None:
 
 
 def load_assignments(path: str) -> tuple[OODAssignment, ...]:
-    return tuple(OODAssignment(**rec) for _, rec in read_jsonl(path))
+    return tuple(build_record(OODAssignment, rec, path, lineno)
+                 for lineno, rec in read_jsonl(path))

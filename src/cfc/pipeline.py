@@ -24,7 +24,11 @@ and the sha256 of each file it wrote. It is skipped when that input hash
 matches and every output it writes still has its recorded sha256, so
 LLM-backed stages never recompute by accident, an output cut or edited by
 hand is rebuilt, and an edit to screening or merging reruns eval without
-retraining a model or reading the features.
+retraining a model or reading the features. One command decides each
+stage once: whether its outputs still match the manifest is worked out the
+first time a stage or a stage downstream of it asks, and a stage that
+executes is done from then on, its outputs just hashed; the dataset's hash
+is taken once for every stage's input.
 The manifest's "files" block remembers each file's sha256 beside its stat,
 so a rerun reads only the files whose stat changed or that were changed
 too close to their hashing to trust it (see _Runtime.file_hash); a pass
@@ -47,6 +51,7 @@ never leaves a torn file that the cache would take for done.
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -136,8 +141,7 @@ def _scoped_config(rc: RunConfig, stage: str) -> dict:
 def _stage_inputs(rt: _Runtime, stage: str) -> dict:
     rc, spec = rt.rc, _STAGES[stage]
     inputs = {"config": _json_hash(_scoped_config(rc, stage)),
-              "dataset": _json_hash([rt.file_hash(path) for path in (
-                  rc.dataset.nodes, rc.dataset.edges, rc.dataset.features)])}
+              "dataset": rt.dataset_hash}
     for name in spec.consumes:
         inputs[name] = rt.file_hash(rc.artifact(name))
     uses_gateway = "gateway" in spec.reads
@@ -152,16 +156,21 @@ def _stage_inputs(rt: _Runtime, stage: str) -> dict:
 
 
 class _Runtime:
-    """Per-command state of the engine: file hashes, looked up once each,
-    and the stage bodies' data, made when a stage first executes. memo is
-    the manifest's "files" block, path -> {"stat", "sha256",
-    "hashed_at_ns"}; it is written with the manifest, when a stage executes
-    or when memo_refreshed is set."""
+    """Per-command state of the engine: the manifest, file hashes and each
+    stage's done state, each decided once, and the stage bodies' data, made
+    when a stage first executes. The memo is the manifest's "files" block,
+    path -> {"stat", "sha256", "hashed_at_ns"}; it is written with the
+    manifest, when a stage executes or when memo_refreshed is set."""
 
-    def __init__(self, rc: RunConfig, memo: dict | None = None):
+    def __init__(self, rc: RunConfig, manifest: dict | None = None):
         self.rc = rc
-        self._memo = {} if memo is None else memo
+        self.manifest = {"stages": {}} if manifest is None else manifest
+        # a new manifest, or one written before the memo, gains it on its next write
+        self._memo = self.manifest.setdefault("files", {})
         self._hashes: dict[str, str] = {}
+        # stage -> its outputs still have their recorded sha256; true once
+        # the stage has executed, since they were just hashed fresh
+        self._done: dict[str, bool] = {}
         # set when a file was read again and its new memo entry is trusted
         self.memo_refreshed = False
         self.data = None            # a cfc.stages.StageData once a stage runs
@@ -188,6 +197,19 @@ class _Runtime:
                 if st.st_ctime_ns < hashed_at - RACY_WINDOW_NS:
                     self.memo_refreshed = True
         return self._hashes[path]
+
+    @functools.cached_property
+    def dataset_hash(self) -> str:
+        """The hash of the dataset's three files, one value for every stage."""
+        ds = self.rc.dataset
+        return _json_hash([self.file_hash(path)
+                           for path in (ds.nodes, ds.edges, ds.features)])
+
+    def done(self, stage: str) -> bool:
+        """_stage_done, decided once per command."""
+        if stage not in self._done:
+            self._done[stage] = _stage_done(self, stage)
+        return self._done[stage]
 
 
 # ------------------------------------------------------------------ stage table
@@ -270,11 +292,11 @@ def _save_manifest(art_dir: str, manifest: dict) -> None:
     write_json(os.path.join(art_dir, MANIFEST_FILE), manifest)
 
 
-def _stage_done(rt: _Runtime, manifest: dict, stage: str) -> bool:
+def _stage_done(rt: _Runtime, stage: str) -> bool:
     """The stage has an entry, and every output the stage writes now (not
     only those the entry lists) still has the sha256 the entry recorded. An
     entry that recorded no hashes counts as not done."""
-    recorded = manifest["stages"].get(stage, {}).get("outputs")
+    recorded = rt.manifest["stages"].get(stage, {}).get("outputs")
     if not isinstance(recorded, dict):
         return False
     try:
@@ -307,17 +329,17 @@ def artifacts_lock(art_dir: str):
         os.close(fd)
 
 
-def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:
+def _execute(rt: _Runtime, stage: str) -> bool:
     """Run one stage if its inputs changed; returns True when it executed."""
-    rc = rt.rc
+    rc, manifest = rt.rc, rt.manifest
     for upstream in _UPSTREAM[stage]:
-        if not _stage_done(rt, manifest, upstream):
+        if not rt.done(upstream):
             raise ConfigError(f"missing artifact: {upstream}")
 
     inputs = _stage_inputs(rt, stage)
     input_hash = _json_hash(inputs)
     if manifest["stages"].get(stage, {}).get("input_hash") == input_hash and \
-            _stage_done(rt, manifest, stage):
+            rt.done(stage):
         return False
 
     start = time.monotonic()
@@ -341,6 +363,7 @@ def _execute(rt: _Runtime, stage: str, manifest: dict) -> bool:
     write_json(rc.artifact(RESOLVED_FILE), rc.resolved)
     _save_manifest(rc.artifacts_dir, manifest)
     rt.memo_refreshed = False
+    rt._done[stage] = True
     return True
 
 
@@ -354,9 +377,8 @@ def _run(rc: RunConfig, stages: tuple[str, ...], strict: bool) -> dict:
             "config hash mismatch: these artifacts were produced by a "
             "different configuration (drop --strict to let stages rerun)")
     os.makedirs(rc.artifacts_dir, exist_ok=True)
-    # a new manifest, or one written before the memo, gains it on its next write
-    rt = _Runtime(rc, manifest.setdefault("files", {}))
-    executed = {stage: _execute(rt, stage, manifest) for stage in stages}
+    rt = _Runtime(rc, manifest)
+    executed = {stage: _execute(rt, stage) for stage in stages}
     if rt.memo_refreshed:       # trusted hashes that no stage's save recorded
         _save_manifest(rc.artifacts_dir, manifest)
     return executed

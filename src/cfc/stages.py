@@ -29,7 +29,8 @@ from .gcn import TrainingDiverged, forward, load_checkpoint, predict, \
 from .graph import Graph, load_features, load_graph, load_matrices, \
     rw_normalize_adjacency, save_matrices, split_dataset, \
     sym_normalize_adjacency, SplitAssignment
-from .jsonl import read_json, read_jsonl, write_json, write_jsonl
+from .jsonl import build_record, read_json, read_jsonl, write_json, \
+    write_jsonl
 from .labelspace import classify_ood, cluster_accuracy, \
     load_assignments, merge_categories, save_assignments, \
     save_post_label_space
@@ -90,17 +91,29 @@ class StageData:
     @property
     def x(self):
         """Model input X: the feature matrix, or a CSR copy of it (see
-        SPARSE_FEATURE_DENSITY)."""
+        SPARSE_FEATURE_DENSITY). The copy is made from the flat positions of
+        the nonzeros, which come in row-major order: each row's columns
+        sorted, the arrays scipy builds from a dense matrix."""
         if self._x is None:
             import scipy.sparse as sp
             f = self.features
-            sparse = np.count_nonzero(f) <= SPARSE_FEATURE_DENSITY * f.size
-            self._x = sp.csr_array(f) if sparse else f
+            nonzero = f != 0
+            if np.count_nonzero(nonzero) > SPARSE_FEATURE_DENSITY * f.size:
+                self._x = f
+            else:
+                flat = np.flatnonzero(nonzero)
+                n, d = f.shape
+                idx = np.int32 if max(flat.size, n, d) <= np.iinfo(np.int32).max \
+                    else np.int64
+                indptr = np.searchsorted(flat, np.arange(n + 1) * d).astype(idx)
+                self._x = sp.csr_array((f[nonzero], (flat % d).astype(idx), indptr),
+                                       shape=f.shape)
         return self._x
 
     def split(self) -> SplitAssignment:
         if self._split is None:
-            self._split = SplitAssignment(**read_json(self.rc.artifact(SPLIT_FILE)))
+            path = self.rc.artifact(SPLIT_FILE)
+            self._split = build_record(SplitAssignment, read_json(path), path)
         return self._split
 
     def id_train_targets(self) -> np.ndarray:

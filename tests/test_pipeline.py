@@ -34,6 +34,7 @@ from cfc.coarse import load_coarse_result
 from cfc.gateway import GatewayConfig, LLMGateway, _Connections
 from cfc.gcn import load_checkpoint, predict, train
 from cfc.graph import load_matrices, save_matrices
+from cfc.labelspace import load_assignments
 from cfc.pipeline import (
     ASSIGN_FILE,
     BASELINE_PROBS_FILE,
@@ -507,6 +508,46 @@ def test_run_all_hashes_each_dataset_file_once(fix, tmp_path, hashed, trusted_me
     assert hashed == []             # a cached run reads no file it has hashed
 
 
+def test_a_command_decides_each_stage_once(fix, tmp_path, monkeypatch):
+    # each stage's outputs are compared with the manifest once per command,
+    # and the dataset's file list is encoded once for every stage's input
+    decided, encoded = [], []
+    stage_done, json_hash = pipeline._stage_done, pipeline._json_hash
+
+    def counting_done(*args):
+        decided.append(args[-1])
+        return stage_done(*args)
+
+    def counting_hash(obj):
+        if isinstance(obj, list):
+            encoded.append(obj)
+        return json_hash(obj)
+
+    monkeypatch.setattr(pipeline, "_stage_done", counting_done)
+    monkeypatch.setattr(pipeline, "_json_hash", counting_hash)
+    rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
+    assert all(run_all(rc).values())
+    assert decided == [] and len(encoded) == 1      # executed stages are done
+
+    encoded.clear()
+    assert not any(run_all(rc).values())
+    assert decided == list(STAGE_ORDER)
+    assert len(encoded) == 1
+
+    # a rerun stage is done for its downstream stages without a second look
+    decided.clear()
+    os.remove(rc.artifact(DENOISED_FILE))
+    executed = run_all(rc)
+    assert [s for s, ran in executed.items() if ran] == ["denoise"]
+    assert decided == list(STAGE_ORDER)
+
+    # run_stage still refuses a stage whose upstream output is gone
+    os.remove(rc.artifact(DENOISED_FILE))
+    with pytest.raises(ConfigError, match="missing artifact: denoise"):
+        run_stage(rc, "augment")
+    assert not os.path.exists(rc.artifact(DENOISED_FILE))
+
+
 def test_memo_records_the_stat_and_sha256_of_every_file_read(fix, tmp_path):
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
     before = time.time_ns()
@@ -665,6 +706,27 @@ def test_sparse_features_take_the_csr_path(tmp_path, monkeypatch):
         want = load_checkpoint(arts["dense"].artifact(ckpt))
         npt.assert_allclose(got.w0, want.w0, rtol=0, atol=1e-12)
         npt.assert_allclose(got.w1, want.w1, rtol=0, atol=1e-12)
+
+
+def test_the_feature_csr_is_the_one_scipy_builds(tmp_path):
+    # the CSR copy of X is made from the nonzero positions; scipy's own
+    # conversion of the dense matrix is the reference, arrays and dtypes
+    paths = fixture_tools.write_fixture(str(tmp_path))
+    rc = validate_config(paths["config"])
+    n, d = fixture_tools.build_graph(0)[1].shape
+    rng = np.random.default_rng(7)
+    for density in (0.0, 0.01, 0.05, stages.SPARSE_FEATURE_DENSITY):
+        dense = np.where(rng.random((n, d)) < density, rng.normal(size=(n, d)), 0.0)
+        dense[rng.random(n) < 0.3] = 0.0                # empty rows
+        dense[0] = 0.0
+        dense[-1, -1] = -2.5
+        save_matrices(paths["features"], dense)
+        x = stages.StageData(rc).x
+        want = sp.csr_array(dense)
+        assert sp.issparse(x) and x.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            got, ref = getattr(x, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (density, name)
 
 
 def test_artifact_deletion_reruns_only_that_stage(fix, tmp_path):
@@ -1337,6 +1399,40 @@ def test_cli_run_all_report_and_caching(tmp_path):
     assert "OOD cluster accuracy" in report.stdout
 
 
+def _edit_line(src, dst, lineno, edit):
+    """Copy src to dst with the JSON record on line lineno passed through edit."""
+    lines = _read_bytes(src).decode("utf-8").splitlines(keepends=True)
+    record = json.loads(lines[lineno - 1])
+    edit(record)
+    lines[lineno - 1] = json.dumps(record, ensure_ascii=False) + "\n"
+    with open(dst, "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+
+
+def test_a_record_that_does_not_fit_its_dataclass_names_its_line(primary, fix,
+                                                                 tmp_path):
+    rc, _ = primary
+    coarse = str(tmp_path / COARSE_FILE)
+    _edit_line(rc.artifact(COARSE_FILE), coarse, 3, lambda r: r.pop("category"))
+    with pytest.raises(ValueError, match=re.escape(coarse) + r":3: .*'category'"):
+        load_coarse_result(coarse)
+
+    assigned = str(tmp_path / ASSIGN_FILE)
+    _edit_line(rc.artifact(ASSIGN_FILE), assigned, 2, lambda r: r.update(note="x"))
+    with pytest.raises(ValueError, match=re.escape(assigned) + r":2: .*'note'"):
+        load_assignments(assigned)
+
+    arts = tmp_path / "a"
+    rc2 = validate_config(fix["config"], artifacts_override=str(arts))
+    arts.mkdir()
+    split = jsonl.read_json(rc.artifact(SPLIT_FILE))
+    del split["test_ids"]
+    jsonl.write_json(rc2.artifact(SPLIT_FILE), split)
+    with pytest.raises(ValueError, match=re.escape(rc2.artifact(SPLIT_FILE))
+                       + r":1: .*'test_ids'"):
+        stages.StageData(rc2).split()
+
+
 def test_cli_malformed_artifact_is_an_error_line(tmp_path):
     paths = fixture_tools.write_fixture(str(tmp_path))
     run_all(validate_config(paths["config"]))
@@ -1344,19 +1440,23 @@ def test_cli_malformed_artifact_is_an_error_line(tmp_path):
     data = _read_bytes(coarse)
     cut = data[:len(data) // 2]
     assert not cut.endswith(b"\n")
-    with open(coarse, "wb") as fh:
-        fh.write(cut)
-    # recorded as coarse's output, so coarse stays cached and denoise reads
-    # the cut file first (unrecorded, it would only make coarse rerun)
-    manifest = load_manifest(paths["artifacts"])
-    manifest["stages"]["coarse"]["outputs"][COARSE_FILE] = pipeline._file_hash(coarse)
-    pipeline._save_manifest(paths["artifacts"], manifest)
+    missing = str(tmp_path / "missing.jsonl")       # an annotation without category
+    _edit_line(coarse, missing, 2, lambda r: r.pop("category"))
+    for bad, error in ((cut, r"malformed JSON .*"),
+                       (_read_bytes(missing), r"Annotation.* 'category'")):
+        with open(coarse, "wb") as fh:
+            fh.write(bad)
+        # recorded as coarse's output, so coarse stays cached and denoise
+        # reads the bad file first (unrecorded, it would only make coarse rerun)
+        manifest = load_manifest(paths["artifacts"])
+        manifest["stages"]["coarse"]["outputs"][COARSE_FILE] = pipeline._file_hash(coarse)
+        pipeline._save_manifest(paths["artifacts"], manifest)
 
-    res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
-    assert res.returncode == 2
-    assert "Traceback" not in res.stderr
-    assert re.fullmatch(r"error: denoise: .*coarse\.jsonl:\d+: malformed JSON .*\n",
-                        res.stderr)
+        res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert re.fullmatch(r"error: denoise: .*coarse\.jsonl:\d+: " + error + r"\n",
+                            res.stderr)
 
     # the manifest is read before any stage runs
     with open(os.path.join(paths["artifacts"], MANIFEST_FILE), "w") as fh:
