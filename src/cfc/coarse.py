@@ -59,6 +59,17 @@ class Annotation:
 
 
 @dataclass(frozen=True)
+class CoarseHeader:
+    """coarse.jsonl's first record: the settings the annotations were read
+    under (major_category and candidate_ood_labels: hard_reject only)."""
+
+    mode: str
+    confidence_threshold: float
+    major_category: str | None
+    candidate_ood_labels: list[str]
+
+
+@dataclass(frozen=True)
 class CoarseResult:
     mode: str
     confidence_threshold: float
@@ -315,15 +326,10 @@ def _coarse_result(mode: str, tau: float, annotations, major, candidates) -> Coa
 # --------------------------------------------------------------- persistence
 
 def save_coarse_result(result: CoarseResult, path: str) -> None:
-    header = {
-        "kind": "header",
-        "mode": result.mode,
-        "confidence_threshold": result.confidence_threshold,
-        "major_category": result.major_category,
-        "candidate_ood_labels": list(result.candidate_ood_labels),
-    }
-    write_jsonl(path, [header] + [{"kind": "annotation", **asdict(ann)}
-                                  for ann in result.annotations])
+    header = CoarseHeader(result.mode, result.confidence_threshold,
+                          result.major_category, list(result.candidate_ood_labels))
+    write_jsonl(path, [{"kind": "header", **vars(header)}] + [
+        {"kind": "annotation", **asdict(ann)} for ann in result.annotations])
 
 
 def load_coarse_result(path: str) -> CoarseResult:
@@ -332,13 +338,12 @@ def load_coarse_result(path: str) -> CoarseResult:
     for lineno, rec in read_jsonl(path):
         kind = rec.pop("kind", None)
         if kind == "header":
-            header = rec
+            header = build_record(CoarseHeader, rec, path, lineno)
         elif kind == "annotation":
             anns.append(build_record(Annotation, rec, path, lineno))
         else:
             raise ValueError(f"{path}:{lineno}: unknown record kind")
     if header is None:
         raise ValueError(f"{path}: missing header record")
-    return _coarse_result(header["mode"], header["confidence_threshold"], anns,
-                          header.get("major_category"),
-                          header.get("candidate_ood_labels") or ())
+    return _coarse_result(header.mode, header.confidence_threshold, anns,
+                          header.major_category, header.candidate_ood_labels)

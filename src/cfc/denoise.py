@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import MixupConfig, PropagationConfig
 from .graph import load_matrices, save_matrices, spmm
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import build_record, read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -206,22 +206,41 @@ def reconstruct_rows(boundary_ids, alphas, center: np.ndarray,
 
 # --------------------------------------------------------------- persistence
 
+@dataclass(frozen=True)
+class SynthHeader:
+    """synth.jsonl's first record: the mixup seed and the OOD center."""
+    seed: int
+    center: list[float]
+
+
+@dataclass(frozen=True)
+class SynthRow:
+    """A synth.jsonl row record: the provenance of one synthetic row."""
+    row: int
+    boundary_id: int
+    alpha: float
+
+
 def save_synthetic(s: SyntheticOODSet, matrix_path: str, sidecar_path: str) -> None:
     save_matrices(matrix_path, s.embeddings)
-    header = {"kind": "header", "seed": s.seed, "center": list(s.center)}
-    write_jsonl(sidecar_path, [header] + [
-        {"kind": "row", "row": r, "boundary_id": s.boundary_ids[r],
-         "alpha": s.alphas[r]} for r in range(s.count)])
+    header = SynthHeader(s.seed, list(s.center))
+    write_jsonl(sidecar_path, [{"kind": "header", **vars(header)}] + [
+        {"kind": "row", **vars(SynthRow(r, s.boundary_ids[r], s.alphas[r]))}
+        for r in range(s.count)])
 
 
 def load_synthetic(matrix_path: str, sidecar_path: str) -> SyntheticOODSet:
     header = None
     rows: dict[int, tuple[int, float]] = {}
-    for _, rec in read_jsonl(sidecar_path):
-        if rec.get("kind") == "header":
-            header = rec
-        elif rec.get("kind") == "row":
-            rows[int(rec["row"])] = (int(rec["boundary_id"]), float(rec["alpha"]))
+    for lineno, rec in read_jsonl(sidecar_path):
+        kind = rec.pop("kind", None) if isinstance(rec, dict) else None
+        if kind == "header":
+            header = build_record(SynthHeader, rec, sidecar_path, lineno)
+        elif kind == "row":
+            row = build_record(SynthRow, rec, sidecar_path, lineno)
+            rows[int(row.row)] = (int(row.boundary_id), float(row.alpha))
+        else:
+            raise ValueError(f"{sidecar_path}:{lineno}: unknown record kind")
     if header is None:
         raise ValueError(f"{sidecar_path}: missing header record")
     count = len(rows)
@@ -232,6 +251,6 @@ def load_synthetic(matrix_path: str, sidecar_path: str) -> SyntheticOODSet:
         embeddings=emb,
         boundary_ids=tuple(rows[r][0] for r in range(count)),
         alphas=tuple(rows[r][1] for r in range(count)),
-        center=np.asarray(header["center"], dtype=np.float64),
-        seed=int(header["seed"]),
+        center=np.asarray(header.center, dtype=np.float64),
+        seed=int(header.seed),
     )

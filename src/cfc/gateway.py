@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -57,8 +56,9 @@ class ChatExchange:
 
 def mock_prompt_hash(prompt: str) -> str:
     """Stable 64-bit prompt key: sha256 of the whitespace-collapsed prompt,
-    first 16 hex digits. Whitespace runs collapse so reflowed prompts match."""
-    collapsed = re.sub(r"\s+", " ", prompt).strip()
+    first 16 hex digits. Whitespace runs collapse so reflowed prompts match:
+    str.split's whitespace is the same set of code points as the \\s of re."""
+    collapsed = " ".join(prompt.split())
     return hashlib.sha256(collapsed.encode("utf-8")).hexdigest()[:16]
 
 

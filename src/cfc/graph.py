@@ -10,7 +10,8 @@ every propagation. scipy.sparse is imported when the first matrix is built,
 not with this module, so commands that build none never load it.
 
 Functions:
-    load_graph: read a node/edge JSONL pair into a Graph
+    load_graph: read nodes.jsonl into a Graph, and edges.jsonl when given
+    load_edges: read edges.jsonl as a canonical edge list
     save_graph: write a Graph back out in the same formats
     save_matrices, load_matrices: the one binary matrix format, for the
         feature-shaped files (magic CFCF) and cfc.gcn's checkpoints (CFCW)
@@ -70,12 +71,14 @@ def canonical_edges(edges) -> tuple[tuple[int, int], ...]:
 class Graph:
     """Undirected text-attributed graph. Immutable after construction.
 
-    edges are canonical (src < dst, sorted, unique). labels may contain None
-    for unlabeled nodes. class_names lists every distinct label.
+    labels may contain None for unlabeled nodes. class_names lists every
+    distinct label. edges is a canonical edge list over 0..num_nodes-1, as
+    canonical_edges and load_edges return it, or None for a graph read
+    from its nodes alone, which the normalizations refuse.
     """
 
     num_nodes: int
-    edges: tuple[tuple[int, int], ...]
+    edges: tuple[tuple[int, int], ...] | None
     node_text: tuple[str, ...]
     labels: tuple[str | None, ...]
     class_names: tuple[str, ...]
@@ -86,15 +89,6 @@ class Graph:
             raise ValueError("graph must have at least one node")
         if len(self.node_text) != n or len(self.labels) != n:
             raise ValueError("node_text/labels length must equal num_nodes")
-        prev = None
-        for a, b in self.edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) references a node outside [0, {n})")
-            if a >= b:
-                raise ValueError(f"edge ({a}, {b}) not canonical (need src < dst)")
-            if prev is not None and (a, b) <= prev:
-                raise ValueError("edges not sorted/unique")
-            prev = (a, b)
         known = set(self.class_names)
         for i, lab in enumerate(self.labels):
             if lab is not None and lab not in known:
@@ -197,11 +191,12 @@ def load_matrices(path: str, magic: bytes = FEATURE_MAGIC, count: int = 1,
     return mats
 
 
-def load_graph(nodes_path: str, edges_path: str) -> Graph:
-    """Read node records {"id", "text", "label"} and edge records {"src", "dst"}.
+def load_graph(nodes_path: str, edges_path: str | None = None) -> Graph:
+    """Read node records {"id", "text", "label"}, and the edges of
+    edges_path (load_edges) when it is given; without it the graph's edges
+    are None.
 
     Node ids must be exactly 0..N-1. label may be null for unlabeled nodes.
-    Duplicate undirected edges collapse to one; self loops are an error.
     """
     texts: dict[int, str] = {}
     labels: dict[int, str | None] = {}
@@ -225,28 +220,33 @@ def load_graph(nodes_path: str, edges_path: str) -> Graph:
     if set(texts) != set(range(n)):
         raise ValueError(f"{nodes_path}: node ids are not contiguous 0..{n - 1}")
 
-    raw_edges = []
-    for lineno, rec in read_jsonl(edges_path):
-        if not isinstance(rec, dict) or not {"src", "dst"} <= rec.keys():
-            raise ValueError(f"{edges_path}:{lineno}: edge record needs src and dst")
-        a, b = rec["src"], rec["dst"]
-        if not (_is_int(a) and _is_int(b)):
-            raise ValueError(f"{edges_path}:{lineno}: src/dst must be integers")
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"{edges_path}:{lineno}: edge ({a}, {b}) references unknown node")
-        if a == b:
-            raise ValueError(f"{edges_path}:{lineno}: self loop on node {a}")
-        raw_edges.append((a, b))
-    edges = canonical_edges(raw_edges)
-
     class_names = tuple(sorted({lab for lab in labels.values() if lab is not None}))
     return Graph(
         num_nodes=n,
-        edges=edges,
+        edges=None if edges_path is None else load_edges(edges_path, n),
         node_text=tuple(texts[i] for i in range(n)),
         labels=tuple(labels[i] for i in range(n)),
         class_names=class_names,
     )
+
+
+def load_edges(path: str, num_nodes: int) -> tuple[tuple[int, int], ...]:
+    """Read edge records {"src", "dst"} between nodes 0..num_nodes-1 as a
+    canonical edge list: duplicate undirected edges collapse to one, and a
+    self loop is an error."""
+    pairs = []
+    for lineno, rec in read_jsonl(path):
+        if not isinstance(rec, dict) or not {"src", "dst"} <= rec.keys():
+            raise ValueError(f"{path}:{lineno}: edge record needs src and dst")
+        a, b = rec["src"], rec["dst"]
+        if not (_is_int(a) and _is_int(b)):
+            raise ValueError(f"{path}:{lineno}: src/dst must be integers")
+        if not (0 <= a < num_nodes and 0 <= b < num_nodes):
+            raise ValueError(f"{path}:{lineno}: edge ({a}, {b}) references unknown node")
+        if a == b:
+            raise ValueError(f"{path}:{lineno}: self loop on node {a}")
+        pairs.append((a, b))
+    return canonical_edges(pairs)
 
 
 def save_graph(g: Graph, nodes_path: str, edges_path: str) -> None:
@@ -267,6 +267,8 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr
 
 
 def _both_directions(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    if g.edges is None:
+        raise ValueError("graph was read without its edges")
     e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
     return np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
 

@@ -3,8 +3,11 @@
 JSON documents are written with indent 2, sorted keys and a final newline;
 JSONL holds one record per line, keys in insertion order, non-ASCII text
 unescaped. Readers skip blank lines and raise ValueError("path:line:
-malformed JSON (...)"); build_record makes a record's dataclass and raises
-ValueError("path:line: ...") for a record that does not fit it.
+malformed JSON (...)"); read_jsonl decodes a line with one raw_decode
+call, and parses a line that fails it, or holds more than one value, again
+with json.loads, for json.loads's message. build_record makes a record's
+dataclass and raises ValueError("path:line: ...") for a record that does
+not fit it.
 atomic_write puts the bytes in <path>.<pid>.tmp beside path and renames
 that onto path once complete, so a killed run leaves the old file or the
 new one, never a torn one the stage cache would take for done. There is no
@@ -21,6 +24,7 @@ import re
 from contextlib import contextmanager
 
 _TEMP_NAME = re.compile(r".+\.([0-9]+)\.tmp")
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _parse(text: str, path: str, lineno: int):
@@ -36,8 +40,15 @@ def read_jsonl(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                yield lineno, _parse(line, path, lineno)
+            if not line:
+                continue
+            # json.loads without its whitespace scans: a stripped line has
+            # no leading or trailing JSON whitespace
+            try:
+                rec, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            yield lineno, rec if end == len(line) else _parse(line, path, lineno)
 
 
 def read_json(path: str):

@@ -7,13 +7,16 @@ load, so a command that executes no stage never imports them.
 
 A stage body takes the command's StageData and writes the artifacts its
 declaration lists. StageData loads each part of the run's input on first
-use, once per command: the graph reads only nodes.jsonl and edges.jsonl,
-and features.bin is read only by a stage that touches features or x.
+use, once per command: the graph reads only nodes.jsonl, edges.jsonl is
+read only by a stage that builds an adjacency (a_hat, denoise's walk
+matrix), and features.bin only by a stage that touches features or x. So
+classify-ood and eval, which an edit to screening or merging reruns, read
+node texts and labels but neither edges.jsonl nor features.bin.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,8 +29,8 @@ from .denoise import denoise_ood, initial_label_matrix, label_propagate, \
 from .gateway import GatewayError, LLMGateway
 from .gcn import TrainingDiverged, forward, load_checkpoint, predict, \
     save_checkpoint, train
-from .graph import Graph, load_features, load_graph, load_matrices, \
-    rw_normalize_adjacency, save_matrices, split_dataset, \
+from .graph import Graph, load_edges, load_features, load_graph, \
+    load_matrices, rw_normalize_adjacency, save_matrices, split_dataset, \
     sym_normalize_adjacency, SplitAssignment
 from .jsonl import build_record, read_json, read_jsonl, write_json, \
     write_jsonl
@@ -49,14 +52,38 @@ SIGMOID_FIXED_TAU = 0.5
 SPARSE_FEATURE_DENSITY = 0.10
 
 
+@dataclass(frozen=True)
+class Detection:
+    """One detect.jsonl record: the fine model's class for a test node
+    (the OOD class is the ID class count) and its OOD probability."""
+    node_id: int
+    pred: int
+    ood_score: float
+
+
+@dataclass(frozen=True)
+class DenoisedCandidate:
+    """A denoised.jsonl candidate record: a coarse OOD candidate, and
+    whether label propagation kept it."""
+    node_id: int
+    kept: bool
+
+
+def _load_detections(path: str) -> list[Detection]:
+    return [build_record(Detection, rec, path, lineno)
+            for lineno, rec in read_jsonl(path)]
+
+
 class StageData:
-    """Per-command cache of the graph, features, split, A-hat and model
-    input, each loaded on first use. ingest touches features, so a bad
-    feature file is rejected there."""
+    """Per-command cache of the graph, its edges, features, split, A-hat and
+    model input, each loaded on first use. ingest touches the edges and the
+    features, so a bad edge or feature file is rejected there, before any
+    LLM call."""
 
     def __init__(self, rc: RunConfig):
         self.rc = rc
         self._graph: Graph | None = None
+        self._linked: Graph | None = None
         self._features: np.ndarray | None = None
         self._split: SplitAssignment | None = None
         self._a_hat = None
@@ -64,13 +91,26 @@ class StageData:
 
     @property
     def graph(self) -> Graph:
-        """Node texts, labels and edges; the feature matrix is features."""
+        """Node texts and labels, without edges (see linked); the feature
+        matrix is features."""
         if self._graph is None:
             try:
-                self._graph = load_graph(self.rc.dataset.nodes, self.rc.dataset.edges)
+                self._graph = load_graph(self.rc.dataset.nodes)
             except ValueError as exc:
                 raise ConfigError(f"dataset rejected: {exc}") from exc
         return self._graph
+
+    @property
+    def linked(self) -> Graph:
+        """The graph with its edges, the input of both normalizations."""
+        if self._linked is None:
+            g = self.graph
+            try:
+                edges = load_edges(self.rc.dataset.edges, g.num_nodes)
+            except ValueError as exc:
+                raise ConfigError(f"dataset rejected: {exc}") from exc
+            self._linked = replace(g, edges=edges)
+        return self._linked
 
     @property
     def features(self) -> np.ndarray:
@@ -85,7 +125,7 @@ class StageData:
     @property
     def a_hat(self):
         if self._a_hat is None:
-            self._a_hat = sym_normalize_adjacency(self.graph)
+            self._a_hat = sym_normalize_adjacency(self.linked)
         return self._a_hat
 
     @property
@@ -135,8 +175,8 @@ class StageData:
 
 
 def stage_ingest(data: StageData) -> None:
-    rc, g = data.rc, data.graph            # a bad dataset is not a bad split
-    data.features                          # so the features are checked here
+    rc, g = data.rc, data.graph            # a bad dataset is not a bad split,
+    data.linked, data.features             # so edges and features are checked here
     try:
         split = split_dataset(g, rc.split.id_classes,
                               rc.split.ood_classes, rc.seed,
@@ -168,8 +208,16 @@ def stage_coarse(data: StageData) -> None:
 
 def _load_survivors(path: str) -> tuple[int, ...]:
     """The denoised candidates that were kept."""
-    return tuple(int(rec["node_id"]) for _, rec in read_jsonl(path)
-                 if rec.get("kind") == "candidate" and rec["kept"])
+    survivors = []
+    for lineno, rec in read_jsonl(path):
+        kind = rec.pop("kind", None) if isinstance(rec, dict) else None
+        if kind == "candidate":
+            cand = build_record(DenoisedCandidate, rec, path, lineno)
+            if cand.kept:
+                survivors.append(int(cand.node_id))
+        elif kind != "summary":
+            raise ValueError(f"{path}:{lineno}: unknown record kind")
+    return tuple(survivors)
 
 
 def stage_denoise(data: StageData) -> None:
@@ -184,7 +232,8 @@ def stage_denoise(data: StageData) -> None:
     if candidates:
         init = initial_label_matrix(g.num_nodes, len(split.id_classes),
                                     train_labels, candidates)
-        propagated = label_propagate(rw_normalize_adjacency(g), init, rc.propagation)
+        propagated = label_propagate(rw_normalize_adjacency(data.linked), init,
+                                     rc.propagation)
         survivors = denoise_ood(propagated, candidates)
 
     kept = set(survivors)
@@ -192,7 +241,8 @@ def stage_denoise(data: StageData) -> None:
                "candidate_count": len(candidates),
                "survivor_count": len(survivors)}
     write_jsonl(rc.artifact(DENOISED_FILE), [summary] + [
-        {"kind": "candidate", "node_id": i, "kept": i in kept} for i in candidates])
+        {"kind": "candidate", **vars(DenoisedCandidate(i, i in kept))}
+        for i in candidates])
 
 
 def stage_train_prelim(data: StageData) -> None:
@@ -269,8 +319,8 @@ def stage_detect(data: StageData) -> None:
     probs = predict(params, data.a_hat, data.x)
     ood_index = probs.shape[1] - 1
     write_jsonl(rc.artifact(DETECT_FILE), (
-        {"node_id": i, "pred": int(np.argmax(probs[i])),
-         "ood_score": float(probs[i, ood_index])} for i in sorted(split.test_ids)))
+        vars(Detection(i, int(np.argmax(probs[i])), float(probs[i, ood_index])))
+        for i in sorted(split.test_ids)))
 
 
 def stage_classify_ood(data: StageData) -> None:
@@ -287,8 +337,8 @@ def stage_classify_ood(data: StageData) -> None:
     save_post_label_space(post, rc.artifact(POST_LABELS_FILE))
 
     c = len(data.split().id_classes)
-    ood_nodes = [r["node_id"] for _, r in read_jsonl(rc.artifact(DETECT_FILE))
-                 if r["pred"] == c]
+    ood_nodes = [d.node_id for d in _load_detections(rc.artifact(DETECT_FILE))
+                 if d.pred == c]
 
     assignments = ()
     with _gateway(rc, CLASSIFY_LOG_FILE) as gateway:
@@ -330,9 +380,9 @@ def stage_eval(data: StageData) -> None:
     test_ids = sorted(split.test_ids)
     truth = {i: cindex.get(g.labels[i], c) for i in test_ids}
 
-    detect_records = [r for _, r in read_jsonl(rc.artifact(DETECT_FILE))]
-    cfc_preds = {r["node_id"]: r["pred"] for r in detect_records}
-    cfc_scores = {r["node_id"]: r["ood_score"] for r in detect_records}
+    detections = _load_detections(rc.artifact(DETECT_FILE))
+    cfc_preds = {d.node_id: d.pred for d in detections}
+    cfc_scores = {d.node_id: d.ood_score for d in detections}
     cfc = accuracy_report(cfc_preds, truth, c,
                           auroc_value=_safe_auroc(cfc_scores, truth, c))
 

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+import random
+import re
 import socket
 import sys
 import threading
@@ -32,6 +35,26 @@ def test_prompt_hash_collapses_whitespace():
     assert mock_prompt_hash("hello   world") == mock_prompt_hash("hello\n world ")
     assert mock_prompt_hash("hello world") != mock_prompt_hash("hello word")
     assert len(mock_prompt_hash("x")) == 16
+
+
+def test_prompt_hash_is_the_key_of_the_regex_collapse():
+    # the key as it was first defined; str.split must give the same one for
+    # every code point either re's \s or str.isspace counts as whitespace
+    def regex_key(prompt):
+        collapsed = re.sub(r"\s+", " ", prompt).strip()
+        return hashlib.sha256(collapsed.encode("utf-8")).hexdigest()[:16]
+
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = sorted(set(re.findall(r"\s", every)) | {c for c in every if c.isspace()})
+    assert " " in spaces and "\u3000" in spaces
+    for ws in spaces:
+        for text in (ws, f"{ws}a{ws}{ws}b{ws}", f"a {ws}\tb", f"{ws}\u00e9\n"):
+            assert mock_prompt_hash(text) == regex_key(text), repr(text)
+    rng = random.Random(7)
+    pool = spaces + list("ab \u00e9\u6570")
+    for _ in range(500):
+        text = "".join(rng.choice(pool) for _ in range(rng.randrange(40)))
+        assert mock_prompt_hash(text) == regex_key(text), repr(text)
 
 
 def test_mock_exact_hash_beats_substring(tmp_path):

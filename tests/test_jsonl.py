@@ -29,6 +29,18 @@ def test_readers_skip_blank_lines_and_name_the_bad_line(tmp_path):
     with pytest.raises(ValueError, match=r"r\.jsonl:5: malformed JSON"):
         next(records)
 
+    # a line that holds more, or other, than one JSON value: json.loads's
+    # message, at the line's number
+    for bad, msg in (('{"a": 1} 2', "Extra data"), ('{"a": 1}{"b": 2}', "Extra data"),
+                     ("[1] [2]", "Extra data"), ("nope", "Expecting value"),
+                     ("\ufeff{}", "Unexpected UTF-8 BOM (decode using utf-8-sig)")):
+        path.write_text(f'{{"a": 1}}\n\n {bad} \n', encoding="utf-8")
+        records = read_jsonl(str(path))
+        assert next(records) == (1, {"a": 1})
+        with pytest.raises(ValueError) as caught:
+            next(records)
+        assert str(caught.value) == f"{path}:3: malformed JSON ({msg})"
+
     doc = tmp_path / "d.json"
     doc.write_text('{\n  "a": 1,\n  "b": \n}\n', encoding="utf-8")
     with pytest.raises(ValueError, match=r"d\.json:4: malformed JSON"):

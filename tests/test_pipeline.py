@@ -31,6 +31,7 @@ import fixture_tools
 from cfc import graph as graph_module
 from cfc import config, jsonl, pipeline, stages
 from cfc.coarse import load_coarse_result
+from cfc.denoise import load_synthetic
 from cfc.gateway import GatewayConfig, LLMGateway, _Connections
 from cfc.gcn import load_checkpoint, predict, train
 from cfc.graph import load_matrices, save_matrices
@@ -53,6 +54,8 @@ from cfc.pipeline import (
     RESOLVED_FILE,
     SPLIT_FILE,
     STAGE_ORDER,
+    SYNTH_BIN_FILE,
+    SYNTH_META_FILE,
     ConfigError,
     StageError,
     artifacts_lock,
@@ -795,21 +798,40 @@ def test_classify_ood_and_eval_never_read_the_feature_matrix(fix, tmp_path,
         read.append(os.path.basename(path))
         return load_matrices(path, *args, **kwargs)
 
-    def no_dataset_features(path, num_nodes):
+    def no_dataset_file(path, num_nodes):
         raise AssertionError(f"dataset reader called on {path}")
 
+    # nor the edges: coarse and the two stages an edit to merging reruns
+    # read node texts and labels only. They run in a copy, as coarse's
+    # exchange log gets new latencies
     for module in (stages, graph_module):
         monkeypatch.setattr(module, "load_matrices", refusing)
-        monkeypatch.setattr(module, "load_features", no_dataset_features)
-    for stage in ("classify-ood", "eval"):
-        pipeline._STAGES[stage].run(pipeline._Runtime(rc))
-    assert _read_bytes(rc.artifact(EVAL_FILE)) == clean
+        monkeypatch.setattr(module, "load_features", no_dataset_file)
+        monkeypatch.setattr(module, "load_edges", no_dataset_file)
+    shutil.copytree(rc.artifacts_dir, tmp_path / "copy")
+    rc_copy = validate_config(fix["config"], artifacts_override=str(tmp_path / "copy"))
+    for stage in ("coarse", "classify-ood", "eval"):
+        pipeline._STAGES[stage].run(pipeline._Runtime(rc_copy))
+    assert _read_bytes(rc_copy.artifact(EVAL_FILE)) == clean
     assert read == [BASELINE_PROBS_FILE]        # eval's read went through the patch
 
     edited = _variant_config(fix, "merge0-features.json", lambda cfg: cfg.setdefault(
         "merge", {}).update(sim_threshold=0.0))
     executed = run_all(validate_config(edited, artifacts_override=rc.artifacts_dir))
     assert [s for s, ran in executed.items() if ran] == ["classify-ood", "eval"]
+
+
+def test_a_self_loop_is_refused_before_any_prompt(tmp_path):
+    # no stage after ingest may be the first to read the edges
+    paths = fixture_tools.write_fixture(str(tmp_path))
+    with open(paths["edges"], "a", encoding="utf-8") as fh:
+        fh.write('{"src": 4, "dst": 4}\n')
+    lineno = len(_read_bytes(paths["edges"]).splitlines())
+    res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
+    assert res.returncode == 1
+    assert res.stderr == (f"error: dataset rejected: {paths['edges']}:{lineno}: "
+                          f"self loop on node 4\n")
+    assert not os.path.exists(os.path.join(paths["artifacts"], COARSE_LOG_FILE))
 
 
 OLD_BASELINE_CKPT = "baseline.ckpt"
@@ -1431,6 +1453,52 @@ def test_a_record_that_does_not_fit_its_dataclass_names_its_line(primary, fix,
     with pytest.raises(ValueError, match=re.escape(rc2.artifact(SPLIT_FILE))
                        + r":1: .*'test_ids'"):
         stages.StageData(rc2).split()
+
+
+# each record reader of a stage: (file, line, the field dropped there, a
+# call that reads the file through the StageData of its artifacts dir)
+_RECORD_READERS = {
+    "denoised-candidate": (DENOISED_FILE, 2, "kept",
+                           lambda d: stages._load_survivors(d.rc.artifact(DENOISED_FILE))),
+    "coarse-header": (COARSE_FILE, 1, "mode",
+                      lambda d: load_coarse_result(d.rc.artifact(COARSE_FILE))),
+    "synth-header": (SYNTH_META_FILE, 1, "center", lambda d: load_synthetic(
+        d.rc.artifact(SYNTH_BIN_FILE), d.rc.artifact(SYNTH_META_FILE))),
+    "synth-row": (SYNTH_META_FILE, 3, "alpha", lambda d: load_synthetic(
+        d.rc.artifact(SYNTH_BIN_FILE), d.rc.artifact(SYNTH_META_FILE))),
+    "detect-eval": (DETECT_FILE, 2, "ood_score", stages.stage_eval),
+}
+
+
+@pytest.mark.parametrize("reader", list(_RECORD_READERS))
+def test_each_record_reader_names_the_line_missing_a_field(primary, fix, tmp_path,
+                                                          reader):
+    rc, _ = primary
+    name, lineno, field, read = _RECORD_READERS[reader]
+    arts = tmp_path / "a"
+    shutil.copytree(rc.artifacts_dir, arts)
+    rc2 = validate_config(fix["config"], artifacts_override=str(arts))
+    path = rc2.artifact(name)
+    _edit_line(rc.artifact(name), path, lineno, lambda r: r.pop(field))
+    with pytest.raises(ValueError, match=re.escape(path) + f":{lineno}: .*'{field}'"):
+        read(stages.StageData(rc2))
+
+
+def test_cli_detect_record_without_pred_is_an_error_line(tmp_path):
+    paths = fixture_tools.write_fixture(str(tmp_path))
+    run_all(validate_config(paths["config"]))
+    detect = os.path.join(paths["artifacts"], DETECT_FILE)
+    _edit_line(detect, detect, 4, lambda r: r.pop("pred"))
+    # recorded as detect's output, so detect stays cached and classify-ood
+    # is the first to read the bad line
+    manifest = load_manifest(paths["artifacts"])
+    manifest["stages"]["detect"]["outputs"][DETECT_FILE] = pipeline._file_hash(detect)
+    pipeline._save_manifest(paths["artifacts"], manifest)
+
+    res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
+    assert res.returncode == 2
+    assert re.fullmatch(r"error: classify-ood: " + re.escape(detect)
+                        + r":4: .*'pred'\n", res.stderr), res.stderr
 
 
 def test_cli_malformed_artifact_is_an_error_line(tmp_path):
