@@ -15,17 +15,17 @@ templates are text files <name>.txt with {{PLACEHOLDER}} markers, and the
 packaged defaults can be overridden by pointing template_dir at a directory
 holding files of the same names. render fills the markers in one pass.
 ask_per_node renders one prompt per node around its truncated text and asks
-them all through LLMGateway.ask_all, which fans them out concurrently,
-re-asks replies that do not parse and, in live mode, answers prompts already
-paid for from the reply cache. Every reply parser reads the model's answer
-through answer_objects.
+them all through LLMGateway.ask_all, which fans them out (concurrently in
+live mode), re-asks replies that do not parse and, in live mode, answers
+prompts already paid for from the reply cache. Every reply parser reads the
+model's answer through answer_objects.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -329,7 +329,7 @@ def save_coarse_result(result: CoarseResult, path: str) -> None:
     header = CoarseHeader(result.mode, result.confidence_threshold,
                           result.major_category, list(result.candidate_ood_labels))
     write_jsonl(path, [{"kind": "header", **vars(header)}] + [
-        {"kind": "annotation", **asdict(ann)} for ann in result.annotations])
+        {"kind": "annotation", **vars(ann)} for ann in result.annotations])
 
 
 def load_coarse_result(path: str) -> CoarseResult:

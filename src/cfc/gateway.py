@@ -1,11 +1,14 @@
 """Gateway to an OpenAI-compatible chat endpoint, plus a deterministic mock
 mode for offline runs and tests.
 
-LLMGateway.ask_all is the one concurrent fan-out: it asks a batch of prompts
-through a thread pool, re-asks a prompt whose reply does not parse, and stops
-at the first gateway failure. In live mode it also keeps a content-addressed
-reply cache (append-only JSONL), so answers already paid for are never bought
-twice, whether a stage reruns after an edit or after a crash. A gateway
+LLMGateway.ask_all is the one concurrent fan-out: it asks a batch of prompts,
+re-asks a prompt whose reply does not parse, and stops at the first gateway
+failure. Only a live batch with two or more prompts to ask and max_concurrent
+of 2 or more goes through a thread pool; any other batch (every mock batch)
+is asked in the calling thread, in prompt order, so its exchange log is in
+prompt order too. In live mode it also keeps a content-addressed reply cache
+(append-only JSONL), so answers already paid for are never bought twice,
+whether a stage reruns after an edit or after a crash. A gateway
 keeps its HTTP connections alive between calls, so it opens at most one per
 concurrent slot, and keeps them and its JSONL files open until it is closed.
 
@@ -25,7 +28,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .config import BASE_URL_ENV, GatewayConfig
 from .jsonl import read_jsonl
@@ -218,12 +221,13 @@ class _Connections:
 
 
 class LLMGateway:
-    """Thread-safe client; ask_all's pool of cfg.max_concurrent workers caps
-    the calls in flight. The optional exchange log and, in live mode, the
-    optional reply cache are append-only JSONL, each open from its first
-    line until close(), which also closes the kept-alive connections; use a
-    gateway in a with block. transport(url, payload, headers, timeout) ->
-    (status, body) replaces HTTP, for tests."""
+    """Thread-safe client; in live mode ask_all's pool of cfg.max_concurrent
+    workers caps the calls in flight, and a batch that cannot overlap (mock
+    mode, one slot, one prompt) starts no thread. The optional exchange log
+    and, in live mode, the optional reply cache are append-only JSONL, each
+    open from its first line until close(), which also closes the kept-alive
+    connections; use a gateway in a with block. transport(url, payload,
+    headers, timeout) -> (status, body) replaces HTTP, for tests."""
 
     def __init__(self, cfg: GatewayConfig, transport=None, sleep_fn=time.sleep,
                  log_path: str | None = None, cache_path: str | None = None):
@@ -264,9 +268,12 @@ class LLMGateway:
 
         A reply on which parse raises ParseError is asked again, up to retries
         more times; if none parses, the value is None and the reply is the
-        last one. Prompts run concurrently up to cfg.max_concurrent. After the
-        first failure no further prompt is started, and a failure is raised
-        once the prompts in flight have finished. A cached reply is answered
+        last one. In live mode, two or more prompts left to ask run on a pool
+        of cfg.max_concurrent workers (when that is 2 or more), and the log is
+        in completion order; otherwise they are asked one after another in
+        the calling thread, and the log is in prompt order. After the first
+        failure no further prompt is started, and a failure is raised once
+        the prompts in flight have finished. A cached reply is answered
         without calling complete(), so exchange logs hold real endpoint calls
         only.
         """
@@ -282,6 +289,14 @@ class LLMGateway:
                 except ParseError:
                     pass
             todo.append((k, key))
+
+        if self.cfg.mode != "live" or self.cfg.max_concurrent < 2 or len(todo) < 2:
+            # no two calls can overlap (a mock reply is a lookup that holds
+            # the GIL): ask in this thread, in prompt order; a failure
+            # propagates before the next prompt is started
+            for k, key in todo:
+                results[k] = self._ask(prompts[k], key, parse, retries)
+            return results
 
         failed = threading.Event()
 
@@ -399,7 +414,7 @@ class LLMGateway:
 
     def _append_log(self, exchange: ChatExchange) -> None:
         if self._log_path is not None:
-            self._append(self._log_path, asdict(exchange))
+            self._append(self._log_path, vars(exchange))
 
     def _append(self, path: str, record: dict) -> None:
         """Append one line, flushed before the lock is released. A file is

@@ -285,7 +285,7 @@ def save_post_label_space(post: PostLabelSpace, path: str) -> None:
 
 
 def save_assignments(assignments, path: str) -> None:
-    write_jsonl(path, (asdict(a) for a in assignments))
+    write_jsonl(path, (vars(a) for a in assignments))
 
 
 def load_assignments(path: str) -> tuple[OODAssignment, ...]:

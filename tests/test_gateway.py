@@ -694,3 +694,100 @@ def test_mock_mode_ignores_reply_cache(tmp_path):
                     cache_path=str(cache))
     assert gw.ask_all(["q"], parse_int) == [(7, "7")]
     assert not cache.exists()
+
+
+# ---------------------------------------------------------------- batches that cannot overlap
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Any thread pool ask_all starts fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch that cannot overlap started a thread pool")
+    monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", refuse)
+
+
+def numbered_fixture(n, missing=()):
+    """Mock rules answering "q i" with i, for every i < n not in missing."""
+    return [{"match": f"hash:{mock_prompt_hash(f'q {i}')}", "response": str(i)}
+            for i in range(n) if i not in missing]
+
+
+def test_a_mock_batch_is_asked_in_order_without_a_pool(tmp_path, no_pool):
+    log = tmp_path / "log.jsonl"
+    path = write_jsonl(tmp_path / "fixture.jsonl", numbered_fixture(50))
+    prompts = [f"q {i}" for i in range(50)]
+    with LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path, max_concurrent=4),
+                    log_path=str(log)) as gw:
+        assert gw.ask_all(prompts, parse_int) == [(i, str(i)) for i in range(50)]
+    assert [json.loads(l)["prompt_text"] for l in log.read_text().splitlines()] == prompts
+
+
+def test_a_single_slot_live_batch_is_asked_in_order_without_a_pool(monkeypatch, no_pool):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    calls = []
+    prompts = [f"q {i}" for i in range(10)]
+    gw = LLMGateway(live_cfg(max_concurrent=1), transport=echo_transport(calls))
+    assert gw.ask_all(prompts, parse_int) == [(i, str(i)) for i in range(10)]
+    assert calls == prompts
+
+
+def test_a_one_prompt_live_batch_starts_no_pool(monkeypatch, no_pool):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    calls = []
+    gw = LLMGateway(live_cfg(max_concurrent=4), transport=echo_transport(calls))
+    assert gw.ask_all(["q 3"], parse_int) == [(3, "3")]
+    assert calls == ["q 3"]
+
+
+def test_a_batch_the_reply_cache_answers_starts_no_pool(monkeypatch, tmp_path, no_pool):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    cache, calls = str(tmp_path / "cache.jsonl"), []
+    prompts = [f"q {i}" for i in range(5)]
+    with LLMGateway(live_cfg(max_concurrent=1), transport=echo_transport(calls),
+                    cache_path=cache) as first:
+        first.ask_all(prompts, parse_int)
+    calls.clear()
+    with LLMGateway(live_cfg(max_concurrent=4), transport=echo_transport(calls),
+                    cache_path=cache) as again:
+        assert again.ask_all(prompts, parse_int) == [(i, str(i)) for i in range(5)]
+    assert calls == []
+
+
+def test_a_live_batch_that_can_overlap_uses_the_pool(monkeypatch):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    workers = []
+    pool = gateway_module.ThreadPoolExecutor
+
+    def counting_pool(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", counting_pool)
+    gw = LLMGateway(live_cfg(max_concurrent=2), transport=echo_transport([]))
+    assert gw.ask_all(["q 0", "q 1"], parse_int) == [(0, "0"), (1, "1")]
+    assert workers == [2]
+
+
+def test_an_inline_batch_stops_at_its_first_failure(tmp_path):
+    n, k = 30, 12
+    log = tmp_path / "log.jsonl"
+    path = write_jsonl(tmp_path / "fixture.jsonl", numbered_fixture(n, {k}))
+    prompts = [f"q {i}" for i in range(n)]
+    asked = []
+    with LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path, max_concurrent=4),
+                    log_path=str(log)) as gw:
+        lookup = gw._mock_lookup
+
+        def slow_lookup(prompt):
+            # a lookup that lets other threads run: a pool would have the
+            # prompts after k in flight when k fails
+            asked.append(prompt)
+            time.sleep(0.002)
+            return lookup(prompt)
+
+        gw._mock_lookup = slow_lookup
+        with pytest.raises(GatewayError, match="no rule"):
+            gw.ask_all(prompts, parse_int)
+    assert asked == prompts[:k + 1]
+    assert [json.loads(l)["prompt_text"] for l in log.read_text().splitlines()] == \
+        prompts[:k]

@@ -1238,6 +1238,33 @@ def test_mock_run_writes_no_reply_cache(primary):
     assert not os.path.exists(rc.artifact(LLM_CACHE_FILE))
 
 
+def test_mock_exchange_logs_are_in_prompt_order_run_after_run(fix, tmp_path,
+                                                               monkeypatch):
+    batches = []
+    ask_all = LLMGateway.ask_all
+
+    def recording(self, prompts, parse, retries=0):
+        batches.append(list(prompts))
+        return ask_all(self, prompts, parse, retries)
+
+    monkeypatch.setattr(LLMGateway, "ask_all", recording)
+    runs = []
+    for name in ("a", "b"):
+        batches.clear()
+        rc = validate_config(fix["config"], artifacts_override=str(tmp_path / name))
+        assert all(run_all(rc).values())
+        records = []
+        for log in (COARSE_LOG_FILE, CLASSIFY_LOG_FILE):
+            with open(rc.artifact(log), "r", encoding="utf-8") as fh:
+                records += [json.loads(line) for line in fh]
+        for record in records:
+            del record["latency_s"]
+        # one record per prompt, in the order each stage passed them
+        assert [r["prompt_text"] for r in records] == [p for batch in batches for p in batch]
+        runs.append(records)
+    assert len(batches) == 2 and runs[0] == runs[1]
+
+
 def _live_fixture(dir_path, monkeypatch, **gateway):
     """The corpus with a live gateway whose transport answers from the
     corpus's mock rules. The returned state records every prompt the
