@@ -336,7 +336,7 @@ def load_coarse_result(path: str) -> CoarseResult:
     header = None
     anns: list[Annotation] = []
     for lineno, rec in read_jsonl(path):
-        kind = rec.pop("kind", None)
+        kind = rec.pop("kind", None) if isinstance(rec, dict) else None
         if kind == "header":
             header = build_record(CoarseHeader, rec, path, lineno)
         elif kind == "annotation":

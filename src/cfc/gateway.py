@@ -7,10 +7,11 @@ failure. Only a live batch with two or more prompts to ask and max_concurrent
 of 2 or more goes through a thread pool; any other batch (every mock batch)
 is asked in the calling thread, in prompt order, so its exchange log is in
 prompt order too. In live mode it also keeps a content-addressed reply cache
-(append-only JSONL), so answers already paid for are never bought twice,
-whether a stage reruns after an edit or after a crash. A gateway
-keeps its HTTP connections alive between calls, so it opens at most one per
-concurrent slot, and keeps them and its JSONL files open until it is closed.
+(append-only JSONL) of every paid reply, keyed by prompt and attempt, so an
+answer already paid for, parsed or not, is never bought twice, whether a
+stage reruns after an edit or after a crash. A gateway keeps its HTTP
+connections alive between calls, so it opens at most one per concurrent
+slot, and keeps them and its JSONL files open until it is closed.
 
 Mock fixtures are JSONL rule files. Each line is
     {"match": "hash:<hex>" | "substr:<text>", "response": "<reply>"}
@@ -268,72 +269,71 @@ class LLMGateway:
 
         A reply on which parse raises ParseError is asked again, up to retries
         more times; if none parses, the value is None and the reply is the
-        last one. In live mode, two or more prompts left to ask run on a pool
-        of cfg.max_concurrent workers (when that is 2 or more), and the log is
-        in completion order; otherwise they are asked one after another in
-        the calling thread, and the log is in prompt order. After the first
-        failure no further prompt is started, and a failure is raised once
-        the prompts in flight have finished. A cached reply is answered
-        without calling complete(), so exchange logs hold real endpoint calls
-        only.
+        last one. A pass over the reply cache alone settles what it can first;
+        only endpoint calls are logged. In live mode, two or more prompts left
+        run on a pool of cfg.max_concurrent workers (when that is 2 or more),
+        and the log is in completion order; otherwise they are asked one after
+        another in the calling thread, and the log is in prompt order. After
+        the first failure no further prompt is started, and a failure is
+        raised once the prompts in flight have finished.
         """
         results: list = [None] * len(prompts)
-        todo = []
-        for k, prompt in enumerate(prompts):
-            key = self._cache_key(prompt) if self._cache_path is not None else None
-            reply = self._cache.get(key)
-            if reply is not None:
-                try:
-                    results[k] = (parse(reply), reply)
-                    continue
-                except ParseError:
-                    pass
-            todo.append((k, key))
+        if self._cache:             # empty in mock mode: no prompt is hashed
+            results = [self._ask(p, parse, retries, pay=False) for p in prompts]
+        todo = [k for k, result in enumerate(results) if result is None]
 
         if self.cfg.mode != "live" or self.cfg.max_concurrent < 2 or len(todo) < 2:
             # no two calls can overlap (a mock reply is a lookup that holds
             # the GIL): ask in this thread, in prompt order; a failure
             # propagates before the next prompt is started
-            for k, key in todo:
-                results[k] = self._ask(prompts[k], key, parse, retries)
+            for k in todo:
+                results[k] = self._ask(prompts[k], parse, retries)
             return results
 
         failed = threading.Event()
 
-        def ask(prompt: str, key: str | None):
+        def ask(prompt: str):
             if failed.is_set():         # after a failure, start nothing new
                 return None
             try:
-                return self._ask(prompt, key, parse, retries)
+                return self._ask(prompt, parse, retries)
             except BaseException:
                 failed.set()
                 raise
 
         with ThreadPoolExecutor(max_workers=self.cfg.max_concurrent) as pool:
-            futures = {k: pool.submit(ask, prompts[k], key) for k, key in todo}
+            futures = {k: pool.submit(ask, prompts[k]) for k in todo}
         for k, fut in futures.items():
             results[k] = fut.result()
         return results
 
-    def _ask(self, prompt: str, key: str | None, parse, retries: int) -> tuple:
-        """key is the prompt's reply-cache key, None when there is no cache."""
+    def _ask(self, prompt: str, parse, retries: int, pay: bool = True) -> tuple | None:
+        """The attempts at one prompt, in order, until a reply parses. An
+        attempt the reply cache holds is replayed; any other is bought from
+        the endpoint and cached, parsed or not, so no paid reply is bought
+        twice. Without pay, returns None at the first attempt not cached."""
         reply = ""
-        for _ in range(retries + 1):
-            reply = self.complete(prompt).response_text
+        for attempt in range(retries + 1):
+            key = self._cache_key(prompt, attempt) if self._cache_path else None
+            reply = self._cache.get(key)
+            if reply is None:
+                if not pay:
+                    return None
+                reply = self.complete(prompt).response_text
+                if key is not None:
+                    self._append(self._cache_path, {"key": key, "response": reply})
+                    self._cache[key] = reply
             try:
-                value = parse(reply)
+                return parse(reply), reply
             except ParseError:
                 continue
-            # only parsed replies are kept, so a parse retry reaches the endpoint
-            if key is not None:
-                self._append(self._cache_path, {"key": key, "response": reply})
-                self._cache[key] = reply
-            return value, reply
         return None, reply
 
-    def _cache_key(self, prompt: str) -> str:
+    def _cache_key(self, prompt: str, attempt: int) -> str:
         # the base URL is left out: the same model answers wherever it is served
         ident = [self.cfg.model_name, float(self.cfg.temperature), prompt]
+        if attempt:
+            ident.append(attempt)
         return hashlib.sha256(json.dumps(ident).encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------- chat

@@ -66,10 +66,6 @@ class GCNParams:
         if self.w0.shape[1] != self.w1.shape[0]:
             raise ValueError("hidden dimensions of W0 and W1 disagree")
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.w0.shape[0], self.w0.shape[1], self.w1.shape[1]
-
 
 @dataclass(frozen=True)
 class ForwardCache:

@@ -282,10 +282,21 @@ _UPSTREAM = _upstream()
 # ------------------------------------------------------------------ manifest
 
 def load_manifest(art_dir: str) -> dict:
+    """The directory's manifest, or a new one. A manifest that is not an
+    object whose "stages" and "files" blocks, and each of their entries,
+    are objects raises ValueError("path: ...")."""
     path = os.path.join(art_dir, MANIFEST_FILE)
     if not os.path.exists(path):
         return {"version": __version__, "config_hash": None, "stages": {}}
-    return read_json(path)
+    manifest = read_json(path)
+    blocks = [manifest.get("stages"), manifest.get("files", {})] \
+        if isinstance(manifest, dict) else [None]
+    for block in blocks:
+        if not isinstance(block, dict) or \
+                not all(isinstance(entry, dict) for entry in block.values()):
+            raise ValueError(f"{path}: not a manifest: its stages and files "
+                             f"blocks and their entries must be objects")
+    return manifest
 
 
 def _save_manifest(art_dir: str, manifest: dict) -> None:

@@ -17,6 +17,7 @@ node texts and labels but neither edges.jsonl nor features.bin.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,14 @@ def _load_detections(path: str) -> list[Detection]:
             for lineno, rec in read_jsonl(path)]
 
 
+def _dataset(load, *args):
+    """load(*args), with a ValueError reported as a rejected dataset."""
+    try:
+        return load(*args)
+    except ValueError as exc:
+        raise ConfigError(f"dataset rejected: {exc}") from exc
+
+
 class StageData:
     """Per-command cache of the graph, its edges, features, split, A-hat and
     model input, each loaded on first use. ingest touches the edges and the
@@ -82,84 +91,53 @@ class StageData:
 
     def __init__(self, rc: RunConfig):
         self.rc = rc
-        self._graph: Graph | None = None
-        self._linked: Graph | None = None
-        self._features: np.ndarray | None = None
-        self._split: SplitAssignment | None = None
-        self._a_hat = None
-        self._x = None
 
-    @property
+    @cached_property
     def graph(self) -> Graph:
         """Node texts and labels, without edges (see linked); the feature
         matrix is features."""
-        if self._graph is None:
-            try:
-                self._graph = load_graph(self.rc.dataset.nodes)
-            except ValueError as exc:
-                raise ConfigError(f"dataset rejected: {exc}") from exc
-        return self._graph
+        return _dataset(load_graph, self.rc.dataset.nodes)
 
-    @property
+    @cached_property
     def linked(self) -> Graph:
         """The graph with its edges, the input of both normalizations."""
-        if self._linked is None:
-            g = self.graph
-            try:
-                edges = load_edges(self.rc.dataset.edges, g.num_nodes)
-            except ValueError as exc:
-                raise ConfigError(f"dataset rejected: {exc}") from exc
-            self._linked = replace(g, edges=edges)
-        return self._linked
+        g = self.graph
+        return replace(g, edges=_dataset(load_edges, self.rc.dataset.edges, g.num_nodes))
 
-    @property
+    @cached_property
     def features(self) -> np.ndarray:
-        if self._features is None:
-            try:
-                self._features = load_features(self.rc.dataset.features,
-                                               self.graph.num_nodes)
-            except ValueError as exc:
-                raise ConfigError(f"dataset rejected: {exc}") from exc
-        return self._features
+        return _dataset(load_features, self.rc.dataset.features, self.graph.num_nodes)
 
-    @property
+    @cached_property
     def a_hat(self):
-        if self._a_hat is None:
-            self._a_hat = sym_normalize_adjacency(self.linked)
-        return self._a_hat
+        return sym_normalize_adjacency(self.linked)
 
-    @property
+    @cached_property
     def x(self):
         """Model input X: the feature matrix, or a CSR copy of it (see
         SPARSE_FEATURE_DENSITY). The copy is made from the flat positions of
         the nonzeros, which come in row-major order: each row's columns
         sorted, the arrays scipy builds from a dense matrix."""
-        if self._x is None:
-            import scipy.sparse as sp
-            f = self.features
-            nonzero = f != 0
-            if np.count_nonzero(nonzero) > SPARSE_FEATURE_DENSITY * f.size:
-                self._x = f
-            else:
-                flat = np.flatnonzero(nonzero)
-                n, d = f.shape
-                idx = np.int32 if max(flat.size, n, d) <= np.iinfo(np.int32).max \
-                    else np.int64
-                indptr = np.searchsorted(flat, np.arange(n + 1) * d).astype(idx)
-                self._x = sp.csr_array((f[nonzero], (flat % d).astype(idx), indptr),
-                                       shape=f.shape)
-        return self._x
+        import scipy.sparse as sp
+        f = self.features
+        nonzero = f != 0
+        if np.count_nonzero(nonzero) > SPARSE_FEATURE_DENSITY * f.size:
+            return f
+        flat = np.flatnonzero(nonzero)
+        n, d = f.shape
+        idx = np.int32 if max(flat.size, n, d) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.searchsorted(flat, np.arange(n + 1) * d).astype(idx)
+        return sp.csr_array((f[nonzero], (flat % d).astype(idx), indptr), shape=f.shape)
 
+    @cached_property
     def split(self) -> SplitAssignment:
-        if self._split is None:
-            path = self.rc.artifact(SPLIT_FILE)
-            self._split = build_record(SplitAssignment, read_json(path), path)
-        return self._split
+        path = self.rc.artifact(SPLIT_FILE)
+        return build_record(SplitAssignment, read_json(path), path)
 
     def id_train_targets(self) -> np.ndarray:
         """Full-length target array with ID class indices on labeled ID nodes
         and -1 elsewhere (train/val restricted to ID classes)."""
-        g, split = self.graph, self.split()
+        g, split = self.graph, self.split
         cindex = split.class_index()
         y = np.full(g.num_nodes, -1, dtype=np.int64)
         for i in range(g.num_nodes):
@@ -169,7 +147,7 @@ class StageData:
         return y
 
     def id_val_ids(self) -> list[int]:
-        g, split = self.graph, self.split()
+        g, split = self.graph, self.split
         cindex = split.class_index()
         return [i for i in split.val_ids if g.labels[i] in cindex]
 
@@ -184,7 +162,6 @@ def stage_ingest(data: StageData) -> None:
     except ValueError as exc:
         raise ConfigError(f"split rejected: {exc}") from exc
     write_json(rc.artifact(SPLIT_FILE), asdict(split))
-    data._split = split
 
 
 def _gateway(rc: RunConfig, log_name: str) -> LLMGateway:
@@ -199,7 +176,7 @@ def stage_coarse(data: StageData) -> None:
     rc = data.rc
     with _gateway(rc, COARSE_LOG_FILE) as gateway:
         try:
-            result = coarse_detect(data.graph, data.split().test_ids, rc.coarse,
+            result = coarse_detect(data.graph, data.split.test_ids, rc.coarse,
                                    gateway)
         except (GatewayError, CoarseDetectError) as exc:
             raise StageError(f"coarse detection failed: {exc}") from exc
@@ -222,7 +199,7 @@ def _load_survivors(path: str) -> tuple[int, ...]:
 
 def stage_denoise(data: StageData) -> None:
     rc = data.rc
-    g, split = data.graph, data.split()
+    g, split = data.graph, data.split
     coarse = load_coarse_result(rc.artifact(COARSE_FILE))
     cindex = split.class_index()
     train_labels = {i: cindex[g.labels[i]] for i in split.train_ids}
@@ -251,7 +228,7 @@ def stage_train_prelim(data: StageData) -> None:
     class probabilities for every node, the prelim model's columns first,
     are recorded for eval's baselines; only the prelim model is saved."""
     rc = data.rc
-    split = data.split()
+    split = data.split
     y = data.id_train_targets()
     val_ids = data.id_val_ids()
     models = (
@@ -274,7 +251,7 @@ def stage_train_prelim(data: StageData) -> None:
 
 def stage_augment(data: StageData) -> None:
     rc = data.rc
-    split = data.split()
+    split = data.split
     survivors = _load_survivors(rc.artifact(DENOISED_FILE))
     if not survivors:
         raise StageError("no denoised OOD candidates survive; nothing to "
@@ -290,7 +267,7 @@ def stage_augment(data: StageData) -> None:
 
 def stage_train_fine(data: StageData) -> None:
     rc = data.rc
-    g, split = data.graph, data.split()
+    g, split = data.graph, data.split
     survivors = _load_survivors(rc.artifact(DENOISED_FILE))
     synth = load_synthetic(rc.artifact(SYNTH_BIN_FILE), rc.artifact(SYNTH_META_FILE))
     c = len(split.id_classes)
@@ -314,7 +291,7 @@ def stage_train_fine(data: StageData) -> None:
 
 def stage_detect(data: StageData) -> None:
     rc = data.rc
-    split = data.split()
+    split = data.split
     params = load_checkpoint(rc.artifact(FINE_CKPT))
     probs = predict(params, data.a_hat, data.x)
     ood_index = probs.shape[1] - 1
@@ -336,7 +313,7 @@ def stage_classify_ood(data: StageData) -> None:
         raise StageError(f"category merge failed: {exc}") from exc
     save_post_label_space(post, rc.artifact(POST_LABELS_FILE))
 
-    c = len(data.split().id_classes)
+    c = len(data.split.id_classes)
     ood_nodes = [d.node_id for d in _load_detections(rc.artifact(DETECT_FILE))
                  if d.pred == c]
 
@@ -374,7 +351,7 @@ def _safe_auroc(scores: dict, truth: dict, ood_index: int):
 
 def stage_eval(data: StageData) -> None:
     rc = data.rc
-    g, split = data.graph, data.split()
+    g, split = data.graph, data.split
     c = len(split.id_classes)
     cindex = split.class_index()
     test_ids = sorted(split.test_ids)

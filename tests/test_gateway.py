@@ -564,19 +564,74 @@ def test_reply_cache_answers_without_calling_endpoint(monkeypatch, tmp_path):
     transport = echo_transport(calls, {"q 1": "never"})
     with LLMGateway(live_cfg(), transport=transport, cache_path=cache) as first:
         assert first.ask_all(["q 0", "q 1"], parse_int) == [(0, "0"), (None, "never")]
-    # a new gateway (a later run) reads the cache; only what never parsed is asked
+    # a new gateway (a later run) reads the cache; a reply that never parsed
+    # is replayed, not bought again
     calls.clear()
     with LLMGateway(live_cfg(), transport=transport, cache_path=cache,
                     log_path=str(log)) as again:
         assert again.ask_all(["q 0", "q 1"], parse_int) == [(0, "0"), (None, "never")]
-    assert calls == ["q 1"]
-    assert [json.loads(l)["prompt_text"] for l in log.read_text().splitlines()] == ["q 1"]
+    assert calls == []
+    assert not log.exists()                 # nothing was logged
     # the key covers model and temperature
     calls.clear()
     with LLMGateway(live_cfg(model_name="m2"), transport=transport,
                     cache_path=cache) as other:
         other.ask_all(["q 0"], parse_int)
     assert calls == ["q 0"]
+
+
+def cache_key(prompt, attempt=0):
+    """The reply-cache key of live_cfg()'s model for one attempt at prompt:
+    attempt 0 has the key of a cache written before retries were cached."""
+    ident = ["m1", 0.0, prompt] + ([attempt] if attempt else [])
+    return hashlib.sha256(json.dumps(ident).encode("utf-8")).hexdigest()
+
+
+def test_a_cache_of_first_attempts_only_answers_without_a_call(monkeypatch, tmp_path):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    assert live_cfg().temperature == 0.0
+    cache = write_jsonl(tmp_path / "cache.jsonl", [
+        {"key": cache_key(f"q {i}"), "response": str(i)} for i in range(3)])
+    calls = []
+    with LLMGateway(live_cfg(), transport=echo_transport(calls), cache_path=cache) as gw:
+        assert gw.ask_all(["q 0", "q 1", "q 2"], parse_int, retries=2) == \
+            [(0, "0"), (1, "1"), (2, "2")]
+    assert calls == []
+
+
+def test_more_retries_replay_the_paid_attempts_and_buy_only_the_new_ones(monkeypatch,
+                                                                       tmp_path):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    cache, calls = tmp_path / "cache.jsonl", []
+    replies = iter(["a", "b", "c"])
+
+    def transport(url, payload, headers, timeout):
+        calls.append(payload["messages"][0]["content"])
+        return 200, chat_body(next(replies))
+
+    with LLMGateway(live_cfg(), transport=transport, cache_path=str(cache)) as gw:
+        assert gw.ask_all(["q"], parse_int, retries=0) == [(None, "a")]
+    with LLMGateway(live_cfg(), transport=transport, cache_path=str(cache)) as gw:
+        assert gw.ask_all(["q"], parse_int, retries=2) == [(None, "c")]
+    assert calls == ["q", "q", "q"]
+    assert [json.loads(line) for line in cache.read_text().splitlines()] == [
+        {"key": cache_key("q", k), "response": r} for k, r in enumerate("abc")]
+
+
+def test_a_cache_cut_after_an_attempt_resumes_at_the_next(monkeypatch, tmp_path):
+    monkeypatch.setenv("CFC_LLM_API_KEY", "k")
+    cache, calls = tmp_path / "cache.jsonl", []
+    transport = echo_transport(calls, {"q": "never"})
+    with LLMGateway(live_cfg(), transport=transport, cache_path=str(cache)) as gw:
+        assert gw.ask_all(["q"], parse_int, retries=2) == [(None, "never")]
+    whole = cache.read_text().splitlines(keepends=True)
+    assert len(calls) == len(whole) == 3
+    cache.write_text("".join(whole[:2]))        # killed after attempt 1 of 3
+    calls.clear()
+    with LLMGateway(live_cfg(), transport=transport, cache_path=str(cache)) as gw:
+        assert gw.ask_all(["q"], parse_int, retries=2) == [(None, "never")]
+    assert calls == ["q"]
+    assert cache.read_text().splitlines(keepends=True) == whole
 
 
 def test_reply_cache_drops_torn_final_line(monkeypatch, tmp_path):

@@ -786,7 +786,7 @@ def test_classify_ood_and_eval_never_read_the_feature_matrix(fix, tmp_path,
     sigmoid = dataclasses.replace(rc.train, head="sigmoid",
                                   seed=rc.seed + config.SEED_OFFSETS["baseline"])
     params, _ = train(data.a_hat, data.x, data.id_train_targets(),
-                      data.split().train_ids, data.id_val_ids(), out_dim=c, cfg=sigmoid)
+                      data.split.train_ids, data.id_val_ids(), out_dim=c, cfg=sigmoid)
     assert np.array_equal(recorded[:, c:], predict(params, data.a_hat, data.x,
                                                    head="sigmoid"))
     clean = _read_bytes(rc.artifact(EVAL_FILE))
@@ -1268,19 +1268,21 @@ def test_mock_exchange_logs_are_in_prompt_order_run_after_run(fix, tmp_path,
 def _live_fixture(dir_path, monkeypatch, **gateway):
     """The corpus with a live gateway whose transport answers from the
     corpus's mock rules. The returned state records every prompt the
-    transport receives; the call numbered state["fail_at"] is refused."""
+    transport receives; the call numbered state["fail_at"] is refused, and
+    a prompt holding the text state["never_parses"] is answered "no idea"."""
     paths = fixture_tools.write_fixture(str(dir_path), config_overrides={
         "gateway": {"mode": "live", "base_url": "http://localhost:9",
                     "mock_fixture_path": None, **gateway}})
     rules = LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=paths["mock"]))
-    state = {"calls": [], "fail_at": None}
+    state = {"calls": [], "fail_at": None, "never_parses": None}
 
     def transport(url, payload, headers, timeout):
         prompt = payload["messages"][0]["content"]
         state["calls"].append(prompt)
         if len(state["calls"]) == state["fail_at"]:
             return 400, {"error": "refused"}
-        reply = rules.complete(prompt).response_text
+        garbled = state["never_parses"] is not None and state["never_parses"] in prompt
+        reply = "no idea" if garbled else rules.complete(prompt).response_text
         return 200, {"choices": [{"message": {"content": reply}}]}
 
     monkeypatch.setattr(_Connections, "__call__", lambda self, *args: transport(*args))
@@ -1321,9 +1323,17 @@ def test_live_threshold_edit_reuses_every_reply(tmp_path, monkeypatch):
     paths, state = _live_fixture(tmp_path, monkeypatch)
     rc = validate_config(paths["config"])
     run_stage(rc, "ingest")
+    # one screening prompt is answered "no idea" on every attempt
+    first = jsonl.read_json(rc.artifact(SPLIT_FILE))["test_ids"][0]
+    [state["never_parses"]] = [rec["text"] for _, rec in jsonl.read_jsonl(paths["nodes"])
+                               if rec["id"] == first]
     run_stage(rc, "coarse")
     assert load_coarse_result(rc.artifact(COARSE_FILE)).ood_ids
-    assert os.path.isfile(rc.artifact(LLM_CACHE_FILE))
+    garbled = [p for p in state["calls"] if state["never_parses"] in p]
+    assert len(garbled) == rc.coarse.max_parse_retries + 1 and len(set(garbled)) == 1
+    # every paid reply is cached, parsed or not
+    cached = _read_bytes(rc.artifact(LLM_CACHE_FILE))
+    assert len(cached.splitlines()) == len(state["calls"])
 
     state["calls"] = []
     edited = _variant_config(paths, "tau.json", lambda c: c.setdefault(
@@ -1331,9 +1341,16 @@ def test_live_threshold_edit_reuses_every_reply(tmp_path, monkeypatch):
     rc2 = validate_config(edited)
     assert run_stage(rc2, "coarse") is True
     assert state["calls"] == []
+    assert _read_bytes(rc2.artifact(LLM_CACHE_FILE)) == cached
     result = load_coarse_result(rc2.artifact(COARSE_FILE))
     assert result.confidence_threshold == 0.95 and result.ood_ids == ()
     assert os.path.getsize(rc2.artifact(COARSE_LOG_FILE)) == 0
+
+    # the edit writes what a clean run at 0.95 writes
+    clean = validate_config(edited, artifacts_override=str(tmp_path / "clean"))
+    run_stage(clean, "ingest")
+    run_stage(clean, "coarse")
+    assert _read_bytes(clean.artifact(COARSE_FILE)) == _read_bytes(rc2.artifact(COARSE_FILE))
 
 
 def test_a_blank_node_text_is_refused_before_any_prompt(tmp_path, monkeypatch):
@@ -1479,7 +1496,7 @@ def test_a_record_that_does_not_fit_its_dataclass_names_its_line(primary, fix,
     jsonl.write_json(rc2.artifact(SPLIT_FILE), split)
     with pytest.raises(ValueError, match=re.escape(rc2.artifact(SPLIT_FILE))
                        + r":1: .*'test_ids'"):
-        stages.StageData(rc2).split()
+        stages.StageData(rc2).split
 
 
 # each record reader of a stage: (file, line, the field dropped there, a
@@ -1489,6 +1506,9 @@ _RECORD_READERS = {
                            lambda d: stages._load_survivors(d.rc.artifact(DENOISED_FILE))),
     "coarse-header": (COARSE_FILE, 1, "mode",
                       lambda d: load_coarse_result(d.rc.artifact(COARSE_FILE))),
+    # no field: the line is a JSON array, not an object
+    "coarse-non-object": (COARSE_FILE, 2, None,
+                          lambda d: load_coarse_result(d.rc.artifact(COARSE_FILE))),
     "synth-header": (SYNTH_META_FILE, 1, "center", lambda d: load_synthetic(
         d.rc.artifact(SYNTH_BIN_FILE), d.rc.artifact(SYNTH_META_FILE))),
     "synth-row": (SYNTH_META_FILE, 3, "alpha", lambda d: load_synthetic(
@@ -1506,8 +1526,15 @@ def test_each_record_reader_names_the_line_missing_a_field(primary, fix, tmp_pat
     shutil.copytree(rc.artifacts_dir, arts)
     rc2 = validate_config(fix["config"], artifacts_override=str(arts))
     path = rc2.artifact(name)
-    _edit_line(rc.artifact(name), path, lineno, lambda r: r.pop(field))
-    with pytest.raises(ValueError, match=re.escape(path) + f":{lineno}: .*'{field}'"):
+    if field is None:
+        lines = _read_bytes(rc.artifact(name)).splitlines(keepends=True)
+        lines[lineno - 1] = b"[1, 2]\n"
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines))
+    else:
+        _edit_line(rc.artifact(name), path, lineno, lambda r: r.pop(field))
+    named = "unknown record kind" if field is None else f".*'{field}'"
+    with pytest.raises(ValueError, match=re.escape(path) + f":{lineno}: {named}"):
         read(stages.StageData(rc2))
 
 
@@ -1537,8 +1564,11 @@ def test_cli_malformed_artifact_is_an_error_line(tmp_path):
     assert not cut.endswith(b"\n")
     missing = str(tmp_path / "missing.jsonl")       # an annotation without category
     _edit_line(coarse, missing, 2, lambda r: r.pop("category"))
+    lines = data.splitlines(keepends=True)
+    string = b"".join(lines[:1] + [b'"x"\n'] + lines[2:])     # a line that is no object
     for bad, error in ((cut, r"malformed JSON .*"),
-                       (_read_bytes(missing), r"Annotation.* 'category'")):
+                       (_read_bytes(missing), r"Annotation.* 'category'"),
+                       (string, r"unknown record kind")):
         with open(coarse, "wb") as fh:
             fh.write(bad)
         # recorded as coarse's output, so coarse stays cached and denoise
@@ -1553,12 +1583,18 @@ def test_cli_malformed_artifact_is_an_error_line(tmp_path):
         assert re.fullmatch(r"error: denoise: .*coarse\.jsonl:\d+: " + error + r"\n",
                             res.stderr)
 
-    # the manifest is read before any stage runs
-    with open(os.path.join(paths["artifacts"], MANIFEST_FILE), "w") as fh:
-        fh.write('{"stages": ')
-    res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
-    assert res.returncode == 2
-    assert re.fullmatch(r"error: .*manifest\.json:1: malformed JSON .*\n", res.stderr)
+    # the manifest is read before any stage runs; a block or an entry the
+    # engine indexes that is not an object is refused there too
+    for bad, error in (('{"stages": ', r":1: malformed JSON .*"),
+                       ("[]", ": not a manifest.*"),
+                       ('{"stages": []}', ": not a manifest.*"),
+                       ('{"stages": {"ingest": []}}', ": not a manifest.*"),
+                       ('{"stages": {}, "files": []}', ": not a manifest.*")):
+        with open(os.path.join(paths["artifacts"], MANIFEST_FILE), "w") as fh:
+            fh.write(bad)
+        res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
+        assert res.returncode == 2
+        assert re.fullmatch(r"error: .*manifest\.json" + error + r"\n", res.stderr), res.stderr
 
 
 def test_cli_error_exit_codes(fix, tmp_path):
