@@ -317,10 +317,6 @@ class SplitAssignment:
         if set(self.id_classes) & set(self.ood_classes):
             raise ValueError("id_classes and ood_classes overlap")
 
-    def class_index(self) -> dict[str, int]:
-        """ID class name -> model class index, in id_classes order."""
-        return {name: k for k, name in enumerate(self.id_classes)}
-
 
 def split_dataset(g: Graph, id_classes, ood_classes, seed: int,
                   train_frac: float = 0.5, val_frac: float = 0.4) -> SplitAssignment:

@@ -225,15 +225,12 @@ def classify_ood(node_ids, g, post: PostLabelSpace, gateway: LLMGateway,
 def cluster_accuracy(assignments, true_labels: dict) -> float:
     """Accuracy under the best injective map from predicted to true labels.
 
-    assignments is a sequence of OODAssignment (or (node_id, label) pairs);
-    true_labels maps node id to its true class name. The optimal assignment
-    over the predicted x true contingency table is solved exactly, in
-    integers, by _max_matching.
+    assignments is a sequence of (node_id, label) pairs; true_labels maps
+    node id to its true class name. The optimal assignment over the
+    predicted x true contingency table is solved exactly, in integers, by
+    _max_matching.
     """
-    pairs = []
-    for a in assignments:
-        node, label = (a.node_id, a.label) if isinstance(a, OODAssignment) else a
-        pairs.append((int(node), label))
+    pairs = [(int(node), label) for node, label in assignments]
     if not pairs:
         raise ValueError("no assignments to score")
     for node, _ in pairs:

@@ -33,9 +33,9 @@ The manifest's "files" block remembers each file's sha256 beside its stat,
 so a rerun reads only the files whose stat changed or that were changed
 too close to their hashing to trust it (see _Runtime.file_hash); a pass
 that read a file again and can now trust its hash saves the manifest once
-more. In live mode the gateway also keeps every parsed reply in
-llm_cache.jsonl, so a rerun after an edit or a crash asks the endpoint
-only for prompts it has not answered yet. The config is checked by
+more. In live mode the gateway also keeps every paid reply, parsed or
+not, in llm_cache.jsonl, so a rerun after an edit or a crash asks the
+endpoint only for attempts it has not answered yet. The config is checked by
 cfc.config; a stage that runs echoes it, every default made explicit, to
 resolved.json beside the manifest that records its hash.
 
@@ -181,13 +181,15 @@ class _Runtime:
         The memo's sha256 stands in for reading the file when the file's
         device, inode, size, mtime and ctime all match the memo's and its
         ctime lies RACY_WINDOW_NS or more before the memo's hash was taken;
-        otherwise the file is read and its memo entry replaced."""
+        otherwise, or when the entry lacks one of its three fields, the file
+        is read and its memo entry replaced."""
         if fresh or path not in self._hashes:
             hashed_at = time.time_ns()          # before the stat, never after
             st = os.stat(path)
             stat = [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
-            entry = self._memo.get(path)
-            if not fresh and entry is not None and entry["stat"] == stat \
+            entry = self._memo.get(path, {})
+            if not fresh and {"stat", "hashed_at_ns", "sha256"} <= entry.keys() \
+                    and entry["stat"] == stat \
                     and st.st_ctime_ns < entry["hashed_at_ns"] - RACY_WINDOW_NS:
                 self._hashes[path] = entry["sha256"]
             else:

@@ -134,22 +134,19 @@ class StageData:
         path = self.rc.artifact(SPLIT_FILE)
         return build_record(SplitAssignment, read_json(path), path)
 
-    def id_train_targets(self) -> np.ndarray:
-        """Full-length target array with ID class indices on labeled ID nodes
-        and -1 elsewhere (train/val restricted to ID classes)."""
-        g, split = self.graph, self.split
-        cindex = split.class_index()
-        y = np.full(g.num_nodes, -1, dtype=np.int64)
-        for i in range(g.num_nodes):
-            lab = g.labels[i]
-            if lab in cindex:
-                y[i] = cindex[lab]
-        return y
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """Each node's class: its index in split.id_classes, the ID class
+        count C (the OOD class) for any other label, -1 for an unlabeled
+        node. The one place the stages turn labels into classes."""
+        cindex = {name: k for k, name in enumerate(self.split.id_classes)}
+        c = len(cindex)
+        return np.array([-1 if lab is None else cindex.get(lab, c)
+                         for lab in self.graph.labels], dtype=np.int64)
 
-    def id_val_ids(self) -> list[int]:
-        g, split = self.graph, self.split
-        cindex = split.class_index()
-        return [i for i in split.val_ids if g.labels[i] in cindex]
+    def id_targets(self) -> np.ndarray:
+        """A copy of targets with -1 on every node outside the ID classes."""
+        return np.where(self.targets < len(self.split.id_classes), self.targets, -1)
 
 
 def stage_ingest(data: StageData) -> None:
@@ -201,8 +198,7 @@ def stage_denoise(data: StageData) -> None:
     rc = data.rc
     g, split = data.graph, data.split
     coarse = load_coarse_result(rc.artifact(COARSE_FILE))
-    cindex = split.class_index()
-    train_labels = {i: cindex[g.labels[i]] for i in split.train_ids}
+    train_labels = {i: int(data.targets[i]) for i in split.train_ids}
     candidates = coarse.ood_ids
 
     survivors: tuple[int, ...] = ()
@@ -229,8 +225,8 @@ def stage_train_prelim(data: StageData) -> None:
     are recorded for eval's baselines; only the prelim model is saved."""
     rc = data.rc
     split = data.split
-    y = data.id_train_targets()
-    val_ids = data.id_val_ids()
+    y = data.id_targets()
+    val_ids = [i for i in split.val_ids if y[i] >= 0]
     models = (
         ("preliminary", PRELIM_CKPT, rc.train),
         ("sigmoid baseline", None, replace(
@@ -267,22 +263,21 @@ def stage_augment(data: StageData) -> None:
 
 def stage_train_fine(data: StageData) -> None:
     rc = data.rc
-    g, split = data.graph, data.split
+    split = data.split
     survivors = _load_survivors(rc.artifact(DENOISED_FILE))
     synth = load_synthetic(rc.artifact(SYNTH_BIN_FILE), rc.artifact(SYNTH_META_FILE))
     c = len(split.id_classes)
-    cindex = split.class_index()
 
-    y = data.id_train_targets()
-    for i in survivors:
-        y[i] = c
-    for i in split.val_ids:
-        if g.labels[i] not in cindex:
-            y[i] = c
+    y = data.id_targets()
+    y[list(survivors)] = c
+    # the fine model's one read of OOD truth: early stopping and model
+    # selection see the class of every validation node
+    val_ids = list(split.val_ids)
+    y[val_ids] = data.targets[val_ids]
     train_ids = sorted(set(split.train_ids) | set(survivors))
     cfg = replace(rc.train, seed=rc.seed + SEED_OFFSETS["fine"])
     try:
-        params, _ = train(data.a_hat, data.x, y, train_ids, split.val_ids,
+        params, _ = train(data.a_hat, data.x, y, train_ids, val_ids,
                           out_dim=c + 1, synth=synth, cfg=cfg)
     except TrainingDiverged as exc:
         raise StageError(f"fine training diverged: {exc}") from exc
@@ -353,9 +348,8 @@ def stage_eval(data: StageData) -> None:
     rc = data.rc
     g, split = data.graph, data.split
     c = len(split.id_classes)
-    cindex = split.class_index()
     test_ids = sorted(split.test_ids)
-    truth = {i: cindex.get(g.labels[i], c) for i in test_ids}
+    truth = dict(zip(test_ids, data.targets[test_ids].tolist()))
 
     detections = _load_detections(rc.artifact(DETECT_FILE))
     cfc_preds = {d.node_id: d.pred for d in detections}
@@ -373,7 +367,7 @@ def stage_eval(data: StageData) -> None:
     probs_soft, probs_sig = probs[:, :c], probs[:, c:]
 
     val_ids = sorted(split.val_ids)
-    truth_val = np.array([cindex.get(g.labels[i], c) for i in val_ids])
+    truth_val = data.targets[val_ids]
     tau_soft, _ = tune_threshold(probs_soft[val_ids], truth_val, "softmax")
     tau_sig, _ = tune_threshold(probs_sig[val_ids], truth_val, "sigmoid")
 

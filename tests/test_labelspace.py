@@ -443,11 +443,6 @@ def test_cluster_accuracy_rectangular_cases():
     assert cluster_accuracy(pairs2, truth2) == pytest.approx(3 / 5)
 
 
-def test_cluster_accuracy_accepts_assignment_objects():
-    a = [OODAssignment(0, "p", 1.0, ""), OODAssignment(1, "p", 0.5, "")]
-    assert cluster_accuracy(a, {0: "x", 1: "x"}) == 1.0
-
-
 def _pairs_from_table(table):
     """(node, predicted label) pairs and node -> true class whose contingency
     table is `table` (rows predicted, columns true; empty lines drop out)."""

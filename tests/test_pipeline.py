@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 import fixture_tools
 from cfc import graph as graph_module
-from cfc import config, jsonl, pipeline, stages
+from cfc import cli, config, jsonl, pipeline, stages
 from cfc.coarse import load_coarse_result
 from cfc.denoise import load_synthetic
 from cfc.gateway import GatewayConfig, LLMGateway, _Connections
@@ -485,12 +485,16 @@ def test_eval_json_reproducible(primary, fix, tmp_path):
 
 
 # the record artifacts that no model touches, as the demo corpus writes
-# them: each record is its dataclass's fields in declaration order
+# them: each record is its dataclass's fields in declaration order. Then
+# eval.json and the OOD assignments, which read the models' outputs but
+# keep their bytes under other BLAS and SIMD kernels, as no model file does
 RECORD_SHA256 = {
     SPLIT_FILE: "7acf05920339bad4d4680d3d9b2fc894d28cd2c26cf294dde7e6147c3753841c",
     COARSE_FILE: "94888d365c2497d21140a4527d5e7d1e7b25fc5523bd3e4c381df5b303e35967",
     DENOISED_FILE: "433cb9844e5617b428532f2408c22e97b631fa4c32ef3445b94f23dc07a2bd46",
     POST_LABELS_FILE: "02dac3008217f912433447d318986f885c302f64d72b7253d5b68238b89d9e24",
+    ASSIGN_FILE: "ef3bcbb1067539c73c84bc306dcde2ac66af11bde08d56807510ffbf5660e8d1",
+    EVAL_FILE: "d3178b19dcd61e2f5b2aa85389e7cdddeba13c3b0a3840e3dc0f0f3eb864d641",
 }
 
 
@@ -688,6 +692,27 @@ def test_memo_entry_of_a_missing_file_is_a_miss(fix, tmp_path, hashed, trusted_m
     assert not any(run_all(rc).values())
 
 
+@pytest.mark.parametrize("kept", [(), ("stat", "hashed_at_ns")])
+def test_memo_entry_missing_a_field_is_a_miss(fix, tmp_path, monkeypatch, capsys,
+                                             kept):
+    arts = str(tmp_path / "a")
+    rc = validate_config(fix["config"], artifacts_override=arts)
+    run_all(rc)
+    nodes = rc.dataset.nodes
+    manifest = load_manifest(arts)
+    entry = manifest["files"][nodes]
+    # hashed long after the file's last change, so only a missing field
+    # can make the entry untrusted
+    entry["hashed_at_ns"] = entry["stat"][4] + 2 * pipeline.RACY_WINDOW_NS
+    manifest["files"][nodes] = {k: entry[k] for k in kept}
+    pipeline._save_manifest(arts, manifest)
+    _move_clock_past_window(monkeypatch)
+    assert cli.main(["run-all", "--config", fix["config"], "--artifacts", arts]) == 0
+    assert capsys.readouterr().out.splitlines()[:len(STAGE_ORDER)] == \
+        [f"{stage}: cached" for stage in STAGE_ORDER]
+    assert load_manifest(arts)["files"][nodes]["sha256"] == pipeline._file_hash(nodes)
+
+
 def test_sparse_features_take_the_csr_path(tmp_path, monkeypatch):
     paths = fixture_tools.write_fixture(str(tmp_path))
     _, dense = fixture_tools.build_graph(0)
@@ -771,6 +796,21 @@ def test_merge_edit_reruns_eval_without_training(fix, tmp_path, monkeypatch):
     assert trained == []
 
 
+def test_targets_are_each_nodes_class():
+    data = stages.StageData(None)
+    data.__dict__["graph"] = graph_module.Graph(
+        4, None, ("a", "b", "c", "d"), ("y", "x", "z", None), ("x", "y", "z"))
+    data.__dict__["split"] = graph_module.SplitAssignment(
+        (1,), (0, 2), (), id_classes=("y", "x"), ood_classes=("z",))
+    # id_classes order, then the OOD index C for another label, then -1
+    # for an unlabeled node
+    assert data.targets.tolist() == [0, 1, 2, -1]
+    y = data.id_targets()
+    assert y.tolist() == [0, 1, -1, -1]
+    y[:] = 5                            # train-fine writes into its copy
+    assert data.targets.tolist() == [0, 1, 2, -1]
+
+
 def test_classify_ood_and_eval_never_read_the_feature_matrix(fix, tmp_path,
                                                              monkeypatch):
     rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
@@ -785,8 +825,10 @@ def test_classify_ood_and_eval_never_read_the_feature_matrix(fix, tmp_path,
         load_checkpoint(rc.artifact(PRELIM_CKPT)), data.a_hat, data.x))
     sigmoid = dataclasses.replace(rc.train, head="sigmoid",
                                   seed=rc.seed + config.SEED_OFFSETS["baseline"])
-    params, _ = train(data.a_hat, data.x, data.id_train_targets(),
-                      data.split.train_ids, data.id_val_ids(), out_dim=c, cfg=sigmoid)
+    y = data.id_targets()
+    val_ids = [i for i in data.split.val_ids if y[i] >= 0]
+    params, _ = train(data.a_hat, data.x, y, data.split.train_ids, val_ids,
+                      out_dim=c, cfg=sigmoid)
     assert np.array_equal(recorded[:, c:], predict(params, data.a_hat, data.x,
                                                    head="sigmoid"))
     clean = _read_bytes(rc.artifact(EVAL_FILE))
