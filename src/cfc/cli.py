@@ -1,9 +1,11 @@
 """Command line front end: one pipeline stage per invocation, or run-all.
 
 Exit codes: 0 success, 1 validation problem (config, dataset, stage order),
-2 runtime failure (gateway, training, merging, a malformed artifact), 141
-(128 + SIGPIPE) when the reader of stdout goes away early, as in
-`cfc run-all ... | head -1`.
+2 runtime failure, 141 (128 + SIGPIPE) when the reader of stdout goes away
+early, as in `cfc run-all ... | head -1`. A runtime failure of a stage
+(gateway, training, merging, a malformed artifact) prints one line,
+`error: <stage>: <cause>`; report's refusal of a malformed eval.json names
+the file instead.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         rc = validate_config(args.config, artifacts_override=args.artifacts)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if args.command == "report":
             print(emit_report(rc))
         else:
@@ -73,7 +70,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, OSError, ValueError) as exc:   # ValueError: e.g. a malformed manifest
+    # a stage's StageError, a held lock, a malformed manifest or eval.json
+    except (RuntimeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,7 +70,8 @@ def _load_fixture(path: str) -> tuple[dict[str, str], list[tuple[str, str]]]:
     by_hash: dict[str, str] = {}
     substr: list[tuple[str, str]] = []
     for lineno, rec in read_jsonl(path):
-        match, response = rec.get("match"), rec.get("response")
+        match, response = (rec.get("match"), rec.get("response")) \
+            if isinstance(rec, dict) else (None, None)
         if not isinstance(match, str) or not isinstance(response, str):
             raise ValueError(f"{path}:{lineno}: fixture line needs string match and response")
         if match.startswith("hash:"):

@@ -291,7 +291,8 @@ def train(a_hat: sp.csr_array, x: np.ndarray | sp.csr_array, y: np.ndarray,
         history.append({"epoch": epoch, "loss": epoch_loss, "val_accuracy": val_acc})
 
         if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(f"non-finite loss at epoch {epoch}", history)
+            raise TrainingDiverged(f"{cfg.head}-head model: non-finite loss "
+                                   f"at epoch {epoch}", history)
 
         if val_ids:
             if val_acc > best_val:

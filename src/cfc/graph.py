@@ -3,10 +3,10 @@ matrix format.
 
 Sparse matrices are scipy.sparse CSR arrays (float64) in canonical form:
 column indices strictly increasing inside each row, no duplicates and no
-stored zeros. Both normalizations are built in numpy from the canonical edge
-list, and spmm is the one sparse @ dense product the model code calls, so
-its summation order (stored column order, row by row) fixes the rounding of
-every propagation. scipy.sparse is imported when the first matrix is built,
+stored zeros. Both normalizations hand the canonical edge list to scipy as
+coordinates, which it sorts into that form, and spmm is the one sparse @
+dense product the model code calls, so its summation order (stored column
+order, row by row) fixes the rounding of every propagation. scipy.sparse is imported when the first matrix is built,
 not with this module, so commands that build none never load it.
 
 Functions:
@@ -256,16 +256,6 @@ def save_graph(g: Graph, nodes_path: str, edges_path: str) -> None:
     write_jsonl(edges_path, ({"src": a, "dst": b} for a, b in g.edges))
 
 
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_array:
-    """n x n CSR from coordinates without duplicates, entries sorted by
-    (row, column)."""
-    import scipy.sparse as sp
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sp.csr_array((vals[order], cols[order], indptr), shape=(n, n))
-
-
 def _both_directions(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     if g.edges is None:
         raise ValueError("graph was read without its edges")
@@ -276,22 +266,24 @@ def _both_directions(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 def sym_normalize_adjacency(g: Graph) -> sp.csr_array:
     """Symmetric GCN propagation matrix: self loops added, entry (i, j) equals
     1/sqrt((deg_i + 1) (deg_j + 1))."""
+    import scipy.sparse as sp
     n = g.num_nodes
     src, dst = _both_directions(g)
     inv_sqrt = 1.0 / np.sqrt(np.bincount(src, minlength=n) + 1.0)
     loops = np.arange(n, dtype=np.int64)
     rows = np.concatenate([src, loops])
     cols = np.concatenate([dst, loops])
-    return _csr(n, rows, cols, inv_sqrt[rows] * inv_sqrt[cols])
+    return sp.csr_array((inv_sqrt[rows] * inv_sqrt[cols], (rows, cols)), shape=(n, n))
 
 
 def rw_normalize_adjacency(g: Graph) -> sp.csr_array:
     """Row-stochastic propagation matrix D^{-1} A without self loops. Isolated
     nodes keep an empty row (their rows multiply to zero, callers reset them)."""
+    import scipy.sparse as sp
     n = g.num_nodes
     src, dst = _both_directions(g)
     deg = np.bincount(src, minlength=n)
-    return _csr(n, src, dst, 1.0 / deg[src])
+    return sp.csr_array((1.0 / deg[src], (src, dst)), shape=(n, n))
 
 
 @dataclass(frozen=True)

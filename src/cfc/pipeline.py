@@ -343,7 +343,9 @@ def artifacts_lock(art_dir: str):
 
 
 def _execute(rt: _Runtime, stage: str) -> bool:
-    """Run one stage if its inputs changed; returns True when it executed."""
+    """Run one stage if its inputs changed; returns True when it executed.
+    A RuntimeError, ValueError or OSError of the body is raised again as a
+    StageError("<stage>: <cause>"); a ConfigError passes through as it is."""
     rc, manifest = rt.rc, rt.manifest
     for upstream in _UPSTREAM[stage]:
         if not rt.done(upstream):
@@ -360,7 +362,7 @@ def _execute(rt: _Runtime, stage: str) -> bool:
         _STAGES[stage].run(rt)
     except ConfigError:
         raise
-    except ValueError as exc:           # e.g. a malformed artifact
+    except (RuntimeError, ValueError, OSError) as exc:
         raise StageError(f"{stage}: {exc}") from exc
     manifest["stages"][stage] = {
         "input_hash": input_hash,
@@ -412,12 +414,19 @@ def run_all(rc: RunConfig, strict: bool = False) -> dict:
 # ------------------------------------------------------------------ reporting
 
 def emit_report(rc: RunConfig) -> str:
-    """Text table of every method's ID/OOD/overall accuracy (in percent)."""
+    """Text table of every method's ID/OOD/overall accuracy (in percent). An
+    eval.json that does not hold such a report raises ValueError("path: ...")."""
     path = rc.artifact(EVAL_FILE)
     if not os.path.exists(path):
         raise ConfigError("missing artifact: eval")
     doc = read_json(path)
+    try:
+        return _report(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{path}: not an eval report: {exc!r}") from exc
 
+
+def _report(doc) -> str:
     names = [m for m in METHOD_ORDER if m in doc["methods"]]
     names += sorted(set(doc["methods"]) - set(names))
     lines = [f"{'method':<18}{'ID':>8}{'OOD':>8}{'overall':>9}{'AUROC':>8}"]

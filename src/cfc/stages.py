@@ -6,12 +6,14 @@ when a stage first executes. This is where numpy and the numeric modules
 load, so a command that executes no stage never imports them.
 
 A stage body takes the command's StageData and writes the artifacts its
-declaration lists. StageData loads each part of the run's input on first
-use, once per command: the graph reads only nodes.jsonl, edges.jsonl is
-read only by a stage that builds an adjacency (a_hat, denoise's walk
-matrix), and features.bin only by a stage that touches features or x. So
-classify-ood and eval, which an edit to screening or merging reruns, read
-node texts and labels but neither edges.jsonl nor features.bin.
+declaration lists. It raises a failure as it comes; cfc.pipeline turns it
+into the one StageError that names the stage. StageData loads each part of
+the run's input on first use, once per command: the graph reads only
+nodes.jsonl, edges.jsonl is read only by a stage that builds an adjacency
+(a_hat, denoise's walk matrix), and features.bin only by a stage that
+touches features or x. So classify-ood and eval, which an edit to screening
+or merging reruns, read node texts and labels but neither edges.jsonl nor
+features.bin.
 """
 
 from __future__ import annotations
@@ -21,15 +23,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .coarse import CoarseDetectError, coarse_detect, load_coarse_result, \
-    save_coarse_result
+from .coarse import coarse_detect, load_coarse_result, save_coarse_result
 from .config import SEED_OFFSETS, ConfigError, RunConfig
 from .denoise import denoise_ood, initial_label_matrix, label_propagate, \
     load_synthetic, mixup_augment, ood_center, save_synthetic, \
     select_boundary_nodes
-from .gateway import GatewayError, LLMGateway
-from .gcn import TrainingDiverged, forward, load_checkpoint, predict, \
-    save_checkpoint, train
+from .gateway import LLMGateway
+from .gcn import forward, load_checkpoint, predict, save_checkpoint, train
 from .graph import Graph, load_edges, load_features, load_graph, \
     load_matrices, rw_normalize_adjacency, save_matrices, split_dataset, \
     sym_normalize_adjacency, SplitAssignment
@@ -43,7 +43,7 @@ from .metrics import accuracy_report, auroc, threshold_baseline, \
 from .pipeline import ASSIGN_FILE, BASELINE_PROBS_FILE, \
     CLASSIFY_LOG_FILE, COARSE_FILE, COARSE_LOG_FILE, DENOISED_FILE, \
     DETECT_FILE, EVAL_FILE, FINE_CKPT, LLM_CACHE_FILE, POST_LABELS_FILE, \
-    PRELIM_CKPT, SPLIT_FILE, SYNTH_BIN_FILE, SYNTH_META_FILE, StageError
+    PRELIM_CKPT, SPLIT_FILE, SYNTH_BIN_FILE, SYNTH_META_FILE
 
 SIGMOID_FIXED_TAU = 0.5
 
@@ -172,11 +172,7 @@ def _gateway(rc: RunConfig, log_name: str) -> LLMGateway:
 def stage_coarse(data: StageData) -> None:
     rc = data.rc
     with _gateway(rc, COARSE_LOG_FILE) as gateway:
-        try:
-            result = coarse_detect(data.graph, data.split.test_ids, rc.coarse,
-                                   gateway)
-        except (GatewayError, CoarseDetectError) as exc:
-            raise StageError(f"coarse detection failed: {exc}") from exc
+        result = coarse_detect(data.graph, data.split.test_ids, rc.coarse, gateway)
     save_coarse_result(result, rc.artifact(COARSE_FILE))
 
 
@@ -228,17 +224,14 @@ def stage_train_prelim(data: StageData) -> None:
     y = data.id_targets()
     val_ids = [i for i in split.val_ids if y[i] >= 0]
     models = (
-        ("preliminary", PRELIM_CKPT, rc.train),
-        ("sigmoid baseline", None, replace(
-            rc.train, head="sigmoid", seed=rc.seed + SEED_OFFSETS["baseline"])),
+        (PRELIM_CKPT, rc.train),
+        (None, replace(rc.train, head="sigmoid",
+                       seed=rc.seed + SEED_OFFSETS["baseline"])),
     )
     probs = []
-    for what, name, cfg in models:
-        try:
-            params, _ = train(data.a_hat, data.x, y, split.train_ids, val_ids,
-                              out_dim=len(split.id_classes), cfg=cfg)
-        except TrainingDiverged as exc:
-            raise StageError(f"{what} training diverged: {exc}") from exc
+    for name, cfg in models:
+        params, _ = train(data.a_hat, data.x, y, split.train_ids, val_ids,
+                          out_dim=len(split.id_classes), cfg=cfg)
         if name is not None:
             save_checkpoint(params, rc.artifact(name))
         probs.append(predict(params, data.a_hat, data.x, head=cfg.head))
@@ -250,8 +243,8 @@ def stage_augment(data: StageData) -> None:
     split = data.split
     survivors = _load_survivors(rc.artifact(DENOISED_FILE))
     if not survivors:
-        raise StageError("no denoised OOD candidates survive; nothing to "
-                         "augment (coarse stage found too few OOD nodes)")
+        raise RuntimeError("no denoised OOD candidates survive; nothing to "
+                           "augment (coarse stage found too few OOD nodes)")
     # one pass gives both the hidden space and the training confidences
     prelim = forward(load_checkpoint(rc.artifact(PRELIM_CKPT)), data.a_hat, data.x)
     confidence = {i: float(prelim.z_real[i].max()) for i in split.train_ids}
@@ -276,11 +269,8 @@ def stage_train_fine(data: StageData) -> None:
     y[val_ids] = data.targets[val_ids]
     train_ids = sorted(set(split.train_ids) | set(survivors))
     cfg = replace(rc.train, seed=rc.seed + SEED_OFFSETS["fine"])
-    try:
-        params, _ = train(data.a_hat, data.x, y, train_ids, val_ids,
-                          out_dim=c + 1, synth=synth, cfg=cfg)
-    except TrainingDiverged as exc:
-        raise StageError(f"fine training diverged: {exc}") from exc
+    params, _ = train(data.a_hat, data.x, y, train_ids, val_ids,
+                      out_dim=c + 1, synth=synth, cfg=cfg)
     save_checkpoint(params, rc.artifact(FINE_CKPT))
 
 
@@ -299,13 +289,10 @@ def stage_classify_ood(data: StageData) -> None:
     rc = data.rc
     coarse = load_coarse_result(rc.artifact(COARSE_FILE))
     if not coarse.category_log:
-        raise StageError("coarse stage logged no OOD categories; cannot build "
-                         "a label space")
-    try:
-        post = merge_categories(coarse.category_log, rc.merge.sim_threshold,
-                                rc.merge.min_count)
-    except ValueError as exc:
-        raise StageError(f"category merge failed: {exc}") from exc
+        raise RuntimeError("coarse stage logged no OOD categories; cannot "
+                           "build a label space")
+    post = merge_categories(coarse.category_log, rc.merge.sim_threshold,
+                            rc.merge.min_count)
     save_post_label_space(post, rc.artifact(POST_LABELS_FILE))
 
     c = len(data.split.id_classes)
@@ -315,14 +302,11 @@ def stage_classify_ood(data: StageData) -> None:
     assignments = ()
     with _gateway(rc, CLASSIFY_LOG_FILE) as gateway:
         if ood_nodes:
-            try:
-                assignments = classify_ood(
-                    ood_nodes, data.graph, post, gateway,
-                    text_budget=rc.coarse.text_budget,
-                    template_dir=rc.coarse.template_dir,
-                    max_parse_retries=rc.coarse.max_parse_retries)
-            except GatewayError as exc:
-                raise StageError(f"OOD classification failed: {exc}") from exc
+            assignments = classify_ood(
+                ood_nodes, data.graph, post, gateway,
+                text_budget=rc.coarse.text_budget,
+                template_dir=rc.coarse.template_dir,
+                max_parse_retries=rc.coarse.max_parse_retries)
     save_assignments(assignments, rc.artifact(ASSIGN_FILE))
 
 

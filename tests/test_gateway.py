@@ -92,6 +92,14 @@ def test_mock_fixture_rejects_bad_match_prefix(tmp_path):
         LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path))
 
 
+def test_mock_fixture_rejects_a_line_that_is_not_an_object(tmp_path):
+    path = write_jsonl(tmp_path / "f.jsonl", [{"match": "substr:x", "response": "y"},
+                                              [1, 2]])
+    with pytest.raises(ValueError, match=re.escape(path)
+                       + ":2: fixture line needs string match and response"):
+        LLMGateway(GatewayConfig(mode="mock", mock_fixture_path=path))
+
+
 def test_mock_exchange_fields(tmp_path):
     gw = mock_gateway(tmp_path, [{"match": "substr:q", "response": "a"}])
     ex = gw.complete("q1")

@@ -1133,7 +1133,7 @@ def test_coarse_failure_leaves_no_result(tmp_path):
 
     rc = validate_config(paths["config"])
     assert run_stage(rc, "ingest") is True
-    with pytest.raises(StageError, match="coarse detection failed.*no rule"):
+    with pytest.raises(StageError, match="^coarse: .*no rule"):
         run_stage(rc, "coarse")
     assert not os.path.exists(rc.artifact(COARSE_FILE))
     assert "coarse" not in load_manifest(rc.artifacts_dir)["stages"]
@@ -1637,6 +1637,61 @@ def test_cli_malformed_artifact_is_an_error_line(tmp_path):
         res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
         assert res.returncode == 2
         assert re.fullmatch(r"error: .*manifest\.json" + error + r"\n", res.stderr), res.stderr
+
+    # report refuses an eval.json that holds no report, naming the file,
+    # and still loads neither numpy nor scipy
+    path = os.path.join(paths["artifacts"], EVAL_FILE)
+    doc = jsonl.read_json(path)
+    del doc["methods"]["CFC"]["id_accuracy"]
+    for bad in ({}, [1], doc):
+        jsonl.write_json(path, bad)
+        res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, "report",
+                              "--config", paths["config"]],
+                             capture_output=True, text=True, env=_child_env())
+        assert res.stdout.splitlines()[-1] == "(2, [])", res.stdout
+        assert re.fullmatch(r"error: " + re.escape(path) + r": not an eval report: .*\n",
+                            res.stderr), res.stderr
+
+
+def _mock_rule(reply: str) -> dict:
+    """A rule that answers every prompt with reply."""
+    return {"match": "substr:", "response": reply}
+
+
+# (the stage that fails, config overrides, and a function from the fixture's
+# mock rules to the rules written in their place, or None to keep them)
+_STAGE_FAILURES = {
+    "merge-drops-every-category": (
+        "classify-ood", {"merge": {"min_count": 100000}}, None),
+    "training-diverges": (
+        "train-prelim", {"train": {"learning_rate": 1e300}}, None),
+    "no-screening-rule": ("coarse", {}, lambda rules: []),
+    "hard-reject-setup-never-parses": (
+        "coarse", {"coarse": {"mode": "hard_reject"}},
+        lambda rules: [_mock_rule("no JSON here")]),
+    "no-classification-rule": (
+        "classify-ood", {},
+        lambda rules: [r for r in rules if r["match"].startswith("hash:")]),
+    "no-candidate-survives": (
+        "augment", {},
+        lambda rules: [_mock_rule(json.dumps([{"answer": "True", "confidence": 0.9}]))]),
+}
+
+
+@pytest.mark.parametrize("case", list(_STAGE_FAILURES))
+def test_a_stage_failure_is_one_error_line_naming_the_stage(tmp_path, capsys, case):
+    stage, overrides, rules = _STAGE_FAILURES[case]
+    paths = fixture_tools.write_fixture(str(tmp_path), config_overrides=overrides)
+    if rules is not None:
+        with open(paths["mock"], "r", encoding="utf-8") as fh:
+            kept = rules([json.loads(line) for line in fh])
+        with open(paths["mock"], "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(rule) + "\n" for rule in kept)
+
+    with np.errstate(all="ignore"):         # the diverging model overflows
+        assert cli.main(["run-all", "--config", paths["config"]]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {stage}: "), err
 
 
 def test_cli_error_exit_codes(fix, tmp_path):
