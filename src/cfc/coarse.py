@@ -26,47 +26,19 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 # the config block lives in cfc.config; TEMPLATE_NAMES is re-exported
-from .config import DEFAULT_TEXT_BUDGET, TEMPLATE_NAMES, TRUNCATION_MARKER, \
-    CoarseConfig
+from .config import DEFAULT_TEXT_BUDGET, TEMPLATE_DIR, TEMPLATE_NAMES, \
+    TRUNCATION_MARKER, CoarseConfig
 from .gateway import LLMGateway, ParseError
-from .jsonl import build_record, read_jsonl, write_jsonl
+from .records import Annotation, CoarseHeader, read_headed, write_headed
 
 
 class CoarseDetectError(RuntimeError):
     """The hard_reject setup prompts gave no usable answer."""
-
-
-@dataclass(frozen=True)
-class Annotation:
-    """Verdict for one node. category is non-empty whenever the reply parsed;
-    a parse fallback is recorded as ID with confidence 0 and empty category."""
-
-    node_id: int
-    is_id: bool
-    confidence: float
-    category: str
-    raw_response: str
-
-    def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError("confidence must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class CoarseHeader:
-    """coarse.jsonl's first record: the settings the annotations were read
-    under (major_category and candidate_ood_labels: hard_reject only)."""
-
-    mode: str
-    confidence_threshold: float
-    major_category: str | None
-    candidate_ood_labels: list[str]
 
 
 @dataclass(frozen=True)
@@ -109,14 +81,11 @@ def render_label_list(labels) -> str:
 
 def load_template(name: str, template_dir: str | None = None) -> str:
     """The text of template name: <name>.txt in template_dir when it is set,
-    else the packaged default."""
-    fname = name + ".txt"
-    if template_dir is not None:
-        path = Path(template_dir) / fname
-        if not path.is_file():
-            raise ValueError(f"template override dir has no {fname}")
-        return path.read_text(encoding="utf-8")
-    return resources.files("cfc").joinpath("templates", fname).read_text(encoding="utf-8")
+    else in the packaged TEMPLATE_DIR."""
+    path = Path(template_dir or TEMPLATE_DIR) / (name + ".txt")
+    if not path.is_file():
+        raise ValueError(f"template dir {path.parent} has no {path.name}")
+    return path.read_text(encoding="utf-8")
 
 
 _PLACEHOLDER = re.compile(r"\{\{([A-Z_]+)\}\}")
@@ -328,22 +297,10 @@ def _coarse_result(mode: str, tau: float, annotations, major, candidates) -> Coa
 def save_coarse_result(result: CoarseResult, path: str) -> None:
     header = CoarseHeader(result.mode, result.confidence_threshold,
                           result.major_category, list(result.candidate_ood_labels))
-    write_jsonl(path, [{"kind": "header", **vars(header)}] + [
-        {"kind": "annotation", **vars(ann)} for ann in result.annotations])
+    write_headed(path, header, result.annotations)
 
 
 def load_coarse_result(path: str) -> CoarseResult:
-    header = None
-    anns: list[Annotation] = []
-    for lineno, rec in read_jsonl(path):
-        kind = rec.pop("kind", None) if isinstance(rec, dict) else None
-        if kind == "header":
-            header = build_record(CoarseHeader, rec, path, lineno)
-        elif kind == "annotation":
-            anns.append(build_record(Annotation, rec, path, lineno))
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown record kind")
-    if header is None:
-        raise ValueError(f"{path}: missing header record")
+    header, anns = read_headed(path, CoarseHeader, Annotation)
     return _coarse_result(header.mode, header.confidence_threshold, anns,
                           header.major_category, header.candidate_ood_labels)

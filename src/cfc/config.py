@@ -58,10 +58,11 @@ class SplitConfig:
 DEFAULT_TEXT_BUDGET = 4000
 TRUNCATION_MARKER = "..."
 
-# each prompt template is the file <name>.txt; the screening ones are named
-# by mode
+# each prompt template is the file <name>.txt in TEMPLATE_DIR, the packaged
+# one, or coarse.template_dir when set; the screening ones are named by mode
 TEMPLATE_NAMES = ("easy_reject", "hard_reject", "major_category",
                   "candidate_ood", "ood_classification")
+TEMPLATE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "templates")
 
 BASE_URL_ENV = "CFC_LLM_BASE_URL"
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import MixupConfig, PropagationConfig
 from .graph import load_matrices, save_matrices, spmm
-from .jsonl import build_record, read_jsonl, write_jsonl
+from .records import SynthHeader, SynthRow, read_headed, write_headed
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -206,51 +206,23 @@ def reconstruct_rows(boundary_ids, alphas, center: np.ndarray,
 
 # --------------------------------------------------------------- persistence
 
-@dataclass(frozen=True)
-class SynthHeader:
-    """synth.jsonl's first record: the mixup seed and the OOD center."""
-    seed: int
-    center: list[float]
-
-
-@dataclass(frozen=True)
-class SynthRow:
-    """A synth.jsonl row record: the provenance of one synthetic row."""
-    row: int
-    boundary_id: int
-    alpha: float
-
-
 def save_synthetic(s: SyntheticOODSet, matrix_path: str, sidecar_path: str) -> None:
     save_matrices(matrix_path, s.embeddings)
-    header = SynthHeader(s.seed, list(s.center))
-    write_jsonl(sidecar_path, [{"kind": "header", **vars(header)}] + [
-        {"kind": "row", **vars(SynthRow(r, s.boundary_ids[r], s.alphas[r]))}
-        for r in range(s.count)])
+    write_headed(sidecar_path, SynthHeader(s.seed, list(s.center)),
+                 [SynthRow(r, s.boundary_ids[r], s.alphas[r]) for r in range(s.count)])
 
 
 def load_synthetic(matrix_path: str, sidecar_path: str) -> SyntheticOODSet:
-    header = None
-    rows: dict[int, tuple[int, float]] = {}
-    for lineno, rec in read_jsonl(sidecar_path):
-        kind = rec.pop("kind", None) if isinstance(rec, dict) else None
-        if kind == "header":
-            header = build_record(SynthHeader, rec, sidecar_path, lineno)
-        elif kind == "row":
-            row = build_record(SynthRow, rec, sidecar_path, lineno)
-            rows[int(row.row)] = (int(row.boundary_id), float(row.alpha))
-        else:
-            raise ValueError(f"{sidecar_path}:{lineno}: unknown record kind")
-    if header is None:
-        raise ValueError(f"{sidecar_path}: missing header record")
-    count = len(rows)
-    if set(rows) != set(range(count)):
-        raise ValueError(f"{sidecar_path}: row records are not 0..{count - 1}")
-    [emb] = load_matrices(matrix_path, rows=count)
+    header, rows = read_headed(sidecar_path, SynthHeader, SynthRow)
+    by_row = {r.row: r for r in rows}
+    if set(by_row) != set(range(len(rows))):
+        raise ValueError(f"{sidecar_path}: row records are not 0..{len(rows) - 1}")
+    rows = [by_row[r] for r in range(len(rows))]
+    [emb] = load_matrices(matrix_path, rows=len(rows))
     return SyntheticOODSet(
         embeddings=emb,
-        boundary_ids=tuple(rows[r][0] for r in range(count)),
-        alphas=tuple(rows[r][1] for r in range(count)),
+        boundary_ids=tuple(int(r.boundary_id) for r in rows),
+        alphas=tuple(float(r.alpha) for r in rows),
         center=np.asarray(header.center, dtype=np.float64),
         seed=int(header.seed),
     )

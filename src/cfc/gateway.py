@@ -29,10 +29,10 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .config import BASE_URL_ENV, GatewayConfig
 from .jsonl import read_jsonl
+from .records import ChatExchange
 
 API_KEY_ENV = "CFC_LLM_API_KEY"
 
@@ -45,17 +45,6 @@ class GatewayError(RuntimeError):
 
 class ParseError(ValueError):
     """LLM reply did not contain the expected JSON payload."""
-
-
-@dataclass(frozen=True)
-class ChatExchange:
-    """One completed prompt/response pair, kept for the audit trail."""
-
-    prompt_text: str
-    response_text: str
-    latency_s: float
-    attempt_count: int
-    model_name: str
 
 
 def mock_prompt_hash(prompt: str) -> str:

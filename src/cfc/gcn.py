@@ -256,59 +256,61 @@ def train(a_hat: sp.csr_array, x: np.ndarray | sp.csr_array, y: np.ndarray,
     best_loss = np.inf
     stale = 0
 
-    cache = forward(params, a_hat, x, synth, cfg.head)
-    for epoch in range(1, cfg.epochs + 1):
-        grads = backward(params, a_hat, x, y, train_ids, synth,
-                         cfg.weight_decay, cfg.head, cache)
-        new_w = []
-        for k, (w, g) in enumerate(zip((params.w0, params.w1), grads)):
-            # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
-            # w - (lr m_hat) / (sqrt(v_hat) + eps), one rounding at a time in
-            # that order, so the weights stay bitwise those of the formula
-            s, d = step[k], denom[k]
-            mom[k] *= ADAM_BETA1
-            np.multiply(g, 1 - ADAM_BETA1, out=s)
-            mom[k] += s
-            vel[k] *= ADAM_BETA2
-            np.multiply(g, 1 - ADAM_BETA2, out=s)
-            s *= g
-            vel[k] += s
-            np.divide(mom[k], 1 - ADAM_BETA1 ** epoch, out=s)
-            np.divide(vel[k], 1 - ADAM_BETA2 ** epoch, out=d)
-            np.sqrt(d, out=d)
-            d += ADAM_EPS
-            s *= cfg.learning_rate
-            s /= d
-            new_w.append(w - s)
-        params = GCNParams(w0=new_w[0], w1=new_w[1])
-
+    # divergence overflows first: the non-finite loss check reports it, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
         cache = forward(params, a_hat, x, synth, cfg.head)
-        epoch_loss = loss(cache, y, train_ids, cfg.head)
-        val_acc = None
-        if val_ids:
-            pred = cache.z_real[val_ids].argmax(axis=1)
-            val_acc = float(np.mean(pred == y[val_ids]))
-        history.append({"epoch": epoch, "loss": epoch_loss, "val_accuracy": val_acc})
+        for epoch in range(1, cfg.epochs + 1):
+            grads = backward(params, a_hat, x, y, train_ids, synth,
+                             cfg.weight_decay, cfg.head, cache)
+            new_w = []
+            for k, (w, g) in enumerate(zip((params.w0, params.w1), grads)):
+                # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+                # w - (lr m_hat) / (sqrt(v_hat) + eps), one rounding at a time in
+                # that order, so the weights stay bitwise those of the formula
+                s, d = step[k], denom[k]
+                mom[k] *= ADAM_BETA1
+                np.multiply(g, 1 - ADAM_BETA1, out=s)
+                mom[k] += s
+                vel[k] *= ADAM_BETA2
+                np.multiply(g, 1 - ADAM_BETA2, out=s)
+                s *= g
+                vel[k] += s
+                np.divide(mom[k], 1 - ADAM_BETA1 ** epoch, out=s)
+                np.divide(vel[k], 1 - ADAM_BETA2 ** epoch, out=d)
+                np.sqrt(d, out=d)
+                d += ADAM_EPS
+                s *= cfg.learning_rate
+                s /= d
+                new_w.append(w - s)
+            params = GCNParams(w0=new_w[0], w1=new_w[1])
 
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(f"{cfg.head}-head model: non-finite loss "
-                                   f"at epoch {epoch}", history)
+            cache = forward(params, a_hat, x, synth, cfg.head)
+            epoch_loss = loss(cache, y, train_ids, cfg.head)
+            val_acc = None
+            if val_ids:
+                pred = cache.z_real[val_ids].argmax(axis=1)
+                val_acc = float(np.mean(pred == y[val_ids]))
+            history.append({"epoch": epoch, "loss": epoch_loss, "val_accuracy": val_acc})
 
-        if val_ids:
-            if val_acc > best_val:
-                best_val = val_acc
-                best_loss = epoch_loss
-                best_params = params
-                stale = 0
-            else:
-                # equal accuracy with lower loss keeps the sharper epoch but
-                # does not reset the patience counter
-                if val_acc == best_val and epoch_loss < best_loss:
+            if not np.isfinite(epoch_loss):
+                raise TrainingDiverged(f"{cfg.head}-head model: non-finite loss "
+                                       f"at epoch {epoch}", history)
+
+            if val_ids:
+                if val_acc > best_val:
+                    best_val = val_acc
                     best_loss = epoch_loss
                     best_params = params
-                stale += 1
-                if stale >= cfg.early_stop_patience:
-                    break
+                    stale = 0
+                else:
+                    # equal accuracy with lower loss keeps the sharper epoch but
+                    # does not reset the patience counter
+                    if val_acc == best_val and epoch_loss < best_loss:
+                        best_loss = epoch_loss
+                        best_params = params
+                    stale += 1
+                    if stale >= cfg.early_stop_patience:
+                        break
 
     return (best_params if val_ids else params), history
 

@@ -12,7 +12,6 @@ not with this module, so commands that build none never load it.
 Functions:
     load_graph: read nodes.jsonl into a Graph, and edges.jsonl when given
     load_edges: read edges.jsonl as a canonical edge list
-    save_graph: write a Graph back out in the same formats
     save_matrices, load_matrices: the one binary matrix format, for the
         feature-shaped files (magic CFCF) and cfc.gcn's checkpoints (CFCW)
     load_features: read the dataset's feature matrix, which a Graph does
@@ -27,12 +26,13 @@ Functions:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .jsonl import atomic_write, read_jsonl, write_jsonl
+from .jsonl import atomic_write, read_jsonl
+from .records import SplitAssignment
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -249,13 +249,6 @@ def load_edges(path: str, num_nodes: int) -> tuple[tuple[int, int], ...]:
     return canonical_edges(pairs)
 
 
-def save_graph(g: Graph, nodes_path: str, edges_path: str) -> None:
-    """Inverse of load_graph: load_graph(save_graph(g)) reproduces g."""
-    write_jsonl(nodes_path, ({"id": i, "text": g.node_text[i], "label": g.labels[i]}
-                             for i in range(g.num_nodes)))
-    write_jsonl(edges_path, ({"src": a, "dst": b} for a, b in g.edges))
-
-
 def _both_directions(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     if g.edges is None:
         raise ValueError("graph was read without its edges")
@@ -284,30 +277,6 @@ def rw_normalize_adjacency(g: Graph) -> sp.csr_array:
     src, dst = _both_directions(g)
     deg = np.bincount(src, minlength=n)
     return sp.csr_array((1.0 / deg[src], (src, dst)), shape=(n, n))
-
-
-@dataclass(frozen=True)
-class SplitAssignment:
-    """Disjoint train/val/test node id tuples plus the class partition that
-    produced them. train draws only from id_classes; val and test share the
-    leftover ID nodes and every OOD node."""
-
-    train_ids: tuple[int, ...]
-    val_ids: tuple[int, ...]
-    test_ids: tuple[int, ...]
-    id_classes: tuple[str, ...]
-    ood_classes: tuple[str, ...]
-    seed: int = 0
-
-    def __post_init__(self):
-        for f in fields(self):          # split.json holds the tuples as lists
-            if isinstance(getattr(self, f.name), list):
-                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
-        a, b, c = set(self.train_ids), set(self.val_ids), set(self.test_ids)
-        if a & b or a & c or b & c:
-            raise ValueError("train/val/test sets overlap")
-        if set(self.id_classes) & set(self.ood_classes):
-            raise ValueError("id_classes and ood_classes overlap")
 
 
 def split_dataset(g: Graph, id_classes, ood_classes, seed: int,

@@ -17,7 +17,6 @@ injective mapping from predicted labels to true classes.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,9 +24,7 @@ from .coarse import DEFAULT_TEXT_BUDGET, answer_objects, ask_per_node, \
     checked_node_ids, load_template, normalize_category, parse_confidence, \
     render_label_list
 from .gateway import LLMGateway, ParseError
-from .jsonl import build_record, read_jsonl, write_json, write_jsonl
-
-DISCARDED = "DISCARDED"
+from .records import DISCARDED, OODAssignment, PostLabelSpace
 
 
 def tokenize(name: str) -> list[str]:
@@ -71,27 +68,6 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))
-
-
-@dataclass(frozen=True)
-class PostLabelSpace:
-    """Deduplicated OOD label space. raw_to_merged maps every input category
-    to its surviving label or to DISCARDED; merged_labels is ordered by
-    descending total count (ties alphabetical)."""
-
-    merged_labels: tuple[str, ...]
-    raw_to_merged: dict
-    counts: dict                       # merged label -> summed raw count
-    sim_threshold: float
-    min_count: int
-
-    def __post_init__(self):
-        if not self.merged_labels:
-            raise ValueError("post label space is empty")
-        targets = set(self.merged_labels) | {DISCARDED}
-        for raw, merged in self.raw_to_merged.items():
-            if merged not in targets:
-                raise ValueError(f"{raw!r} maps to unknown label {merged!r}")
 
 
 def merge_categories(category_counts: dict, sim_threshold: float = 0.5,
@@ -161,14 +137,6 @@ def merge_categories(category_counts: dict, sim_threshold: float = 0.5,
 
 
 # --------------------------------------------------------------- classification
-
-@dataclass(frozen=True)
-class OODAssignment:
-    node_id: int
-    label: str                  # one of the merged labels
-    confidence: float
-    raw_response: str
-
 
 def parse_classification_response(raw: str) -> tuple[str, float]:
     obj = answer_objects(raw)[0]
@@ -273,18 +241,3 @@ def _max_matching(table: np.ndarray):
             new[taken] = np.maximum(new[taken], best[free[j]] + row[j])
         best = new
     return best[-1]
-
-
-# --------------------------------------------------------------- persistence
-
-def save_post_label_space(post: PostLabelSpace, path: str) -> None:
-    write_json(path, asdict(post))
-
-
-def save_assignments(assignments, path: str) -> None:
-    write_jsonl(path, (vars(a) for a in assignments))
-
-
-def load_assignments(path: str) -> tuple[OODAssignment, ...]:
-    return tuple(build_record(OODAssignment, rec, path, lineno)
-                 for lineno, rec in read_jsonl(path))

@@ -10,47 +10,11 @@ which is the standard comparison point for this kind of detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .records import EvalReport
+
 DEFAULT_TAU_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Split accuracies plus metadata. overall_accuracy is micro (node
-    weighted), so it always equals the count-weighted mean of the ID and OOD
-    accuracies. A missing side of the split reports accuracy 0.0 for it.
-    per_class_accuracy is keyed by the class index as a string, as eval.json
-    holds it, so the JSON keys sort as text ("10" before "2")."""
-
-    id_accuracy: float
-    ood_accuracy: float
-    overall_accuracy: float
-    per_class_accuracy: dict[str, float]
-    n_id_test: int
-    n_ood_test: int
-    auroc: float | None = None
-
-    def __post_init__(self):
-        for name in ("id_accuracy", "ood_accuracy", "overall_accuracy"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name}={v} outside [0, 1]")
-        if self.auroc is not None and not (0.0 <= self.auroc <= 1.0):
-            raise ValueError(f"auroc={self.auroc} outside [0, 1]")
-        if self.n_id_test < 0 or self.n_ood_test < 0:
-            raise ValueError("negative test counts")
-        total = self.n_id_test + self.n_ood_test
-        if total == 0:
-            raise ValueError("report covers no nodes")
-        weighted = (self.id_accuracy * self.n_id_test
-                    + self.ood_accuracy * self.n_ood_test) / total
-        if abs(self.overall_accuracy - weighted) > 1e-9:
-            raise ValueError(
-                f"overall_accuracy {self.overall_accuracy} inconsistent with "
-                f"count-weighted mean {weighted}")
 
 
 def accuracy_report(predictions: dict, truth: dict, ood_class_index: int,

@@ -19,14 +19,15 @@ This module is the engine. Each stage is declared once, in the _STAGES
 table: the name of its body in cfc.stages, the config keys it reads, the
 artifacts it consumes and those it writes; the stage order and each stage's
 upstream stages follow from it. A stage records in manifest.json a hash of
-everything it read (its scoped config, dataset bytes, consumed artifacts)
-and the sha256 of each file it wrote. It is skipped when that input hash
-matches and every output it writes still has its recorded sha256, so
-LLM-backed stages never recompute by accident, an output cut or edited by
-hand is rebuilt, and an edit to screening or merging reruns eval without
-retraining a model or reading the features. One command decides each
-stage once: whether its outputs still match the manifest is worked out the
-first time a stage or a stage downstream of it asks, and a stage that
+everything it read (its scoped config, dataset bytes, consumed artifacts;
+the LLM stages' mock fixture and prompt templates, packaged or from
+coarse.template_dir) and the sha256 of each file it wrote. It is skipped
+when that input hash matches and every output it writes still has its
+recorded sha256, so LLM-backed stages never recompute by accident, an output
+cut or edited by hand is rebuilt, and an edit to screening or merging reruns
+eval without retraining a model or reading the features. One command decides
+each stage once: whether its outputs still match the manifest is worked out
+the first time a stage or a stage downstream of it asks, and a stage that
 executes is done from then on, its outputs just hashed; the dataset's hash
 is taken once for every stage's input.
 The manifest's "files" block remembers each file's sha256 beside its stat,
@@ -42,7 +43,8 @@ resolved.json beside the manifest that records its hash.
 The engine imports no numpy: hashing, the manifest, the lock and every
 skip decision run without it. cfc.stages, and with it numpy and the numeric
 modules, is imported when a stage first executes, so a cached run, report
-or a refused --strict run never loads them.
+or a refused --strict run never loads them; report checks each method of
+eval.json as a cfc.records.EvalReport.
 
 Artifacts are written through cfc.jsonl's atomic writer, so a killed run
 never leaves a torn file that the cache would take for done.
@@ -56,13 +58,14 @@ import hashlib
 import json
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
 # validate_config is re-exported: the CLI and callers import it from here
-from .config import TEMPLATE_NAMES, ConfigError, RunConfig, validate_config
+from .config import TEMPLATE_DIR, TEMPLATE_NAMES, ConfigError, RunConfig, \
+    validate_config
 from .jsonl import read_json, remove_orphaned_temp_files, write_json
 
 SPLIT_FILE = "split.json"
@@ -144,14 +147,10 @@ def _stage_inputs(rt: _Runtime, stage: str) -> dict:
               "dataset": rt.dataset_hash}
     for name in spec.consumes:
         inputs[name] = rt.file_hash(rc.artifact(name))
-    uses_gateway = "gateway" in spec.reads
-    if uses_gateway and rc.gateway.mode == "mock":
-        inputs["mock_fixture"] = rt.file_hash(rc.gateway.mock_fixture_path)
-    if uses_gateway and rc.coarse.template_dir is not None:
-        files = (name + ".txt" for name in TEMPLATE_NAMES)
-        paths = {f: os.path.join(rc.coarse.template_dir, f) for f in files}
-        inputs["templates"] = _json_hash({f: rt.file_hash(path) for f, path
-                                          in paths.items() if os.path.isfile(path)})
+    if "gateway" in spec.reads:
+        if rc.gateway.mode == "mock":
+            inputs["mock_fixture"] = rt.file_hash(rc.gateway.mock_fixture_path)
+        inputs["templates"] = rt.templates_hash
     return inputs
 
 
@@ -206,6 +205,17 @@ class _Runtime:
         ds = self.rc.dataset
         return _json_hash([self.file_hash(path)
                            for path in (ds.nodes, ds.edges, ds.features)])
+
+    @functools.cached_property
+    def templates_hash(self) -> str:
+        """The hash of the templates in the directory the LLM stages read
+        (cfc.coarse.load_template); one that directory lacks is left out."""
+        folder = self.rc.coarse.template_dir or TEMPLATE_DIR
+        hashes = {}
+        for name in (n + ".txt" for n in TEMPLATE_NAMES):
+            with suppress(FileNotFoundError):
+                hashes[name] = self.file_hash(os.path.join(folder, name))
+        return _json_hash(hashes)
 
     def done(self, stage: str) -> bool:
         """_stage_done, decided once per command."""
@@ -415,28 +425,30 @@ def run_all(rc: RunConfig, strict: bool = False) -> dict:
 
 def emit_report(rc: RunConfig) -> str:
     """Text table of every method's ID/OOD/overall accuracy (in percent). An
-    eval.json that does not hold such a report raises ValueError("path: ...")."""
+    eval.json whose methods are not each an EvalReport raises ValueError."""
+    from .records import EvalReport     # the engine's own path loads no records
     path = rc.artifact(EVAL_FILE)
     if not os.path.exists(path):
         raise ConfigError("missing artifact: eval")
     doc = read_json(path)
     try:
-        return _report(doc)
+        reports = {name: EvalReport(**rec) for name, rec in doc["methods"].items()}
+        return _report(doc, reports)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"{path}: not an eval report: {exc!r}") from exc
 
 
-def _report(doc) -> str:
-    names = [m for m in METHOD_ORDER if m in doc["methods"]]
-    names += sorted(set(doc["methods"]) - set(names))
+def _report(doc, reports: dict) -> str:
+    names = [m for m in METHOD_ORDER if m in reports]
+    names += sorted(set(reports) - set(names))
     lines = [f"{'method':<18}{'ID':>8}{'OOD':>8}{'overall':>9}{'AUROC':>8}"]
     for name in names:
-        rep = doc["methods"][name]
-        roc = f"{rep['auroc']:.3f}" if rep.get("auroc") is not None else "-"
+        rep = reports[name]
+        roc = f"{rep.auroc:.3f}" if rep.auroc is not None else "-"
         lines.append(f"{name:<18}"
-                     f"{100 * rep['id_accuracy']:>8.2f}"
-                     f"{100 * rep['ood_accuracy']:>8.2f}"
-                     f"{100 * rep['overall_accuracy']:>9.2f}"
+                     f"{100 * rep.id_accuracy:>8.2f}"
+                     f"{100 * rep.ood_accuracy:>8.2f}"
+                     f"{100 * rep.overall_accuracy:>9.2f}"
                      f"{roc:>8}")
     cluster = doc.get("cluster_accuracy")
     lines.append("")

@@ -18,7 +18,7 @@ features.bin.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,18 +32,17 @@ from .gateway import LLMGateway
 from .gcn import forward, load_checkpoint, predict, save_checkpoint, train
 from .graph import Graph, load_edges, load_features, load_graph, \
     load_matrices, rw_normalize_adjacency, save_matrices, split_dataset, \
-    sym_normalize_adjacency, SplitAssignment
-from .jsonl import build_record, read_json, read_jsonl, write_json, \
-    write_jsonl
-from .labelspace import classify_ood, cluster_accuracy, \
-    load_assignments, merge_categories, save_assignments, \
-    save_post_label_space
+    sym_normalize_adjacency
+from .jsonl import build_record, read_json, write_json, write_jsonl
+from .labelspace import classify_ood, cluster_accuracy, merge_categories
 from .metrics import accuracy_report, auroc, threshold_baseline, \
     tune_threshold
 from .pipeline import ASSIGN_FILE, BASELINE_PROBS_FILE, \
     CLASSIFY_LOG_FILE, COARSE_FILE, COARSE_LOG_FILE, DENOISED_FILE, \
     DETECT_FILE, EVAL_FILE, FINE_CKPT, LLM_CACHE_FILE, POST_LABELS_FILE, \
     PRELIM_CKPT, SPLIT_FILE, SYNTH_BIN_FILE, SYNTH_META_FILE
+from .records import DenoisedCandidate, DenoiseSummary, Detection, \
+    OODAssignment, SplitAssignment, read_headed, read_records, write_headed
 
 SIGMOID_FIXED_TAU = 0.5
 
@@ -51,28 +50,6 @@ SIGMOID_FIXED_TAU = 0.5
 # its entries is nonzero (bag-of-words features). Denser X stays an array:
 # there a BLAS product beats the sparse one several times over.
 SPARSE_FEATURE_DENSITY = 0.10
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One detect.jsonl record: the fine model's class for a test node
-    (the OOD class is the ID class count) and its OOD probability."""
-    node_id: int
-    pred: int
-    ood_score: float
-
-
-@dataclass(frozen=True)
-class DenoisedCandidate:
-    """A denoised.jsonl candidate record: a coarse OOD candidate, and
-    whether label propagation kept it."""
-    node_id: int
-    kept: bool
-
-
-def _load_detections(path: str) -> list[Detection]:
-    return [build_record(Detection, rec, path, lineno)
-            for lineno, rec in read_jsonl(path)]
 
 
 def _dataset(load, *args):
@@ -178,16 +155,8 @@ def stage_coarse(data: StageData) -> None:
 
 def _load_survivors(path: str) -> tuple[int, ...]:
     """The denoised candidates that were kept."""
-    survivors = []
-    for lineno, rec in read_jsonl(path):
-        kind = rec.pop("kind", None) if isinstance(rec, dict) else None
-        if kind == "candidate":
-            cand = build_record(DenoisedCandidate, rec, path, lineno)
-            if cand.kept:
-                survivors.append(int(cand.node_id))
-        elif kind != "summary":
-            raise ValueError(f"{path}:{lineno}: unknown record kind")
-    return tuple(survivors)
+    _, candidates = read_headed(path, DenoiseSummary, DenoisedCandidate)
+    return tuple(int(c.node_id) for c in candidates if c.kept)
 
 
 def stage_denoise(data: StageData) -> None:
@@ -206,12 +175,9 @@ def stage_denoise(data: StageData) -> None:
         survivors = denoise_ood(propagated, candidates)
 
     kept = set(survivors)
-    summary = {"kind": "summary", "steps": rc.propagation.steps,
-               "candidate_count": len(candidates),
-               "survivor_count": len(survivors)}
-    write_jsonl(rc.artifact(DENOISED_FILE), [summary] + [
-        {"kind": "candidate", **vars(DenoisedCandidate(i, i in kept))}
-        for i in candidates])
+    write_headed(rc.artifact(DENOISED_FILE),
+                 DenoiseSummary(rc.propagation.steps, len(candidates), len(survivors)),
+                 [DenoisedCandidate(i, i in kept) for i in candidates])
 
 
 def stage_train_prelim(data: StageData) -> None:
@@ -293,10 +259,10 @@ def stage_classify_ood(data: StageData) -> None:
                            "build a label space")
     post = merge_categories(coarse.category_log, rc.merge.sim_threshold,
                             rc.merge.min_count)
-    save_post_label_space(post, rc.artifact(POST_LABELS_FILE))
+    write_json(rc.artifact(POST_LABELS_FILE), asdict(post))
 
     c = len(data.split.id_classes)
-    ood_nodes = [d.node_id for d in _load_detections(rc.artifact(DETECT_FILE))
+    ood_nodes = [d.node_id for d in read_records(rc.artifact(DETECT_FILE), Detection)
                  if d.pred == c]
 
     assignments = ()
@@ -307,7 +273,7 @@ def stage_classify_ood(data: StageData) -> None:
                 text_budget=rc.coarse.text_budget,
                 template_dir=rc.coarse.template_dir,
                 max_parse_retries=rc.coarse.max_parse_retries)
-    save_assignments(assignments, rc.artifact(ASSIGN_FILE))
+    write_jsonl(rc.artifact(ASSIGN_FILE), (vars(a) for a in assignments))
 
 
 def _baseline_report(probs: np.ndarray, test_ids, truth: dict, tau: float,
@@ -335,13 +301,13 @@ def stage_eval(data: StageData) -> None:
     test_ids = sorted(split.test_ids)
     truth = dict(zip(test_ids, data.targets[test_ids].tolist()))
 
-    detections = _load_detections(rc.artifact(DETECT_FILE))
+    detections = read_records(rc.artifact(DETECT_FILE), Detection)
     cfc_preds = {d.node_id: d.pred for d in detections}
     cfc_scores = {d.node_id: d.ood_score for d in detections}
     cfc = accuracy_report(cfc_preds, truth, c,
                           auroc_value=_safe_auroc(cfc_scores, truth, c))
 
-    assignments = load_assignments(rc.artifact(ASSIGN_FILE))
+    assignments = read_records(rc.artifact(ASSIGN_FILE), OODAssignment)
     ood_pairs = [(a.node_id, a.label) for a in assignments
                  if truth.get(a.node_id) == c]
     cluster = (cluster_accuracy(ood_pairs, {n: g.labels[n] for n, _ in ood_pairs})

@@ -18,7 +18,8 @@ import numpy as np
 
 from cfc.coarse import build_easy_reject_prompt
 from cfc.gateway import mock_prompt_hash
-from cfc.graph import Graph, save_graph, save_matrices, split_dataset
+from cfc.graph import Graph, save_matrices, split_dataset
+from cfc.jsonl import write_jsonl
 
 ID_CLASSES = ("circuit design", "compiler theory")
 OOD_CLASSES = ("marine biology", "volcanology")
@@ -186,6 +187,13 @@ def build_denoise_fixture(seed: int = 7):
     true_ood = tuple(range(40, 60))
     candidates = planted_fp + true_ood
     return g, train_labels, candidates, planted_fp, true_ood
+
+
+def save_graph(g: Graph, nodes_path: str, edges_path: str) -> None:
+    """Inverse of cfc.graph.load_graph: load_graph(save_graph(g)) reproduces g."""
+    write_jsonl(nodes_path, ({"id": i, "text": g.node_text[i], "label": g.labels[i]}
+                             for i in range(g.num_nodes)))
+    write_jsonl(edges_path, ({"src": a, "dst": b} for a, b in g.edges))
 
 
 def write_fixture(dir_path: str, seed: int = 0, config_overrides: dict | None = None) -> dict:

@@ -340,6 +340,17 @@ def test_coarse_detect_thresholds_ood_set(tmp_path):
     assert res.major_category is None
 
 
+def test_coarse_detect_rejection_at_the_threshold_is_a_candidate(tmp_path):
+    # "at or above": a rejection whose confidence equals tau is an OOD candidate
+    g = text_graph(["about volcanoes", "about glaciers"])
+    gw = make_gateway(tmp_path, [
+        {"match": "substr:volcanoes", "response": detection_json(False, 0.7, "geology")},
+        {"match": "substr:", "response": detection_json(False, 0.69, "geology")},
+    ])
+    res = coarse_detect(g, [0, 1], easy_cfg(confidence_threshold=0.7), gw)
+    assert res.ood_ids == (0,)
+
+
 def test_coarse_detect_tau_monotonicity(tmp_path):
     g = text_graph([f"doc {i}" for i in range(6)])
     rules = [{"match": f"substr:doc {i}",

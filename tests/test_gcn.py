@@ -254,6 +254,21 @@ def test_early_stopping_restores_best_params():
     assert returned == best
 
 
+def test_early_stopping_returns_the_best_epoch_not_the_last():
+    # validation labels oppose the training labels, so validation accuracy
+    # falls as the model fits them: the best epoch comes before the last
+    a_hat, x, y, train_ids, val_ids = separable_fixture()
+    y = y.copy()
+    y[val_ids] = 1 - y[val_ids]
+    cfg = TrainConfig(hidden_dim=8, epochs=200, early_stop_patience=10, seed=0)
+    params, history = train(a_hat, x, y, train_ids, val_ids, out_dim=2, cfg=cfg)
+    accuracies = [row["val_accuracy"] for row in history]
+    assert max(accuracies) > accuracies[-1]
+    probs = predict(params, a_hat, x)
+    returned = float(np.mean(probs[val_ids].argmax(axis=1) == y[val_ids]))
+    assert returned == max(accuracies)
+
+
 def test_training_divergence_raises_with_history():
     a_hat, x, y, train_ids, val_ids = separable_fixture()
     cfg = TrainConfig(hidden_dim=8, epochs=50, learning_rate=1e200)

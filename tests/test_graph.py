@@ -17,7 +17,6 @@ from cfc.graph import (
     load_graph,
     load_matrices,
     rw_normalize_adjacency,
-    save_graph,
     save_matrices,
     split_dataset,
     spmm,
@@ -25,6 +24,7 @@ from cfc.graph import (
 )
 from cfc.jsonl import read_json, write_json
 from conftest import random_graph, write_jsonl
+from fixture_tools import save_graph
 
 
 # ---------------------------------------------------------------- oracles

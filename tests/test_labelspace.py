@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -14,16 +15,15 @@ from cfc.labelspace import (
     classify_ood,
     cluster_accuracy,
     cosine,
-    load_assignments,
     match_label,
     merge_categories,
     parse_classification_response,
-    save_assignments,
-    save_post_label_space,
     tfidf_vectors,
     tokenize,
 )
 from cfc.coarse import ParseError
+from cfc import jsonl
+from cfc.records import read_records
 from conftest import write_jsonl
 
 
@@ -490,7 +490,7 @@ def test_post_label_space_roundtrip(tmp_path):
     post = merge_categories({"machine learning": 5, "machine learning theory": 2,
                              "databases": 3, "rare thing": 1})
     path = str(tmp_path / "post.json")
-    save_post_label_space(post, path)
+    jsonl.write_json(path, dataclasses.asdict(post))
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     # the document is the record's fields, the label tuple as a JSON list
@@ -508,5 +508,5 @@ def test_assignments_roundtrip(tmp_path):
     a = (OODAssignment(3, "marine biology", 0.75, '[{"answer": "ok"}]'),
          OODAssignment(7, "databases", 0.0, "junk"))
     path = str(tmp_path / "assign.jsonl")
-    save_assignments(a, path)
-    assert load_assignments(path) == a
+    jsonl.write_jsonl(path, (vars(x) for x in a))
+    assert read_records(path, OODAssignment) == list(a)

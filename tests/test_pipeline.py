@@ -35,7 +35,6 @@ from cfc.denoise import load_synthetic
 from cfc.gateway import GatewayConfig, LLMGateway, _Connections
 from cfc.gcn import load_checkpoint, predict, train
 from cfc.graph import load_matrices, save_matrices
-from cfc.labelspace import load_assignments
 from cfc.pipeline import (
     ASSIGN_FILE,
     BASELINE_PROBS_FILE,
@@ -66,6 +65,7 @@ from cfc.pipeline import (
     run_stage,
     validate_config,
 )
+from cfc.records import OODAssignment, read_records
 
 
 @pytest.fixture(scope="module")
@@ -562,8 +562,10 @@ def test_memo_records_the_stat_and_sha256_of_every_file_read(fix, tmp_path):
     files = load_manifest(rc.artifacts_dir)["files"]
     dataset = [rc.dataset.nodes, rc.dataset.edges, rc.dataset.features,
                rc.gateway.mock_fixture_path]
+    templates = [os.path.join(config.TEMPLATE_DIR, name + ".txt")
+                 for name in config.TEMPLATE_NAMES]
     outputs = [rc.artifact(n) for spec in pipeline._STAGES.values() for n in spec.writes]
-    assert sorted(files) == sorted(dataset + outputs)
+    assert sorted(files) == sorted(dataset + templates + outputs)
     for path, entry in files.items():
         st = os.stat(path)
         assert entry["stat"] == [st.st_dev, st.st_ino, st.st_size,
@@ -976,7 +978,11 @@ def test_a_run_reads_each_template_it_uses_once(tmp_path, template_reads):
     paths = fixture_tools.write_fixture(str(tmp_path))
     template_reads.clear()          # the fixture renders the mock's prompts
     assert all(run_all(validate_config(paths["config"])).values())
-    assert sorted(template_reads) == ["easy_reject.txt", "ood_classification.txt"]
+    # the LLM stages' input hash reads all five once, the prompt path the two
+    # templates it renders once each
+    hashed = [name + ".txt" for name in config.TEMPLATE_NAMES]
+    assert sorted(template_reads) == sorted(
+        hashed + ["easy_reject.txt", "ood_classification.txt"])
 
 
 def test_upstream_stages_are_the_producers_of_what_a_stage_reads():
@@ -1438,6 +1444,9 @@ _IMPORT_PROBE = (
     "if sys.argv[1] == 'validate':\n"
     "    cfc.cli.validate_config(sys.argv[3])\n"
     "    code = 0\n"
+    "elif sys.argv[1] == 'records':\n"
+    "    import cfc.records\n"
+    "    code = 0\n"
     "else:\n"
     "    code = cfc.cli.main(sys.argv[1:])\n"
     "print((code, sorted(m for m in sys.modules\n"
@@ -1458,6 +1467,7 @@ def test_scipy_is_loaded_only_by_commands_that_use_it(tmp_path):
         return (*ast.literal_eval(probe.stdout.splitlines()[-1]), probe.stderr)
 
     assert loaded("validate") == (0, [], "")
+    assert loaded("records") == (0, [], "")     # every artifact record type
     code, cold, _ = loaded("run-all")
     assert code == 0
     assert "numpy" in cold and "scipy.sparse" in cold and "scipy.optimize" not in cold
@@ -1528,7 +1538,7 @@ def test_a_record_that_does_not_fit_its_dataclass_names_its_line(primary, fix,
     assigned = str(tmp_path / ASSIGN_FILE)
     _edit_line(rc.artifact(ASSIGN_FILE), assigned, 2, lambda r: r.update(note="x"))
     with pytest.raises(ValueError, match=re.escape(assigned) + r":2: .*'note'"):
-        load_assignments(assigned)
+        read_records(assigned, OODAssignment)
 
     arts = tmp_path / "a"
     rc2 = validate_config(fix["config"], artifacts_override=str(arts))
@@ -1544,6 +1554,8 @@ def test_a_record_that_does_not_fit_its_dataclass_names_its_line(primary, fix,
 # each record reader of a stage: (file, line, the field dropped there, a
 # call that reads the file through the StageData of its artifacts dir)
 _RECORD_READERS = {
+    "denoised-summary": (DENOISED_FILE, 1, "survivor_count",
+                         lambda d: stages._load_survivors(d.rc.artifact(DENOISED_FILE))),
     "denoised-candidate": (DENOISED_FILE, 2, "kept",
                            lambda d: stages._load_survivors(d.rc.artifact(DENOISED_FILE))),
     "coarse-header": (COARSE_FILE, 1, "mode",
@@ -1578,6 +1590,16 @@ def test_each_record_reader_names_the_line_missing_a_field(primary, fix, tmp_pat
     named = "unknown record kind" if field is None else f".*'{field}'"
     with pytest.raises(ValueError, match=re.escape(path) + f":{lineno}: {named}"):
         read(stages.StageData(rc2))
+
+
+def test_a_headed_file_without_its_header_is_refused(primary, tmp_path):
+    rc, _ = primary
+    path = str(tmp_path / DENOISED_FILE)
+    lines = _read_bytes(rc.artifact(DENOISED_FILE)).splitlines(keepends=True)
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines[1:]))
+    with pytest.raises(ValueError, match=re.escape(path) + ": missing header record"):
+        stages._load_survivors(path)
 
 
 def test_cli_detect_record_without_pred_is_an_error_line(tmp_path):
@@ -1639,11 +1661,14 @@ def test_cli_malformed_artifact_is_an_error_line(tmp_path):
         assert re.fullmatch(r"error: .*manifest\.json" + error + r"\n", res.stderr), res.stderr
 
     # report refuses an eval.json that holds no report, naming the file,
-    # and still loads neither numpy nor scipy
+    # and still loads neither numpy nor scipy; each method is an EvalReport,
+    # so an accuracy outside [0, 1] is refused too
     path = os.path.join(paths["artifacts"], EVAL_FILE)
     doc = jsonl.read_json(path)
+    out_of_range = copy.deepcopy(doc)
+    out_of_range["methods"]["CFC"]["id_accuracy"] = 2.0
     del doc["methods"]["CFC"]["id_accuracy"]
-    for bad in ({}, [1], doc):
+    for bad in ({}, [1], doc, out_of_range):
         jsonl.write_json(path, bad)
         res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, "report",
                               "--config", paths["config"]],
@@ -1651,6 +1676,44 @@ def test_cli_malformed_artifact_is_an_error_line(tmp_path):
         assert res.stdout.splitlines()[-1] == "(2, [])", res.stdout
         assert re.fullmatch(r"error: " + re.escape(path) + r": not an eval report: .*\n",
                             res.stderr), res.stderr
+
+
+def test_cli_diverging_model_prints_one_error_line(fix, tmp_path):
+    # the overflow on the way to a non-finite loss warns nothing; in-process,
+    # pytest's warning capture would hide such warnings, so this runs the CLI
+    config = _variant_config(fix, "diverge.json", lambda c: c.setdefault(
+        "train", {}).update(learning_rate=1e300))
+    base = ["--config", config, "--artifacts", str(tmp_path / "a")]
+    assert _cli(["ingest", *base], cwd=str(tmp_path)).returncode == 0
+    res = _cli(["train-prelim", *base], cwd=str(tmp_path))
+    assert res.returncode == 2
+    assert res.stderr == ("error: train-prelim: softmax-head model: non-finite "
+                          "loss at epoch 1\n")
+
+
+def test_an_edit_to_a_packaged_template_reruns_the_llm_stages(tmp_path):
+    # on a copy of the package: the templates that ship with it are hashed
+    # into both LLM stages, as those of coarse.template_dir are
+    site = tmp_path / "site"
+    shutil.copytree(os.path.join(SRC, "cfc"), site / "cfc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    paths = fixture_tools.write_fixture(str(tmp_path / "run"))
+    env = dict(os.environ, PYTHONPATH=str(site))
+
+    def run_all_in_copy():
+        res = subprocess.run([sys.executable, "-m", "cfc.cli", "run-all",
+                              "--config", paths["config"]], capture_output=True,
+                             text=True, cwd=str(tmp_path), env=env)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()[:len(STAGE_ORDER)]
+        return [line.split(": ")[0] for line in lines if line.endswith(": done")]
+
+    assert run_all_in_copy() == list(STAGE_ORDER)
+    # a trailing newline changes the file but not the rendered prompts, so
+    # the LLM stages rerun to the same outputs and nothing downstream does
+    with open(site / "cfc" / "templates" / "easy_reject.txt", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert run_all_in_copy() == ["coarse", "classify-ood"]
 
 
 def _mock_rule(reply: str) -> dict:
