@@ -112,14 +112,10 @@ def build_easy_reject_prompt(node_text: str, id_labels,
 
 
 def checked_node_ids(g, node_ids) -> list[int]:
-    """node_ids sorted and deduplicated, each checked against the node range
-    and for a text to ask about, before any prompt is paid for."""
+    """node_ids (nodes of g) sorted and deduplicated, each checked for a text
+    to ask about before any prompt is paid for."""
     ids = sorted({int(i) for i in node_ids})
-    if not ids:
-        raise ValueError("node id list is empty")
     for i in ids:
-        if not (0 <= i < g.num_nodes):
-            raise ValueError(f"node id {i} outside node range")
         if not g.node_text[i].strip():
             raise ValueError(f"node {i} text is empty")
     return ids
@@ -250,7 +246,8 @@ def _hard_mode_setup(cfg: CoarseConfig, gateway: LLMGateway, id_field: str):
 
 
 def coarse_detect(g, query_ids, cfg: CoarseConfig, gateway: LLMGateway) -> CoarseResult:
-    """Run the configured rejection prompt over query_ids.
+    """Run the configured rejection prompt over query_ids, with the ID label
+    space cfg.id_labels (the split's ID classes, so never empty).
 
     Annotations come back in node-id order whatever order the concurrent
     replies arrive in. A reply that still fails to parse after
@@ -258,8 +255,6 @@ def coarse_detect(g, query_ids, cfg: CoarseConfig, gateway: LLMGateway) -> Coars
     with confidence 0. A gateway failure raises GatewayError.
     """
     ids = checked_node_ids(g, query_ids)
-    if not cfg.id_labels:
-        raise ValueError("cfg.id_labels is empty")
     if cfg.node_budget is not None and cfg.node_budget < len(ids):
         rng = np.random.default_rng(cfg.seed)
         picked = rng.choice(len(ids), size=cfg.node_budget, replace=False)

@@ -34,46 +34,19 @@ class LabelMatrix:
     clamp_ids: frozenset
     class_count: int
 
-    def __post_init__(self):
-        v = self.values
-        if v.ndim != 2 or v.shape[1] != self.class_count + 1:
-            raise ValueError("label matrix must be N x (class_count + 1)")
-        if np.any(v < 0):
-            raise ValueError("label matrix entries must be non-negative")
-        for i in self.clamp_ids:
-            if not (0 <= i < v.shape[0]):
-                raise ValueError(f"clamped id {i} outside node range")
-            row = v[i]
-            if not (np.count_nonzero(row) == 1 and row.max() == 1.0):
-                raise ValueError(f"clamped row {i} is not one-hot")
-
-    @property
-    def num_nodes(self) -> int:
-        return self.values.shape[0]
-
 
 def initial_label_matrix(num_nodes: int, class_count: int,
                          train_labels: dict[int, int],
                          ood_candidates) -> LabelMatrix:
     """One-hot ID rows for training nodes, OOD one-hots for coarse candidates,
-    zero rows elsewhere."""
-    if class_count < 1:
-        raise ValueError("need at least one ID class")
-    candidates = {int(i) for i in ood_candidates}
-    overlap = candidates & set(train_labels)
-    if overlap:
-        raise ValueError(f"nodes both trained and OOD candidates: {sorted(overlap)}")
+    zero rows elsewhere. The training nodes (train_labels maps each to its
+    class in [0, class_count)) and the candidates are disjoint sets of nodes
+    in [0, num_nodes), as a split's train and test ids are."""
     values = np.zeros((num_nodes, class_count + 1), dtype=np.float64)
     for i, cls in train_labels.items():
-        if not (0 <= i < num_nodes):
-            raise ValueError(f"train node {i} outside node range")
-        if not (0 <= cls < class_count):
-            raise ValueError(f"train node {i} has class index {cls} outside [0, {class_count})")
         values[i, cls] = 1.0
-    for i in candidates:
-        if not (0 <= i < num_nodes):
-            raise ValueError(f"candidate {i} outside node range")
-        values[i, class_count] = 1.0
+    for i in ood_candidates:
+        values[int(i), class_count] = 1.0
     return LabelMatrix(values, frozenset(train_labels), class_count)
 
 
@@ -83,11 +56,9 @@ def label_propagate(rw_adj: sp.csr_array, init: LabelMatrix,
 
     After every multiplication the clamped rows are reset to their initial
     one-hots, and rows of isolated nodes (all-zero rows of the walk matrix)
-    are reset to their initial values rather than decaying to zero.
+    are reset to their initial values rather than decaying to zero. rw_adj
+    is square over init's nodes.
     """
-    n = init.num_nodes
-    if rw_adj.shape != (n, n):
-        raise ValueError("walk matrix shape does not match the label matrix")
     clamped = sorted(init.clamp_ids)
     isolated = np.flatnonzero(np.diff(rw_adj.indptr) == 0)
     y = init.values.copy()
@@ -114,22 +85,13 @@ def denoise_ood(propagated: np.ndarray, candidate_ids) -> tuple[int, ...]:
 def select_boundary_nodes(confidence_by_node: dict[int, float], k: int) -> tuple[int, ...]:
     """The k lowest-confidence nodes; ties broken by ascending node id. Asking
     for more than exist returns them all."""
-    if not confidence_by_node:
-        raise ValueError("confidence map is empty")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     ranked = sorted(confidence_by_node.items(), key=lambda kv: (kv[1], kv[0]))
     return tuple(i for i, _ in ranked[:k])
 
 
 def ood_center(hidden: np.ndarray, ood_ids) -> np.ndarray:
-    """Mean hidden vector of the given nodes."""
+    """Mean hidden vector of the given nodes, rows of hidden (at least one)."""
     ids = sorted({int(i) for i in ood_ids})
-    if not ids:
-        raise ValueError("cannot take the center of an empty set")
-    for i in ids:
-        if not (0 <= i < hidden.shape[0]):
-            raise ValueError(f"node {i} outside hidden matrix")
     return hidden[ids].mean(axis=0)
 
 
@@ -168,16 +130,10 @@ def mixup_augment(hidden: np.ndarray, boundary_ids, h_center: np.ndarray,
     """Generate cfg.synth_count rows alpha * h_b + (1 - alpha) * h_center.
 
     Boundary nodes are shuffled once with cfg.seed and consumed cyclically, so
-    every boundary node contributes before any repeats.
+    every boundary node contributes before any repeats. boundary_ids are at
+    least one row of hidden, and h_center is a row of hidden's width.
     """
     ids = [int(i) for i in boundary_ids]
-    if not ids:
-        raise ValueError("boundary node list is empty")
-    for i in ids:
-        if not (0 <= i < hidden.shape[0]):
-            raise ValueError(f"boundary node {i} outside hidden matrix")
-    if h_center.shape != (hidden.shape[1],):
-        raise ValueError("center dimension mismatch")
     rng = np.random.default_rng(cfg.seed)
     order = [ids[k] for k in rng.permutation(len(ids))]
     rows = np.empty((cfg.synth_count, hidden.shape[1]), dtype=np.float64)

@@ -358,10 +358,8 @@ class LLMGateway:
             f"(prompt starts: {prompt[:60]!r})")
 
     def _resolve_base_url(self) -> str:
-        base = os.environ.get(BASE_URL_ENV) or self.cfg.base_url
-        if not base:
-            raise GatewayError(f"live mode needs a base_url (config or {BASE_URL_ENV})")
-        return base.rstrip("/")
+        """$CFC_LLM_BASE_URL, else base_url: a live config must set one."""
+        return (os.environ.get(BASE_URL_ENV) or self.cfg.base_url).rstrip("/")
 
     def _auth_headers(self) -> dict:
         key = os.environ.get(API_KEY_ENV)

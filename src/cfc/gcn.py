@@ -60,12 +60,6 @@ class GCNParams:
     w0: np.ndarray      # (d, hidden)
     w1: np.ndarray      # (hidden, out)
 
-    def __post_init__(self):
-        if self.w0.ndim != 2 or self.w1.ndim != 2:
-            raise ValueError("weights must be 2-D")
-        if self.w0.shape[1] != self.w1.shape[0]:
-            raise ValueError("hidden dimensions of W0 and W1 disagree")
-
 
 @dataclass(frozen=True)
 class ForwardCache:
@@ -77,8 +71,6 @@ class ForwardCache:
 
 def init_params(d: int, hidden: int, out: int, seed: int) -> GCNParams:
     """Glorot-uniform initialization, U(-b, b) with b = sqrt(6 / (fan_in + fan_out))."""
-    if min(d, hidden, out) < 1:
-        raise ValueError("all dimensions must be >= 1")
     rng = np.random.default_rng(seed)
     b0 = np.sqrt(6.0 / (d + hidden))
     b1 = np.sqrt(6.0 / (hidden + out))
@@ -103,22 +95,12 @@ def _sigmoid(logits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_synth(params: GCNParams, synth, head: str):
-    if synth is None:
-        return
-    if head != "softmax":
-        raise ValueError("synthetic rows are only supported with the softmax head")
-    if synth.embeddings.shape[1] != params.w0.shape[1]:
-        raise ValueError("synthetic embeddings must live in the hidden space")
-
-
 def forward(params: GCNParams, a_hat: sp.csr_array,
             x: np.ndarray | sp.csr_array, synth=None,
             head: str = "softmax") -> ForwardCache:
-    """Full forward pass; synthetic rows get logits x_s W1 directly."""
-    _check_synth(params, synth, head)
-    if x.shape[1] != params.w0.shape[0]:
-        raise ValueError("feature dimension does not match W0")
+    """Full forward pass; synthetic rows get logits x_s W1 directly. x has
+    W0's row count of columns; synth, when given, holds rows in the hidden
+    space (W1's row count of columns) and needs the softmax head."""
     squash = _row_softmax if head == "softmax" else _sigmoid
     h1 = np.maximum(spmm(a_hat, x @ params.w0), 0.0)
     ah1 = spmm(a_hat, h1)
@@ -140,15 +122,11 @@ def _floored_log(z: np.ndarray) -> np.ndarray:
 def loss(cache: ForwardCache, y: np.ndarray, train_ids, head: str = "softmax") -> float:
     """Softmax head: mean negative log-likelihood over the masked real rows
     plus all synthetic rows (synthetic target is the last class). Sigmoid
-    head: mean per-class binary cross-entropy over the masked rows."""
+    head: mean per-class binary cross-entropy over the masked rows. There is
+    at least one row, and y holds a class in [0, out) for each of train_ids."""
     ids = list(train_ids)
     out_dim = cache.z_real.shape[1]
     synth_count = 0 if cache.z_synth is None else cache.z_synth.shape[0]
-    if not ids and synth_count == 0:
-        raise ValueError("loss needs at least one training row")
-    for i in ids:
-        if not (0 <= y[i] < out_dim):
-            raise ValueError(f"node {i} has target {y[i]} outside [0, {out_dim})")
     if head == "softmax":
         total = 0.0
         if ids:
@@ -156,8 +134,6 @@ def loss(cache: ForwardCache, y: np.ndarray, train_ids, head: str = "softmax") -
         if synth_count:
             total -= _floored_log(cache.z_synth[:, -1]).sum()
         return float(total / (len(ids) + synth_count))
-    if synth_count:
-        raise ValueError("synthetic rows are only supported with the softmax head")
     z = cache.z_real[ids]
     onehot = np.zeros_like(z)
     onehot[np.arange(len(ids)), y[ids]] = 1.0
@@ -183,15 +159,12 @@ def backward(params: GCNParams, a_hat: sp.csr_array,
 
     Synthetic rows touch only gW1 because their logits never pass through W0.
     """
-    _check_synth(params, synth, head)
     ids = list(train_ids)
     if cache is None:
         cache = forward(params, a_hat, x, synth, head)
     n, out_dim = cache.z_real.shape
     synth_count = 0 if cache.z_synth is None else cache.z_synth.shape[0]
     m = len(ids) + synth_count
-    if m == 0:
-        raise ValueError("backward needs at least one training row")
 
     dlogits = np.zeros((n, out_dim), dtype=np.float64)
     if ids:
@@ -228,21 +201,16 @@ def train(a_hat: sp.csr_array, x: np.ndarray | sp.csr_array, y: np.ndarray,
           cfg: TrainConfig = TrainConfig()) -> tuple[GCNParams, list[dict]]:
     """Full-batch Adam training loop.
 
-    y holds a class index for every node in train_ids and val_ids (other rows
-    are ignored). Early stopping watches validation accuracy with the given
-    patience and restores the best-scoring parameters, accuracy ties going to
-    the epoch with the lower training loss; without val_ids the final
-    parameters are returned. History rows record the loss and validation
-    accuracy after each epoch's update. Deterministic in (inputs, cfg.seed).
+    y holds a class index in [0, out_dim) for every node in train_ids and
+    val_ids (other rows are ignored), and out_dim is at least 2. Early
+    stopping watches validation accuracy with the given patience and restores
+    the best-scoring parameters, accuracy ties going to the epoch with the
+    lower training loss; without val_ids the final parameters are returned.
+    History rows record the loss and validation accuracy after each epoch's
+    update. Deterministic in (inputs, cfg.seed).
     """
     train_ids = list(train_ids)
     val_ids = list(val_ids)
-    if out_dim < 2:
-        raise ValueError("out_dim must be >= 2")
-    for i in val_ids:
-        if not (0 <= y[i] < out_dim):
-            raise ValueError(f"val node {i} has target {y[i]} outside [0, {out_dim})")
-
     params = init_params(x.shape[1], cfg.hidden_dim, out_dim, cfg.seed)
     # Adam moments and two scratch buffers per weight, updated in place
     mom = [np.zeros_like(params.w0), np.zeros_like(params.w1)]

@@ -56,25 +56,24 @@ def spmm(m: sp.csr_array, dense: np.ndarray) -> np.ndarray:
 
 
 def canonical_edges(edges) -> tuple[tuple[int, int], ...]:
-    """Canonicalize an undirected edge list: (min, max) per edge, sorted, deduped.
-    Self loops are rejected."""
+    """Canonicalize an undirected edge list without self loops: (min, max)
+    per edge, sorted, deduped."""
     seen = set()
     for a, b in edges:
         a, b = int(a), int(b)
-        if a == b:
-            raise ValueError(f"self loop on node {a}")
         seen.add((a, b) if a < b else (b, a))
     return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected text-attributed graph. Immutable after construction.
+    """Undirected text-attributed graph of at least one node. Immutable after
+    construction.
 
-    labels may contain None for unlabeled nodes. class_names lists every
-    distinct label. edges is a canonical edge list over 0..num_nodes-1, as
-    canonical_edges and load_edges return it, or None for a graph read
-    from its nodes alone, which the normalizations refuse.
+    node_text and labels hold one entry per node; labels may contain None
+    for unlabeled nodes. class_names lists every distinct label. edges is a
+    canonical edge list over 0..num_nodes-1, as canonical_edges and
+    load_edges return it, or None for a graph read from its nodes alone.
     """
 
     num_nodes: int
@@ -82,17 +81,6 @@ class Graph:
     node_text: tuple[str, ...]
     labels: tuple[str | None, ...]
     class_names: tuple[str, ...]
-
-    def __post_init__(self):
-        n = self.num_nodes
-        if n < 1:
-            raise ValueError("graph must have at least one node")
-        if len(self.node_text) != n or len(self.labels) != n:
-            raise ValueError("node_text/labels length must equal num_nodes")
-        known = set(self.class_names)
-        for i, lab in enumerate(self.labels):
-            if lab is not None and lab not in known:
-                raise ValueError(f"node {i} has label {lab!r} missing from class_names")
 
     def nodes_of_class(self, name: str) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if lab == name]
@@ -152,8 +140,6 @@ def save_matrices(path: str, *mats: np.ndarray, magic: bytes = FEATURE_MAGIC) ->
     first matrix's rows, then each matrix's columns), then each matrix as
     C-order little-endian float64."""
     mats = [np.asarray(m, dtype="<f8") for m in mats]
-    if any(m.ndim != 2 for m in mats):
-        raise ValueError("matrices must be 2-D")
     dims = [mats[0].shape[0]] + [m.shape[1] for m in mats]
     with atomic_write(path, "wb") as fh:
         fh.write(magic)
@@ -250,15 +236,13 @@ def load_edges(path: str, num_nodes: int) -> tuple[tuple[int, int], ...]:
 
 
 def _both_directions(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    if g.edges is None:
-        raise ValueError("graph was read without its edges")
     e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
     return np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
 
 
 def sym_normalize_adjacency(g: Graph) -> sp.csr_array:
-    """Symmetric GCN propagation matrix: self loops added, entry (i, j) equals
-    1/sqrt((deg_i + 1) (deg_j + 1))."""
+    """Symmetric GCN propagation matrix of a graph with its edges: self loops
+    added, entry (i, j) equals 1/sqrt((deg_i + 1) (deg_j + 1))."""
     import scipy.sparse as sp
     n = g.num_nodes
     src, dst = _both_directions(g)
@@ -270,8 +254,9 @@ def sym_normalize_adjacency(g: Graph) -> sp.csr_array:
 
 
 def rw_normalize_adjacency(g: Graph) -> sp.csr_array:
-    """Row-stochastic propagation matrix D^{-1} A without self loops. Isolated
-    nodes keep an empty row (their rows multiply to zero, callers reset them)."""
+    """Row-stochastic propagation matrix D^{-1} A without self loops, of a
+    graph with its edges. Isolated nodes keep an empty row (their rows
+    multiply to zero, callers reset them)."""
     import scipy.sparse as sp
     n = g.num_nodes
     src, dst = _both_directions(g)
@@ -288,15 +273,12 @@ def split_dataset(g: Graph, id_classes, ood_classes, seed: int,
     floor(val_frac * count) validation nodes, remainder test. Unlabeled nodes
     join no set. A split without validation nodes is refused: eval tunes the
     baselines' thresholds on them. Deterministic in (graph, seed).
+
+    The class lists and fractions are those of a SplitConfig, which checks
+    them: disjoint non-empty class lists, fractions in (0, 1).
     """
     id_classes = tuple(id_classes)
     ood_classes = tuple(ood_classes)
-    if set(id_classes) & set(ood_classes):
-        raise ValueError("id_classes and ood_classes overlap")
-    if not id_classes:
-        raise ValueError("need at least one ID class")
-    if not (0.0 < train_frac < 1.0) or not (0.0 < val_frac < 1.0):
-        raise ValueError("train_frac and val_frac must lie in (0, 1)")
     declared = set(id_classes) | set(ood_classes)
     observed = {lab for lab in g.labels if lab is not None}
     stray = observed - declared

@@ -33,15 +33,13 @@ def tokenize(name: str) -> list[str]:
 
 
 def tfidf_vectors(names) -> np.ndarray:
-    """TF-IDF rows over the given name corpus.
+    """TF-IDF rows over the given non-empty name corpus.
 
     Vocabulary is the sorted token set, tf is the raw in-name count, and
     idf = ln((1 + n) / (1 + df)) + 1. Rows are L2-normalized; a name with no
     tokens keeps a zero row.
     """
     names = list(names)
-    if not names:
-        raise ValueError("empty name corpus")
     docs = [tokenize(n) for n in names]
     vocab = sorted({t for d in docs for t in d})
     col = {t: j for j, t in enumerate(vocab)}
@@ -79,20 +77,12 @@ def merge_categories(category_counts: dict, sim_threshold: float = 0.5,
     the same group (transitively). Each group is labeled by its most frequent
     member, ties broken alphabetically; groups whose summed count stays below
     min_count are discarded. min_count defaults to max(2, ceil(1% of the
-    total logged count)).
+    total logged count)). category_counts is a non-empty map of positive
+    counts; sim_threshold and min_count are a MergeConfig's, which checks them.
     """
-    if not category_counts:
-        raise ValueError("no categories to merge")
-    if not (0.0 <= sim_threshold <= 1.0):
-        raise ValueError("sim_threshold must lie in [0, 1]")
-    for name, cnt in category_counts.items():
-        if cnt < 1:
-            raise ValueError(f"category {name!r} has non-positive count")
     total = sum(category_counts.values())
     if min_count is None:
         min_count = max(2, int(np.ceil(0.01 * total)))
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
 
     names = sorted(category_counts)
     vecs = tfidf_vectors(names)
@@ -196,14 +186,10 @@ def cluster_accuracy(assignments, true_labels: dict) -> float:
     assignments is a sequence of (node_id, label) pairs; true_labels maps
     node id to its true class name. The optimal assignment over the
     predicted x true contingency table is solved exactly, in integers, by
-    _max_matching.
+    _max_matching. There is at least one pair, and true_labels holds each
+    pair's node.
     """
     pairs = [(int(node), label) for node, label in assignments]
-    if not pairs:
-        raise ValueError("no assignments to score")
-    for node, _ in pairs:
-        if node not in true_labels:
-            raise ValueError(f"node {node} has no true label")
     pred_names = sorted({label for _, label in pairs})
     true_names = sorted({true_labels[node] for node, _ in pairs})
     table = np.zeros((len(pred_names), len(true_names)), dtype=np.int64)

@@ -264,6 +264,8 @@ def test_parse_reply_with_prose_wrapper():
 def test_parse_string_booleans_any_case():
     assert parse_detection_response(detection_json("False", 0.7, "x"))[0] is False
     assert parse_detection_response(detection_json("TRUE", 0.7, "x"))[0] is True
+    with pytest.raises(ParseError, match="not a True/False value: 'maybe'"):
+        parse_detection_response(detection_json("maybe", 0.7, "x"))
 
 
 def test_parse_clamps_confidence():
@@ -308,6 +310,8 @@ def test_parse_major_category():
     assert parse_major_category('[{"note": "hm"}, {"answer": "Physics"}]') == "physics"
     with pytest.raises(ParseError):
         parse_major_category("[]")
+    with pytest.raises(ParseError, match="major-category answer is empty"):
+        parse_major_category('[{"answer": "  "}]')
 
 
 def test_parse_candidate_labels_dedupes():
@@ -316,6 +320,8 @@ def test_parse_candidate_labels_dedupes():
     assert parse_candidate_labels(raw) == ("quantum computing", "robotics")
     with pytest.raises(ParseError, match="no object with an answer field"):
         parse_candidate_labels('["robotics", "optics"]')
+    with pytest.raises(ParseError, match="no usable labels"):
+        parse_candidate_labels('[{"answer": ""}, {"answer": " "}]')
 
 
 # ---------------------------------------------------------------- detection
@@ -440,17 +446,6 @@ def test_coarse_detect_hard_mode_flow(tmp_path):
     # "Theory" collides with the ID space and is dropped
     assert res.candidate_ood_labels == ("photonics", "compilers")
     assert res.ood_ids == (0,)
-
-
-def test_coarse_detect_validates_inputs(tmp_path):
-    g = text_graph(["a"])
-    gw = make_gateway(tmp_path, [])
-    with pytest.raises(ValueError, match="empty"):
-        coarse_detect(g, [], easy_cfg(), gw)
-    with pytest.raises(ValueError, match="outside"):
-        coarse_detect(g, [5], easy_cfg(), gw)
-    with pytest.raises(ValueError, match="id_labels"):
-        coarse_detect(g, [0], CoarseConfig(), gw)
 
 
 def test_coarse_result_roundtrip(tmp_path):

@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from cfc.denoise import (
-    LabelMatrix,
     MixupConfig,
     PropagationConfig,
     denoise_ood,
@@ -42,23 +43,6 @@ def test_initial_matrix_layout():
     m = initial_label_matrix(4, 2, {0: 1}, {3})
     npt.assert_array_equal(m.values, [[0, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 1]])
     assert m.clamp_ids == frozenset({0})
-
-
-def test_initial_matrix_rejects_candidate_train_overlap():
-    with pytest.raises(ValueError, match="both"):
-        initial_label_matrix(4, 2, {0: 1}, {0})
-
-
-def test_initial_matrix_rejects_bad_class_index():
-    with pytest.raises(ValueError, match="class index"):
-        initial_label_matrix(4, 2, {0: 2}, set())
-
-
-def test_label_matrix_validates_clamped_rows():
-    vals = np.zeros((2, 3))
-    vals[0, 1] = 0.5
-    with pytest.raises(ValueError, match="one-hot"):
-        LabelMatrix(vals, frozenset({0}), 2)
 
 
 # ---------------------------------------------------------------- propagation
@@ -146,16 +130,12 @@ def test_select_boundary_orders_by_confidence_then_id():
     conf = {4: 0.9, 1: 0.2, 7: 0.2, 3: 0.5}
     assert select_boundary_nodes(conf, 3) == (1, 7, 3)
     assert select_boundary_nodes(conf, 99) == (1, 7, 3, 4)
-    with pytest.raises(ValueError, match="empty"):
-        select_boundary_nodes({}, 2)
 
 
 def test_ood_center_is_plain_mean(rng):
     hidden = rng.standard_normal((6, 4))
     npt.assert_allclose(ood_center(hidden, [1, 3, 5]),
                         hidden[[1, 3, 5]].mean(axis=0), atol=0)
-    with pytest.raises(ValueError, match="empty"):
-        ood_center(hidden, [])
 
 
 # ---------------------------------------------------------------- mixup
@@ -204,16 +184,6 @@ def test_mixup_deterministic_in_seed(rng):
     assert a.boundary_ids != c.boundary_ids
 
 
-def test_mixup_validates_inputs(rng):
-    hidden = rng.standard_normal((4, 2))
-    with pytest.raises(ValueError, match="empty"):
-        mixup_augment(hidden, [], np.zeros(2), MixupConfig())
-    with pytest.raises(ValueError, match="outside"):
-        mixup_augment(hidden, [9], np.zeros(2), MixupConfig())
-    with pytest.raises(ValueError, match="dimension"):
-        mixup_augment(hidden, [0], np.zeros(3), MixupConfig())
-
-
 def test_synthetic_roundtrip_reconstructs_bit_exact(tmp_path, rng):
     hidden = rng.standard_normal((10, 6))
     center = ood_center(hidden, [7, 8, 9])
@@ -228,6 +198,8 @@ def test_synthetic_roundtrip_reconstructs_bit_exact(tmp_path, rng):
     assert np.array_equal(back.center, s.center)
     rebuilt = reconstruct_rows(back.boundary_ids, back.alphas, back.center, hidden)
     assert np.array_equal(rebuilt, back.embeddings)
+    with pytest.raises(ValueError, match="provenance length"):
+        dataclasses.replace(back, alphas=back.alphas[1:])
 
 
 def test_config_validation():

@@ -332,6 +332,11 @@ def test_http_transport_wraps_a_body_that_is_not_json(loopback):
     with closing(gateway_module._Connections()) as post:
         assert post(url, {}, {}, 5.0) == (200, {"raw": "plain words"})
         assert post(url, {}, {}, 5.0) == (502, {"raw": "<html>bad gateway</html>"})
+    # a 200 whose body holds no completion is a gateway failure
+    loopback.replies.append((200, b"plain words"))
+    with LLMGateway(live_cfg(base_url=loopback.url)) as gw, \
+            pytest.raises(GatewayError, match="unexpected completion payload shape"):
+        gw.complete("x")
 
 
 def test_http_transport_503_is_retried(loopback):
@@ -659,6 +664,10 @@ def test_reply_cache_drops_torn_final_line(monkeypatch, tmp_path):
     assert calls == ["q 2"]
     lines = cache.read_text().splitlines()
     assert len(lines) == 3 and json.loads(lines[-1])["response"] == "2"
+    # a whole line that is no cache record is refused, not dropped
+    cache.write_text(lines[0] + "\n[]\n")
+    with pytest.raises(GatewayError, match=r"cache\.jsonl:2: malformed cache line"):
+        LLMGateway(live_cfg(), transport=echo_transport(calls), cache_path=str(cache))
 
 
 def test_reply_cache_appends_survive_many_workers(monkeypatch, tmp_path):

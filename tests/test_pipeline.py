@@ -33,7 +33,7 @@ from cfc import cli, config, jsonl, pipeline, stages
 from cfc.coarse import load_coarse_result
 from cfc.denoise import load_synthetic
 from cfc.gateway import GatewayConfig, LLMGateway, _Connections
-from cfc.gcn import load_checkpoint, predict, train
+from cfc.gcn import forward, load_checkpoint, predict, train
 from cfc.graph import load_matrices, save_matrices
 from cfc.pipeline import (
     ASSIGN_FILE,
@@ -309,6 +309,53 @@ def test_validate_config_class_rules(fix):
         lambda c: c["split"].update(id_classes=["twice", "twice"]))
     with pytest.raises(ConfigError, match="duplicate class names"):
         validate_config(bad)
+
+
+def _set(block, **values):
+    """A config edit that sets values in block."""
+    return lambda c: c.setdefault(block, {}).update(values)
+
+
+# each config error the tests above leave out: (a function that edits the
+# fixture's config, the text written in its place, or None for no file;
+# what cfc prints after "error: ", {path} standing for the config's path)
+_CONFIG_ERRORS = {
+    "split-fraction": (_set("split", train_frac=1.0), "split fractions must lie in (0, 1)"),
+    "candidate-count": (_set("coarse", candidate_count=0), "candidate_count must be >= 1"),
+    "parse-retries": (_set("coarse", max_parse_retries=-1), "max_parse_retries must be >= 0"),
+    "text-budget": (_set("coarse", text_budget=3), "text_budget too small"),
+    "boundary-count": (_set("mixup", boundary_count=0), "boundary_count must be >= 1"),
+    "weight-decay": (_set("train", weight_decay=-0.1), "weight_decay must be >= 0"),
+    "hidden-dim": (_set("train", hidden_dim=0), "hidden_dim must be >= 1"),
+    "patience": (_set("train", early_stop_patience=0), "early_stop_patience must be >= 1"),
+    "gateway-retries": (_set("gateway", max_retries=-1), "max_retries must be >= 0"),
+    "merge-threshold": (_set("merge", sim_threshold=1.5),
+                        "merge.sim_threshold must lie in [0, 1]"),
+    "merge-min-count": (_set("merge", min_count=0), "merge.min_count must be >= 1 when set"),
+    "block-not-an-object": (lambda c: c.update(train=[]), "train: expected an object"),
+    "unreadable": (None, "cannot read config {path}: [Errno 2] No such file or "
+                         "directory: '{path}'"),
+    "not-json": ("{", "{path}:1: malformed JSON (Expecting property name enclosed "
+                      "in double quotes)"),
+    "not-an-object": ("[]", "{path}: top level must be a JSON object"),
+    "live-without-base-url": (
+        _set("gateway", mode="live", mock_fixture_path=None),
+        "gateway.base_url (or $CFC_LLM_BASE_URL) is required in live mode"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
+def test_a_config_error_is_one_error_line(fix, tmp_path, capsys, monkeypatch, case):
+    content, error = _CONFIG_ERRORS[case]
+    monkeypatch.delenv("CFC_LLM_BASE_URL", raising=False)
+    path = str(tmp_path / "config.json")
+    if callable(content):
+        path = _variant_config(fix, f"{case}.json", content)
+    elif content is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    assert cli.main(["run-all", "--config", path]) == 1
+    assert capsys.readouterr().err == "error: " + error.format(path=path) + "\n"
 
 
 def _schema_rows(cls, prefix=""):
@@ -811,6 +858,34 @@ def test_targets_are_each_nodes_class():
     assert y.tolist() == [0, 1, -1, -1]
     y[:] = 5                            # train-fine writes into its copy
     assert data.targets.tolist() == [0, 1, 2, -1]
+
+
+def test_mixup_starts_from_the_least_confident_training_nodes(primary):
+    # confidence is a node's largest prelim class probability; the lowest
+    # mixup.boundary_count training nodes are the boundary, ties to the lower id
+    rc, _ = primary
+    data = stages.StageData(rc)
+    probs = forward(load_checkpoint(rc.artifact(PRELIM_CKPT)), data.a_hat, data.x).z_real
+    ranked = sorted(data.split.train_ids, key=lambda i: (probs[i].max(), i))
+    synth = load_synthetic(rc.artifact(SYNTH_BIN_FILE), rc.artifact(SYNTH_META_FILE))
+    assert sorted(set(synth.boundary_ids)) == sorted(ranked[:rc.mixup.boundary_count])
+
+
+def test_each_model_trains_on_its_own_seed(fix, tmp_path, monkeypatch):
+    seeds = []
+    real_train = stages.train
+
+    def recording(*args, cfg, **kwargs):
+        seeds.append(cfg.seed)
+        return real_train(*args, cfg=cfg, **kwargs)
+
+    monkeypatch.setattr(stages, "train", recording)
+    rc = validate_config(fix["config"], artifacts_override=str(tmp_path / "a"))
+    for stage in STAGE_ORDER[:STAGE_ORDER.index("train-fine") + 1]:
+        run_stage(rc, stage)
+    assert seeds == [rc.seed + config.SEED_OFFSETS[model]
+                     for model in ("prelim", "baseline", "fine")]
+    assert len(set(seeds)) == 3
 
 
 def test_classify_ood_and_eval_never_read_the_feature_matrix(fix, tmp_path,
@@ -1755,6 +1830,118 @@ def test_a_stage_failure_is_one_error_line_naming_the_stage(tmp_path, capsys, ca
         assert cli.main(["run-all", "--config", paths["config"]]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {stage}: "), err
+
+
+def _edit_jsonl(lineno, edit):
+    """A file edit that passes line lineno's JSON record through edit, or
+    every line's record when lineno is None."""
+    def apply(path):
+        count = len(_read_bytes(path).splitlines())
+        for k in range(1, count + 1) if lineno is None else [lineno]:
+            _edit_line(path, path, k, edit)
+    return apply
+
+
+def _edit_json(edit):
+    """A file edit that passes the JSON document through edit."""
+    def apply(path):
+        doc = jsonl.read_json(path)
+        edit(doc)
+        jsonl.write_json(path, doc)
+    return apply
+
+
+def _write_text(text):
+    def apply(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return apply
+
+
+def _feature_lines(*records):
+    return _write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+_NODES = sum(fixture_tools.CLASS_SIZES.values())
+
+# bad dataset and artifact files, each refused with one error line: (config
+# overrides, the file under the fixture's directory, an edit of it, the
+# command that reads it first, its exit code, and what cfc prints after
+# "error: " and, for exit 1, "dataset rejected: ", {path} standing for the
+# file's path). The stages before the command run first; an edited artifact
+# is recorded as its stage's output, so that stage stays cached and the
+# command reads the edit.
+_BAD_FILES = {
+    "node-without-label": ({}, "nodes.jsonl", _edit_jsonl(3, lambda r: r.pop("label")),
+                           "ingest", 1, "{path}:3: node record needs id, text, label"),
+    "node-id-not-an-integer": ({}, "nodes.jsonl", _edit_jsonl(3, lambda r: r.update(id="2")),
+                               "ingest", 1, "{path}:3: id must be an integer"),
+    "node-id-repeated": ({}, "nodes.jsonl", _edit_jsonl(3, lambda r: r.update(id=0)),
+                         "ingest", 1, "{path}:3: duplicate node id 0"),
+    "node-text-not-a-string": ({}, "nodes.jsonl", _edit_jsonl(3, lambda r: r.update(text=5)),
+                               "ingest", 1, "{path}:3: text must be a string"),
+    "node-label-not-a-string": ({}, "nodes.jsonl", _edit_jsonl(3, lambda r: r.update(label=5)),
+                                "ingest", 1, "{path}:3: label must be a string or null"),
+    "no-nodes": ({}, "nodes.jsonl", _write_text(""), "ingest", 1, "{path}: no node records"),
+    "edge-without-dst": ({}, "edges.jsonl", _edit_jsonl(2, lambda r: r.pop("dst")),
+                         "ingest", 1, "{path}:2: edge record needs src and dst"),
+    "feature-without-vec": ({}, "features.bin", _feature_lines({"id": 0}), "ingest", 1,
+                            "{path}:1: feature record needs id and vec"),
+    "feature-width-changes": ({}, "features.bin", _feature_lines(
+        {"id": 0, "vec": [1.0]}, {"id": 1, "vec": [1.0, 2.0]}), "ingest", 1,
+        "{path}:2: inconsistent feature dimension"),
+    "feature-rows-missing": ({}, "features.bin", _feature_lines({"id": 0, "vec": [1.0]}),
+                             "ingest", 1, f"{{path}}: found 1 feature rows for {_NODES} nodes"),
+    "feature-ids-off-by-one": ({}, "features.bin", _feature_lines(
+        *({"id": i + 1, "vec": [1.0]} for i in range(_NODES))), "ingest", 1,
+        f"{{path}}: feature ids are not exactly 0..{_NODES - 1}"),
+    "features-without-columns": (
+        {}, "features.bin", lambda path: save_matrices(path, np.zeros((_NODES, 0))),
+        "ingest", 1, "{path}: matrix dimensions must be >= 1"),
+    "empty-screening-template": ({"coarse": {"template_dir": "."}}, "easy_reject.txt",
+                                 _write_text(""), "coarse", 2,
+                                 "coarse: prompt must be a non-empty string"),
+    "split-sets-overlap": ({}, "artifacts/" + SPLIT_FILE, _edit_json(
+        lambda d: d["val_ids"].append(d["train_ids"][0])), "coarse", 2,
+        "coarse: {path}:1: train/val/test sets overlap"),
+    "split-classes-overlap": ({}, "artifacts/" + SPLIT_FILE, _edit_json(
+        lambda d: d["ood_classes"].append(d["id_classes"][0])), "coarse", 2,
+        "coarse: {path}:1: id_classes and ood_classes overlap"),
+    "no-category-logged": ({}, "artifacts/" + COARSE_FILE, _edit_jsonl(
+        None, lambda r: r.get("kind") == "annotation" and r.update(is_id=True)),
+        "classify-ood", 2,
+        "classify-ood: coarse stage logged no OOD categories; cannot build a label space"),
+    "synth-row-missing": ({}, "artifacts/" + SYNTH_META_FILE,
+                          _edit_jsonl(2, lambda r: r.update(row=100)), "train-fine", 2,
+                          "train-fine: {path}: row records are not 0..99"),
+    "synth-center-short": ({}, "artifacts/" + SYNTH_META_FILE,
+                           _edit_jsonl(1, lambda r: r["center"].pop()), "train-fine", 2,
+                           "train-fine: center dimension mismatch"),
+    "eval-count-negative": ({}, "artifacts/" + EVAL_FILE, _edit_json(
+        lambda d: d["methods"]["CFC"].update(n_id_test=-1)), "report", 2,
+        "{path}: not an eval report: ValueError('negative test counts')"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_FILES))
+def test_a_bad_dataset_or_artifact_file_is_one_error_line(tmp_path, capsys, case):
+    overrides, name, edit, command, code, error = _BAD_FILES[case]
+    paths = fixture_tools.write_fixture(str(tmp_path), config_overrides=overrides)
+    rc = validate_config(paths["config"])
+    for stage in STAGE_ORDER[:STAGE_ORDER.index(command) if command in STAGE_ORDER else None]:
+        run_stage(rc, stage)
+    path = str(tmp_path / name)
+    edit(path)
+    if os.path.dirname(path) == rc.artifacts_dir:
+        manifest = load_manifest(rc.artifacts_dir)
+        for entry in manifest["stages"].values():
+            if os.path.basename(path) in entry["outputs"]:
+                entry["outputs"][os.path.basename(path)] = pipeline._file_hash(path)
+        pipeline._save_manifest(rc.artifacts_dir, manifest)
+
+    assert cli.main([command, "--config", paths["config"]]) == code
+    prefix = "dataset rejected: " if code == 1 else ""
+    assert capsys.readouterr().err == f"error: {prefix}{error.format(path=path)}\n"
 
 
 def test_cli_error_exit_codes(fix, tmp_path):
