@@ -113,13 +113,6 @@ class SyntheticOODSet:
     center: np.ndarray                # (hidden_dim,)
     seed: int
 
-    def __post_init__(self):
-        s = self.embeddings.shape[0]
-        if len(self.boundary_ids) != s or len(self.alphas) != s:
-            raise ValueError("provenance length must match embedding rows")
-        if self.center.shape != (self.embeddings.shape[1],):
-            raise ValueError("center dimension mismatch")
-
     @property
     def count(self) -> int:
         return self.embeddings.shape[0]
@@ -174,7 +167,11 @@ def load_synthetic(matrix_path: str, sidecar_path: str) -> SyntheticOODSet:
     if set(by_row) != set(range(len(rows))):
         raise ValueError(f"{sidecar_path}: row records are not 0..{len(rows) - 1}")
     rows = [by_row[r] for r in range(len(rows))]
-    [emb] = load_matrices(matrix_path, rows=len(rows))
+    [emb] = load_matrices(matrix_path)
+    if emb.shape != (len(rows), len(header.center)):
+        raise ValueError(f"{matrix_path}: a {emb.shape[0]}x{emb.shape[1]} matrix, but "
+                         f"{sidecar_path} holds {len(rows)} row records and a "
+                         f"center of width {len(header.center)}")
     return SyntheticOODSet(
         embeddings=emb,
         boundary_ids=tuple(int(r.boundary_id) for r in rows),

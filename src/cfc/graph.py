@@ -41,17 +41,12 @@ FEATURE_MAGIC = b"CFCF"
 
 
 def spmm(m: sp.csr_array, dense: np.ndarray) -> np.ndarray:
-    """Sparse @ dense. dense must be 2-D with m.shape[1] rows.
+    """Sparse @ dense, dense a 2-D float64 array with m.shape[1] rows
+    (scipy refuses a dimension mismatch).
 
     Summation order inside a row follows the stored column order, so repeated
     calls on identical inputs are bitwise reproducible.
     """
-    dense = np.asarray(dense, dtype=np.float64)
-    if dense.ndim != 2:
-        raise ValueError("dense operand must be 2-D")
-    if dense.shape[0] != m.shape[1]:
-        raise ValueError(f"shape mismatch: sparse is {m.shape[0]}x{m.shape[1]}, "
-                         f"dense has {dense.shape[0]} rows")
     return m @ dense
 
 

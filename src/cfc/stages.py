@@ -276,22 +276,11 @@ def stage_classify_ood(data: StageData) -> None:
     write_jsonl(rc.artifact(ASSIGN_FILE), (vars(a) for a in assignments))
 
 
-def _baseline_report(probs: np.ndarray, test_ids, truth: dict, tau: float,
-                     mode: str, ood_index: int):
-    # probs has one column per ID class, so threshold_baseline's reject
-    # index (the column count) coincides with the pipeline's OOD index
-    preds_arr = threshold_baseline(probs, mode, tau)
-    preds = {node: int(preds_arr[k]) for k, node in enumerate(test_ids)}
-    scores = dict(zip(test_ids, (1.0 - probs.max(axis=1)).tolist()))
-    return accuracy_report(preds, truth, ood_index,
-                           auroc_value=_safe_auroc(scores, truth, ood_index))
-
-
-def _safe_auroc(scores: dict, truth: dict, ood_index: int):
-    flags = {n: truth[n] == ood_index for n in scores}
-    if all(flags.values()) or not any(flags.values()):
-        return None
-    return auroc(scores, flags)
+def _report(preds: dict, scores: dict, truth: dict, ood_index: int):
+    """One method's EvalReport: its predictions scored against truth, its
+    OOD scores ranked by auroc (None on a one-sided test set)."""
+    flags = {n: cls == ood_index for n, cls in truth.items()}
+    return accuracy_report(preds, truth, ood_index, auroc(scores, flags))
 
 
 def stage_eval(data: StageData) -> None:
@@ -301,12 +290,6 @@ def stage_eval(data: StageData) -> None:
     test_ids = sorted(split.test_ids)
     truth = dict(zip(test_ids, data.targets[test_ids].tolist()))
 
-    detections = read_records(rc.artifact(DETECT_FILE), Detection)
-    cfc_preds = {d.node_id: d.pred for d in detections}
-    cfc_scores = {d.node_id: d.ood_score for d in detections}
-    cfc = accuracy_report(cfc_preds, truth, c,
-                          auroc_value=_safe_auroc(cfc_scores, truth, c))
-
     assignments = read_records(rc.artifact(ASSIGN_FILE), OODAssignment)
     ood_pairs = [(a.node_id, a.label) for a in assignments
                  if truth.get(a.node_id) == c]
@@ -315,22 +298,26 @@ def stage_eval(data: StageData) -> None:
 
     [probs] = load_matrices(rc.artifact(BASELINE_PROBS_FILE), rows=g.num_nodes)
     probs_soft, probs_sig = probs[:, :c], probs[:, c:]
-
     val_ids = sorted(split.val_ids)
-    truth_val = data.targets[val_ids]
-    tau_soft, _ = tune_threshold(probs_soft[val_ids], truth_val, "softmax")
-    tau_sig, _ = tune_threshold(probs_sig[val_ids], truth_val, "sigmoid")
+    tau_soft = tune_threshold(probs_soft[val_ids], data.targets[val_ids])
+    tau_sig = tune_threshold(probs_sig[val_ids], data.targets[val_ids])
 
+    def baseline(head: np.ndarray, tau: float):
+        # one column per ID class, so threshold_baseline's reject index
+        # (the column count) is the pipeline's OOD index
+        test = head[test_ids]
+        preds = dict(zip(test_ids, threshold_baseline(test, tau).tolist()))
+        scores = dict(zip(test_ids, (1.0 - test.max(axis=1)).tolist()))
+        return _report(preds, scores, truth, c)
+
+    detections = read_records(rc.artifact(DETECT_FILE), Detection)
     methods = {
-        "CFC": cfc,
-        "GCN_softmax": _baseline_report(probs_soft[test_ids], test_ids, truth,
-                                        0.0, "softmax", c),
-        "GCN_softmax_tau": _baseline_report(probs_soft[test_ids], test_ids,
-                                            truth, tau_soft, "softmax", c),
-        "GCN_sigmoid": _baseline_report(probs_sig[test_ids], test_ids, truth,
-                                        SIGMOID_FIXED_TAU, "sigmoid", c),
-        "GCN_sigmoid_tau": _baseline_report(probs_sig[test_ids], test_ids,
-                                            truth, tau_sig, "sigmoid", c),
+        "CFC": _report({d.node_id: d.pred for d in detections},
+                       {d.node_id: d.ood_score for d in detections}, truth, c),
+        "GCN_softmax": baseline(probs_soft, 0.0),
+        "GCN_softmax_tau": baseline(probs_soft, tau_soft),
+        "GCN_sigmoid": baseline(probs_sig, SIGMOID_FIXED_TAU),
+        "GCN_sigmoid_tau": baseline(probs_sig, tau_sig),
     }
     doc = {
         "ood_class_index": c,

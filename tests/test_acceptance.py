@@ -221,7 +221,7 @@ def test_criterion_07_softmax_baseline_never_rejects_at_tau_zero(full_run):
     for _ in range(50):
         raw = rng.random((20, 4))
         probs = raw / raw.sum(axis=1, keepdims=True)
-        never = never and not np.any(threshold_baseline(probs, "softmax", 0.0) == 4)
+        never = never and not np.any(threshold_baseline(probs, 0.0) == 4)
     ok = reported == 0.0 and never
     _verdict(7, ok, f"tau=0 softmax baseline: reported OOD accuracy "
                     f"{reported} (exactly 0.0) and no rejection on 50 random "

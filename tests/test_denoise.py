@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -198,8 +196,6 @@ def test_synthetic_roundtrip_reconstructs_bit_exact(tmp_path, rng):
     assert np.array_equal(back.center, s.center)
     rebuilt = reconstruct_rows(back.boundary_ids, back.alphas, back.center, hidden)
     assert np.array_equal(rebuilt, back.embeddings)
-    with pytest.raises(ValueError, match="provenance length"):
-        dataclasses.replace(back, alphas=back.alphas[1:])
 
 
 def test_config_validation():

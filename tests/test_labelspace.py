@@ -467,13 +467,6 @@ def test_post_label_space_roundtrip(tmp_path):
     assert PostLabelSpace(**{**doc, "merged_labels": tuple(doc["merged_labels"])}) == post
 
 
-def test_post_label_space_validation():
-    with pytest.raises(ValueError, match="empty"):
-        PostLabelSpace((), {}, {}, 0.5, 2)
-    with pytest.raises(ValueError, match="unknown label"):
-        PostLabelSpace(("a",), {"b": "c"}, {"a": 2}, 0.5, 2)
-
-
 def test_assignments_roundtrip(tmp_path):
     a = (OODAssignment(3, "marine biology", 0.75, '[{"answer": "ok"}]'),
          OODAssignment(7, "databases", 0.0, "junk"))

@@ -5,13 +5,14 @@ import pytest
 
 from cfc.jsonl import write_json
 from cfc.metrics import (
-    DEFAULT_TAU_GRID,
+    TAU_GRID,
     EvalReport,
     accuracy_report,
     auroc,
     threshold_baseline,
     tune_threshold,
 )
+from cfc.stages import _report
 
 
 def pairwise_auroc(scores, is_ood):
@@ -100,13 +101,6 @@ def test_accuracy_report_without_ood_nodes():
     assert rep.overall_accuracy == 1.0
 
 
-def test_accuracy_report_input_errors():
-    with pytest.raises(ValueError, match="empty"):
-        accuracy_report({}, {}, 0)
-    with pytest.raises(ValueError, match="different node sets"):
-        accuracy_report({0: 0}, {1: 0}, 0)
-
-
 # ---------------------------------------------------------------- auroc
 
 def test_auroc_perfect_separation():
@@ -157,11 +151,16 @@ def test_auroc_flipped_labels_complement():
     assert auroc(scores, flags) + auroc(scores, flipped) == pytest.approx(1.0)
 
 
-def test_auroc_single_class_is_an_error():
-    with pytest.raises(ValueError, match="both"):
-        auroc({0: 0.1, 1: 0.2}, {0: True, 1: True})
-    with pytest.raises(ValueError, match="different node sets"):
-        auroc({0: 0.1}, {1: True})
+def test_auroc_without_a_pair_is_none():
+    assert auroc({0: 0.1, 1: 0.2}, {0: True, 1: True}) is None
+    assert auroc({0: 0.1, 1: 0.2}, {0: False, 1: False}) is None
+
+
+def test_a_report_on_an_all_id_test_set_has_no_auroc():
+    truth = {3: 0, 5: 1, 8: 1}
+    rep = _report(truth, {3: 0.2, 5: 0.9, 8: 0.4}, truth, ood_index=2)
+    assert rep.auroc is None
+    assert (rep.id_accuracy, rep.n_id_test, rep.n_ood_test) == (1.0, 3, 0)
 
 
 # ---------------------------------------------------------------- thresholding
@@ -174,48 +173,34 @@ def softmax_rows(rng, n, c):
 def test_threshold_zero_never_rejects():
     rng = np.random.default_rng(0)
     probs = softmax_rows(rng, 50, 4)
-    preds = threshold_baseline(probs, "softmax", 0.0)
+    preds = threshold_baseline(probs, 0.0)
     assert np.all(preds == np.argmax(probs, axis=1))
     assert not np.any(preds == 4)
 
 
 def test_threshold_rejects_below_tau():
     probs = np.array([[0.6, 0.4], [0.75, 0.25]])
-    preds = threshold_baseline(probs, "softmax", 0.7)
+    preds = threshold_baseline(probs, 0.7)
     assert list(preds) == [2, 0]
 
 
 def test_threshold_boundary_is_inclusive():
     probs = np.array([[0.7, 0.3]])
-    assert threshold_baseline(probs, "softmax", 0.7)[0] == 0
+    assert threshold_baseline(probs, 0.7)[0] == 0
 
 
 def test_threshold_ood_count_monotone_in_tau():
     rng = np.random.default_rng(1)
     probs = softmax_rows(rng, 200, 5)
-    sizes = [int(np.sum(threshold_baseline(probs, "softmax", t) == 5))
-             for t in DEFAULT_TAU_GRID]
+    sizes = [int(np.sum(threshold_baseline(probs, t) == 5))
+             for t in TAU_GRID]
     assert sizes == sorted(sizes)
 
 
 def test_threshold_sigmoid_mode_accepts_unnormalized_rows():
     probs = np.array([[0.9, 0.8], [0.1, 0.2]])
-    preds = threshold_baseline(probs, "sigmoid", 0.5)
+    preds = threshold_baseline(probs, 0.5)
     assert list(preds) == [0, 2]
-
-
-def test_threshold_input_errors():
-    ok = np.array([[0.5, 0.5]])
-    with pytest.raises(ValueError, match="tau"):
-        threshold_baseline(ok, "softmax", 1.5)
-    with pytest.raises(ValueError, match="sum to 1"):
-        threshold_baseline(np.array([[0.9, 0.9]]), "softmax", 0.5)
-    with pytest.raises(ValueError, match="outside"):
-        threshold_baseline(np.array([[1.2, -0.2]]), "sigmoid", 0.5)
-    with pytest.raises(ValueError, match="mode"):
-        threshold_baseline(ok, "relu", 0.5)
-    with pytest.raises(ValueError, match="2-d"):
-        threshold_baseline(np.zeros(3), "softmax", 0.5)
 
 
 def test_tune_threshold_picks_best_overall():
@@ -226,26 +211,18 @@ def test_tune_threshold_picks_best_overall():
         [0.55, 0.45],
     ])
     truth = np.array([0, 1, 2])
-    best_tau, sweep = tune_threshold(probs, truth, "softmax")
+    best_tau = tune_threshold(probs, truth)
     assert best_tau == 0.6          # rejects only the 0.55 row
-    assert sweep[0.6] == 1.0
-    assert sweep[0.1] == pytest.approx(2 / 3)
+    assert list(threshold_baseline(probs, best_tau)) == [0, 1, 2]
+    assert list(threshold_baseline(probs, TAU_GRID[0])) == [0, 1, 0]
 
 
 def test_tune_threshold_tie_prefers_smaller_tau():
     probs = np.array([[0.9, 0.1]])
     truth = np.array([0])
-    best_tau, sweep = tune_threshold(probs, truth, "softmax")
-    assert best_tau == 0.1
-    assert all(v == 1.0 for t, v in sweep.items() if t <= 0.9)
-
-
-def test_tune_threshold_input_errors():
-    probs = np.array([[0.5, 0.5]])
-    with pytest.raises(ValueError, match="align"):
-        tune_threshold(probs, np.array([0, 1]), "softmax")
-    with pytest.raises(ValueError, match="grid"):
-        tune_threshold(probs, np.array([0]), "softmax", grid=())
+    # every tau of the grid keeps the one row: all tie at accuracy 1
+    assert all(threshold_baseline(probs, t)[0] == 0 for t in TAU_GRID)
+    assert tune_threshold(probs, truth) == TAU_GRID[0] == 0.1
 
 
 # ---------------------------------------------------------------- report object

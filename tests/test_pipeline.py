@@ -65,7 +65,7 @@ from cfc.pipeline import (
     run_stage,
     validate_config,
 )
-from cfc.records import OODAssignment, read_records
+from cfc.records import Detection, OODAssignment, read_records
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +321,10 @@ def _set(block, **values):
 # what cfc prints after "error: ", {path} standing for the config's path)
 _CONFIG_ERRORS = {
     "split-fraction": (_set("split", train_frac=1.0), "split fractions must lie in (0, 1)"),
+    # checked by the split itself, when ingest runs: no validation node
+    "split-without-validation": (
+        lambda c: c.update(artifacts_dir="val001", split={**c["split"], "val_frac": 0.01}),
+        "split rejected: val_frac=0.01 leaves the validation set empty"),
     "candidate-count": (_set("coarse", candidate_count=0), "candidate_count must be >= 1"),
     "parse-retries": (_set("coarse", max_parse_retries=-1), "max_parse_retries must be >= 0"),
     "text-budget": (_set("coarse", text_budget=3), "text_budget too small"),
@@ -550,6 +554,54 @@ def test_record_artifacts_are_pinned(primary):
     got = {name: hashlib.sha256(_read_bytes(rc.artifact(name))).hexdigest()
            for name in RECORD_SHA256}
     assert got == RECORD_SHA256
+
+
+# the demo's detect.jsonl OOD scores, to 12 decimals. Other BLAS and SIMD
+# kernels move them by about 1e-16, a wrong model (boundary nodes picked by
+# the smallest class probability, or the fine model trained on the prelim
+# seed) by 3e-3 or more, so they are pinned at 1e-9 where no hash can be
+DEMO_OOD_SCORES = {
+    5: 0.020677379378, 7: 0.028288443852, 12: 0.012243383475, 13: 0.031505917113,
+    14: 0.019065166254, 29: 0.038522649262, 31: 0.042207406669, 33: 0.043981969975,
+    39: 0.037796787059, 40: 0.030797305455, 41: 0.016387318512, 45: 0.023389900362,
+    48: 0.028528314595, 49: 0.023417897299, 52: 0.036117293089, 54: 0.033092239368,
+    56: 0.028104482872, 57: 0.030523682699, 58: 0.032748036551, 59: 0.014601565484,
+    68: 0.025526746073, 76: 0.033888074964, 78: 0.034318262086, 79: 0.058894353046,
+    80: 0.015757816973, 89: 0.03523339725, 90: 0.037333992147, 92: 0.068036100729,
+    95: 0.028267272978, 96: 0.056356031978, 97: 0.034247694081, 102: 0.043234645365,
+    104: 0.015512107734, 106: 0.066577806192, 110: 0.023500458565, 113: 0.051223379439,
+    116: 0.035677269988, 117: 0.045202226273, 120: 0.070000406261, 126: 0.021732868246,
+    127: 0.040295437565, 129: 0.041707454082, 142: 0.986247485133, 143: 0.98143164209,
+    144: 0.975761797912, 149: 0.984935096325, 150: 0.972968303114, 151: 0.96215898866,
+    153: 0.943671901142, 154: 0.984209094376, 155: 0.959182274761, 156: 0.948589396243,
+    157: 0.942775234009, 159: 0.94906918933, 161: 0.961320784805, 163: 0.975941429168,
+    164: 0.986467801839, 165: 0.974495891507, 169: 0.953337503784, 170: 0.97749701056,
+    171: 0.99482173296, 172: 0.987772212357, 173: 0.950422026725, 175: 0.991730741505,
+    176: 0.978682343778, 178: 0.977654171047, 180: 0.964461739697, 181: 0.985112540539,
+    182: 0.992432332619, 183: 0.948553712346, 186: 0.964244121787, 187: 0.988971027018,
+    190: 0.969178048972, 191: 0.89041169692, 194: 0.978608023847, 195: 0.908294081193,
+    198: 0.950064432138, 199: 0.985255767811, 200: 0.956717022998, 201: 0.967328777278,
+    205: 0.973272598816, 206: 0.979740952836, 208: 0.994771443828, 209: 0.980867510408,
+    211: 0.978532595777, 212: 0.982628328941, 213: 0.920418716947,
+}
+
+# the demo's boundary nodes, in mixup's shuffled order: each of the 100
+# synthetic rows takes the next one, cyclically
+DEMO_BOUNDARY_IDS = (119, 84, 21, 4, 100, 125, 47, 105, 66, 53)
+
+
+def test_demo_ood_scores_are_pinned(primary):
+    rc, _ = primary
+    scores = {d.node_id: d.ood_score for d in read_records(rc.artifact(DETECT_FILE), Detection)}
+    assert scores.keys() == DEMO_OOD_SCORES.keys()
+    npt.assert_allclose([scores[n] for n in DEMO_OOD_SCORES],
+                        list(DEMO_OOD_SCORES.values()), rtol=0, atol=1e-9)
+
+
+def test_demo_boundary_ids_are_pinned(primary):
+    rc, _ = primary
+    synth = load_synthetic(rc.artifact(SYNTH_BIN_FILE), rc.artifact(SYNTH_META_FILE))
+    assert synth.boundary_ids == DEMO_BOUNDARY_IDS * 10
 
 
 def test_run_all_hashes_each_dataset_file_once(fix, tmp_path, hashed, trusted_memo):
@@ -1694,7 +1746,7 @@ def test_cli_detect_record_without_pred_is_an_error_line(tmp_path):
                         + r":4: .*'pred'\n", res.stderr), res.stderr
 
 
-def test_cli_malformed_artifact_is_an_error_line(tmp_path):
+def test_cli_malformed_artifact_is_an_error_line(tmp_path, capsys):
     paths = fixture_tools.write_fixture(str(tmp_path))
     run_all(validate_config(paths["config"]))
     coarse = os.path.join(paths["artifacts"], COARSE_FILE)
@@ -1731,9 +1783,9 @@ def test_cli_malformed_artifact_is_an_error_line(tmp_path):
                        ('{"stages": {}, "files": []}', ": not a manifest.*")):
         with open(os.path.join(paths["artifacts"], MANIFEST_FILE), "w") as fh:
             fh.write(bad)
-        res = _cli(["run-all", "--config", paths["config"]], cwd=str(tmp_path))
-        assert res.returncode == 2
-        assert re.fullmatch(r"error: .*manifest\.json" + error + r"\n", res.stderr), res.stderr
+        assert cli.main(["run-all", "--config", paths["config"]]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: .*manifest\.json" + error + r"\n", err), err
 
     # report refuses an eval.json that holds no report, naming the file,
     # and still loads neither numpy nor scipy; each method is an EvalReport,
@@ -1842,6 +1894,12 @@ def _edit_jsonl(lineno, edit):
     return apply
 
 
+def _drop_last_line(path):
+    lines = _read_bytes(path).splitlines(keepends=True)
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines[:-1]))
+
+
 def _edit_json(edit):
     """A file edit that passes the JSON document through edit."""
     def apply(path):
@@ -1868,9 +1926,9 @@ _NODES = sum(fixture_tools.CLASS_SIZES.values())
 # overrides, the file under the fixture's directory, an edit of it, the
 # command that reads it first, its exit code, and what cfc prints after
 # "error: " and, for exit 1, "dataset rejected: ", {path} standing for the
-# file's path). The stages before the command run first; an edited artifact
-# is recorded as its stage's output, so that stage stays cached and the
-# command reads the edit.
+# file's path and {dir} for its directory). The stages before the command
+# run first; an edited artifact is recorded as its stage's output, so that
+# stage stays cached and the command reads the edit.
 _BAD_FILES = {
     "node-without-label": ({}, "nodes.jsonl", _edit_jsonl(3, lambda r: r.pop("label")),
                            "ingest", 1, "{path}:3: node record needs id, text, label"),
@@ -1916,7 +1974,12 @@ _BAD_FILES = {
                           "train-fine: {path}: row records are not 0..99"),
     "synth-center-short": ({}, "artifacts/" + SYNTH_META_FILE,
                            _edit_jsonl(1, lambda r: r["center"].pop()), "train-fine", 2,
-                           "train-fine: center dimension mismatch"),
+                           "train-fine: {dir}/" + SYNTH_BIN_FILE + ": a 100x64 matrix, but "
+                           "{path} holds 100 row records and a center of width 63"),
+    "synth-last-row-dropped": ({}, "artifacts/" + SYNTH_META_FILE, _drop_last_line,
+                               "train-fine", 2,
+                               "train-fine: {dir}/" + SYNTH_BIN_FILE + ": a 100x64 matrix, "
+                               "but {path} holds 99 row records and a center of width 64"),
     "eval-count-negative": ({}, "artifacts/" + EVAL_FILE, _edit_json(
         lambda d: d["methods"]["CFC"].update(n_id_test=-1)), "report", 2,
         "{path}: not an eval report: ValueError('negative test counts')"),
@@ -1941,7 +2004,8 @@ def test_a_bad_dataset_or_artifact_file_is_one_error_line(tmp_path, capsys, case
 
     assert cli.main([command, "--config", paths["config"]]) == code
     prefix = "dataset rejected: " if code == 1 else ""
-    assert capsys.readouterr().err == f"error: {prefix}{error.format(path=path)}\n"
+    error = error.format(path=path, dir=os.path.dirname(path))
+    assert capsys.readouterr().err == f"error: {prefix}{error}\n"
 
 
 def test_cli_error_exit_codes(fix, tmp_path):

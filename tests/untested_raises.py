@@ -1,13 +1,12 @@
 """Run Tier-1 under a line tracer and fail if a `raise` line of src/cfc
 never ran.
 
-    python tests/untested_raises.py [FILE:LINE ...]
+    python tests/untested_raises.py
 
-Each FILE:LINE argument (FILE relative to src/cfc, as in stages.py:60) names
-a raise line that only a subprocess test reaches: the tracer sees the pytest
-process alone, not the `python -m cfc.cli` children some tests start. Exits 1
-at once if an argument names no raise line, else with pytest's status if a
-test fails, else 1 if any other raise line never ran, else 0.
+Exits with pytest's status if a test fails, else 1 if a raise line never
+ran, else 0. The tracer sees the pytest process alone, not the
+`python -m cfc.cli` children some tests start, so every raise needs a test
+that reaches it in process.
 
 The tracer records the lines of src/cfc only, in every thread. The standard
 library's trace module would count them too, but it caches its ignore
@@ -69,24 +68,17 @@ def traced_tier1() -> tuple[int, set[str]]:
     return int(status), {f"{os.path.basename(path)}:{lineno}" for path, lineno in ran}
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     raises = raise_lines()
-    unknown = [arg for arg in argv if arg not in raises]
-    for arg in unknown:
-        print(f"{arg}: listed as reached by a subprocess test, but no raise "
-              f"starts there", file=sys.stderr)
-    if unknown:
-        return 1
     status, ran = traced_tier1()
     if status != 0:
         return status
-    missing = [key for key in raises if key not in ran and key not in argv]
+    missing = [key for key in raises if key not in ran]
     for key in missing:
         print(f"src/cfc/{key}: no test runs `{raises[key]}`", file=sys.stderr)
-    print(f"{len(raises)} raise lines in src/cfc: {len(missing)} never run, "
-          f"{len(argv)} listed as reached by a subprocess test")
+    print(f"{len(raises)} raise lines in src/cfc: {len(missing)} never run")
     return 1 if missing else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
