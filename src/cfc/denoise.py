@@ -32,7 +32,6 @@ class LabelMatrix:
 
     values: np.ndarray
     clamp_ids: frozenset
-    class_count: int
 
 
 def initial_label_matrix(num_nodes: int, class_count: int,
@@ -47,7 +46,7 @@ def initial_label_matrix(num_nodes: int, class_count: int,
         values[i, cls] = 1.0
     for i in ood_candidates:
         values[int(i), class_count] = 1.0
-    return LabelMatrix(values, frozenset(train_labels), class_count)
+    return LabelMatrix(values, frozenset(train_labels))
 
 
 def label_propagate(rw_adj: sp.csr_array, init: LabelMatrix,
@@ -142,15 +141,6 @@ def mixup_augment(hidden: np.ndarray, boundary_ids, h_center: np.ndarray,
         center=h_center.astype(np.float64, copy=True),
         seed=cfg.seed,
     )
-
-
-def reconstruct_rows(boundary_ids, alphas, center: np.ndarray,
-                     hidden: np.ndarray) -> np.ndarray:
-    """Rebuild mixup rows from provenance; bitwise equal to the originals."""
-    rows = np.empty((len(boundary_ids), hidden.shape[1]), dtype=np.float64)
-    for r, (b, a) in enumerate(zip(boundary_ids, alphas)):
-        rows[r] = mix_row(hidden[int(b)], center, float(a))
-    return rows
 
 
 # --------------------------------------------------------------- persistence

@@ -48,11 +48,7 @@ ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; .history holds the epochs recorded so far."""
-
-    def __init__(self, message: str, history: list):
-        super().__init__(message)
-        self.history = history
+    """Loss became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -262,7 +258,7 @@ def train(a_hat: sp.csr_array, x: np.ndarray | sp.csr_array, y: np.ndarray,
 
             if not np.isfinite(epoch_loss):
                 raise TrainingDiverged(f"{cfg.head}-head model: non-finite loss "
-                                       f"at epoch {epoch}", history)
+                                       f"at epoch {epoch}")
 
             if val_ids:
                 if val_acc > best_val:

@@ -66,16 +66,15 @@ class Graph:
     construction.
 
     node_text and labels hold one entry per node; labels may contain None
-    for unlabeled nodes. class_names lists every distinct label. edges is a
-    canonical edge list over 0..num_nodes-1, as canonical_edges and
-    load_edges return it, or None for a graph read from its nodes alone.
+    for unlabeled nodes. edges is a canonical edge list over 0..num_nodes-1,
+    as canonical_edges and load_edges return it, or None for a graph read
+    from its nodes alone.
     """
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...] | None
     node_text: tuple[str, ...]
     labels: tuple[str | None, ...]
-    class_names: tuple[str, ...]
 
     def nodes_of_class(self, name: str) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if lab == name]
@@ -157,7 +156,7 @@ def load_matrices(path: str, magic: bytes = FEATURE_MAGIC, count: int = 1,
         raise ValueError(f"{path}: header cut short ({len(blob)} of {start} bytes)")
     dims = struct.unpack(f"<{count + 1}I", blob[4:start])
     if rows is not None and dims[0] != rows:
-        raise ValueError(f"{path}: feature row count {dims[0]} != node count {rows}")
+        raise ValueError(f"{path}: row count {dims[0]} != node count {rows}")
     if min(dims[1:]) < 1:
         raise ValueError(f"{path}: matrix dimensions must be >= 1")
     shapes = list(zip(dims, dims[1:]))
@@ -201,13 +200,11 @@ def load_graph(nodes_path: str, edges_path: str | None = None) -> Graph:
     if set(texts) != set(range(n)):
         raise ValueError(f"{nodes_path}: node ids are not contiguous 0..{n - 1}")
 
-    class_names = tuple(sorted({lab for lab in labels.values() if lab is not None}))
     return Graph(
         num_nodes=n,
         edges=None if edges_path is None else load_edges(edges_path, n),
         node_text=tuple(texts[i] for i in range(n)),
         labels=tuple(labels[i] for i in range(n)),
-        class_names=class_names,
     )
 
 

@@ -32,7 +32,6 @@ def random_graph(rng, n=None, p=0.2, n_classes=3, unlabeled_frac=0.0):
         edges=canonical_edges(edges),
         node_text=texts,
         labels=tuple(labels),
-        class_names=names,
     )
 
 

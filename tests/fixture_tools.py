@@ -61,6 +61,20 @@ _FP_CATEGORIES = ("quantum devices", "micro electronics",
 DETECT_RECALL = 0.8
 DETECT_PRECISION = 0.9
 
+# `python -c IMPORT_PROBE <command> [flags] --config <path>` runs one cfc
+# command in a fresh interpreter, or, for the command "validate" (with no
+# flags), only cfc.cli.validate_config; its last stdout line is the exit
+# code and the numpy and scipy modules the command left loaded
+IMPORT_PROBE = (
+    "import sys, cfc.cli\n"
+    "if sys.argv[1] == 'validate':\n"
+    "    cfc.cli.validate_config(sys.argv[3])\n"
+    "    code = 0\n"
+    "else:\n"
+    "    code = cfc.cli.main(sys.argv[1:])\n"
+    "print((code, sorted(m for m in sys.modules\n"
+    "                    if m.split('.')[0] in ('numpy', 'scipy'))))\n")
+
 
 def _class_means():
     m = {name: np.zeros(FEATURE_DIM) for name in CLASS_SIZES}
@@ -101,7 +115,6 @@ def build_graph(seed: int = 0) -> tuple[Graph, np.ndarray]:
         edges=tuple(edges),
         node_text=tuple(texts),
         labels=tuple(labels),
-        class_names=tuple(sorted(set(labels))),
     ), features
 
 
@@ -179,7 +192,6 @@ def build_denoise_fixture(seed: int = 7):
         edges=tuple(edges),
         node_text=tuple(f"{labels[i]} document {i}" for i in range(60)),
         labels=tuple(labels),
-        class_names=("alpha", "beta", "gamma"),
     )
     train_labels = {i: 0 for i in range(8)}
     train_labels.update({i: 1 for i in range(20, 28)})

@@ -19,15 +19,16 @@ import pytest
 
 import fixture_tools
 from cfc.denoise import (
+    MixupConfig,
     PropagationConfig,
     denoise_ood,
     initial_label_matrix,
     label_propagate,
     load_synthetic,
     mix_row,
-    reconstruct_rows,
+    mixup_augment,
 )
-from cfc.gcn import backward, hidden_states, load_checkpoint
+from cfc.gcn import backward, forward, load_checkpoint
 from cfc.graph import Graph, canonical_edges, load_features, load_graph, \
     rw_normalize_adjacency, sym_normalize_adjacency
 from cfc.labelspace import cluster_accuracy
@@ -41,7 +42,7 @@ from cfc.pipeline import (
     validate_config,
 )
 
-from test_denoise import dense_propagate
+from test_denoise import dense_propagate, rebuild_rows
 from test_gcn import fd_gradients, make_instance, max_rel_err, objective_factory
 from test_labelspace import _oracle_cluster_accuracy
 from test_metrics import pairwise_auroc, random_predictions
@@ -101,7 +102,7 @@ def test_criterion_02_propagation_matches_dense_reference():
         edges = [(i, j) for i in range(n - iso) for j in range(i + 1, n - iso)
                  if rng.random() < 0.2]
         g = Graph(n, canonical_edges(edges), tuple(f"t{i}" for i in range(n)),
-                  (None,) * n, ())
+                  (None,) * n)
         c = int(rng.integers(2, 5))
         perm = rng.permutation(n)
         n_train = int(rng.integers(1, min(6, n)))
@@ -155,19 +156,22 @@ def test_criterion_04_synthetic_rows_reconstruct_bit_exactly(full_run):
     g = load_graph(rc.dataset.nodes, rc.dataset.edges)
     x = load_features(rc.dataset.features, g.num_nodes)
     params = load_checkpoint(rc.artifact(PRELIM_CKPT))
-    hidden = hidden_states(params, sym_normalize_adjacency(g), x)
+    hidden = forward(params, sym_normalize_adjacency(g), x).h1
     s = load_synthetic(rc.artifact(SYNTH_BIN_FILE), rc.artifact(SYNTH_META_FILE))
-    rebuilt = reconstruct_rows(s.boundary_ids, s.alphas, s.center, hidden)
-    exact = np.array_equal(rebuilt, s.embeddings)
+    exact = np.array_equal(rebuild_rows(s, hidden), s.embeddings)
+    # the run's alpha is 0.5, where swapping the two weights changes no row
+    skewed = mixup_augment(hidden, sorted(set(s.boundary_ids)), s.center,
+                           MixupConfig(alpha=0.25, synth_count=s.count, seed=s.seed))
+    exact = exact and np.array_equal(rebuild_rows(skewed, hidden), skewed.embeddings)
 
     hb, hc = np.array([2.0, 0.0]), np.array([0.0, 2.0])
     spots = (np.array_equal(mix_row(hb, hc, 1.0), hb)
              and np.array_equal(mix_row(hb, hc, 0.0), hc)
              and np.array_equal(mix_row(hb, hc, 0.5), np.array([1.0, 1.0])))
     ok = exact and spots
-    _verdict(4, ok, f"all {s.count} persisted synthetic rows rebuild bit-"
-                    f"exactly from (alpha, boundary id, center); alpha in "
-                    f"{{0, 0.5, 1}} spot cases exact")
+    _verdict(4, ok, f"all {s.count} persisted synthetic rows, and {skewed.count} "
+                    f"drawn at alpha 0.25, rebuild bit-exactly from (alpha, "
+                    f"boundary id, center); alpha in {{0, 0.5, 1}} spot cases exact")
 
 
 # --------------------------------------------------------------- criterion 5

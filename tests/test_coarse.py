@@ -44,7 +44,7 @@ def make_gateway(tmp_path, rules, **cfg_kw):
 
 def text_graph(texts, label="x"):
     n = len(texts)
-    return Graph(n, (), tuple(texts), tuple([label] * n), (label,))
+    return Graph(n, (), tuple(texts), tuple([label] * n))
 
 
 # ---------------------------------------------------------------- prompts

@@ -9,9 +9,9 @@ from cfc.denoise import (
     initial_label_matrix,
     label_propagate,
     load_synthetic,
+    mix_row,
     mixup_augment,
     ood_center,
-    reconstruct_rows,
     save_synthetic,
     select_boundary_nodes,
 )
@@ -21,7 +21,14 @@ from conftest import random_graph
 
 def path_graph():
     return Graph(3, canonical_edges([(0, 1), (1, 2)]),
-                 ("a", "b", "c"), ("x", "x", "x"), ("x",))
+                 ("a", "b", "c"), ("x", "x", "x"))
+
+
+def rebuild_rows(s, hidden):
+    """The rows of the synthetic set s, rebuilt from each row's provenance
+    (boundary node, alpha) and s.center over the hidden states."""
+    return np.array([mix_row(hidden[b], s.center, a)
+                     for b, a in zip(s.boundary_ids, s.alphas)])
 
 
 def dense_propagate(adj_dense, init_values, clamp, steps):
@@ -95,7 +102,7 @@ def test_propagation_keeps_rows_in_unit_box(rng):
 
 def test_isolated_candidate_keeps_initial_mark():
     # node 2 is isolated; its row would decay to zero without the reset
-    g = Graph(3, canonical_edges([(0, 1)]), ("a", "b", "c"), ("x",) * 3, ("x",))
+    g = Graph(3, canonical_edges([(0, 1)]), ("a", "b", "c"), ("x",) * 3)
     init = initial_label_matrix(3, 1, {0: 0}, {2})
     out = label_propagate(rw_normalize_adjacency(g), init, PropagationConfig(5))
     npt.assert_array_equal(out[2], [0, 1])
@@ -116,7 +123,7 @@ def test_denoise_keeps_ood_peaked_rows_and_ties():
 def test_denoise_false_candidate_inside_clamped_neighborhood():
     # star: center 0 is the candidate, leaves are clamped ID nodes
     g = Graph(4, canonical_edges([(0, 1), (0, 2), (0, 3)]),
-              ("a", "b", "c", "d"), ("x",) * 4, ("x",))
+              ("a", "b", "c", "d"), ("x",) * 4)
     init = initial_label_matrix(4, 1, {1: 0, 2: 0, 3: 0}, {0})
     out = label_propagate(rw_normalize_adjacency(g), init, PropagationConfig(10))
     assert denoise_ood(out, [0]) == ()
@@ -194,8 +201,7 @@ def test_synthetic_roundtrip_reconstructs_bit_exact(tmp_path, rng):
     assert back.boundary_ids == s.boundary_ids
     assert back.alphas == s.alphas
     assert np.array_equal(back.center, s.center)
-    rebuilt = reconstruct_rows(back.boundary_ids, back.alphas, back.center, hidden)
-    assert np.array_equal(rebuilt, back.embeddings)
+    assert np.array_equal(rebuild_rows(back, hidden), back.embeddings)
 
 
 def test_config_validation():

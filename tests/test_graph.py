@@ -163,7 +163,7 @@ def test_spmm_is_reproducible(rng):
 
 def triangle():
     return Graph(3, canonical_edges([(0, 1), (1, 2), (0, 2)]),
-                 ("a", "b", "c"), ("x", "x", "x"), ("x",))
+                 ("a", "b", "c"), ("x", "x", "x"))
 
 
 def test_sym_normalize_triangle_is_third_everywhere():
@@ -174,7 +174,7 @@ def test_sym_normalize_triangle_is_third_everywhere():
 
 def test_rw_normalize_path_middle_row():
     g = Graph(3, canonical_edges([(0, 1), (1, 2)]),
-              ("a", "b", "c"), ("x", "x", "x"), ("x",))
+              ("a", "b", "c"), ("x", "x", "x"))
     got = rw_normalize_adjacency(g).toarray()
     npt.assert_allclose(got[1], [0.5, 0.0, 0.5], atol=1e-15)
 
@@ -203,8 +203,7 @@ def test_rw_rows_sum_to_one_or_zero(rng):
 
 
 def test_isolated_node_has_zero_row():
-    g = Graph(3, canonical_edges([(0, 1)]), ("a", "b", "c"),
-              ("x", "x", "x"), ("x",))
+    g = Graph(3, canonical_edges([(0, 1)]), ("a", "b", "c"), ("x", "x", "x"))
     m = rw_normalize_adjacency(g)
     assert list(np.flatnonzero(np.diff(m.indptr) == 0)) == [2]
 
@@ -230,7 +229,6 @@ def test_load_graph_basic(tmp_path):
     assert g.num_nodes == 3
     assert g.edges == ((0, 1), (1, 2))     # both directions collapse to one
     assert g.labels == ("nets", "theory", None)
-    assert g.class_names == ("nets", "theory")
 
 
 def test_load_graph_rejects_gap_in_ids(tmp_path):
@@ -395,7 +393,7 @@ def test_graph_roundtrip_identity(tmp_path, rng):
 
 def test_roundtrip_preserves_unicode_text(tmp_path):
     g = Graph(2, canonical_edges([(0, 1)]),
-              ("Grüße, 数学 paper é", "plain"), ("x", None), ("x",))
+              ("Grüße, 数学 paper é", "plain"), ("x", None))
     save_graph(g, str(tmp_path / "n.jsonl"), str(tmp_path / "e.jsonl"))
     back = load_graph(str(tmp_path / "n.jsonl"), str(tmp_path / "e.jsonl"))
     assert back.node_text == g.node_text
@@ -427,8 +425,7 @@ def labeled_graph(counts, seed=0):
     rng = np.random.default_rng(seed)
     rng.shuffle(labels)
     n = len(labels)
-    return Graph(n, (), tuple(f"t{i}" for i in range(n)), tuple(labels),
-                 tuple(sorted(counts)))
+    return Graph(n, (), tuple(f"t{i}" for i in range(n)), tuple(labels))
 
 
 def test_split_pure_ood_pool_ratio():

@@ -33,7 +33,7 @@ def make_gateway(tmp_path, rules, **cfg_kw):
 
 
 def text_graph(texts):
-    return Graph(len(texts), (), tuple(texts), tuple(["x"] * len(texts)), ("x",))
+    return Graph(len(texts), (), tuple(texts), tuple(["x"] * len(texts)))
 
 
 def classification_json(answer, confidence=0.9):

@@ -6,7 +6,6 @@ completed reference run of all nine stages over it. Tests that mutate
 artifacts run in their own artifact directories against the same dataset.
 """
 
-import ast
 import builtins
 import copy
 import dataclasses
@@ -900,7 +899,7 @@ def test_merge_edit_reruns_eval_without_training(fix, tmp_path, monkeypatch):
 def test_targets_are_each_nodes_class():
     data = stages.StageData(None)
     data.__dict__["graph"] = graph_module.Graph(
-        4, None, ("a", "b", "c", "d"), ("y", "x", "z", None), ("x", "y", "z"))
+        4, None, ("a", "b", "c", "d"), ("y", "x", "z", None))
     data.__dict__["split"] = graph_module.SplitAssignment(
         (1,), (0, 2), (), id_classes=("y", "x"), ood_classes=("z",))
     # id_classes order, then the OOD index C for another label, then -1
@@ -1564,47 +1563,6 @@ def _cli(args, cwd):
                           capture_output=True, text=True, cwd=cwd, env=_child_env())
 
 
-# runs one command in a fresh interpreter; the last line printed is the
-# exit code and the numpy and scipy modules the command left loaded
-_IMPORT_PROBE = (
-    "import sys, cfc.cli\n"
-    "if sys.argv[1] == 'validate':\n"
-    "    cfc.cli.validate_config(sys.argv[3])\n"
-    "    code = 0\n"
-    "elif sys.argv[1] == 'records':\n"
-    "    import cfc.records\n"
-    "    code = 0\n"
-    "else:\n"
-    "    code = cfc.cli.main(sys.argv[1:])\n"
-    "print((code, sorted(m for m in sys.modules\n"
-    "                    if m.split('.')[0] in ('numpy', 'scipy'))))\n")
-
-
-def test_scipy_is_loaded_only_by_commands_that_use_it(tmp_path):
-    # numpy too: a command that executes no stage imports neither
-    config = fixture_tools.write_fixture(str(tmp_path))["config"]
-    edited = _variant_config({"config": config}, "merge0.json", lambda c: c.setdefault(
-        "merge", {}).update(sim_threshold=0.0))
-
-    def loaded(command, *flags, config=config):
-        probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, command,
-                                "--config", config, *flags],
-                               capture_output=True, text=True, env=_child_env())
-        assert probe.returncode == 0, probe.stderr
-        return (*ast.literal_eval(probe.stdout.splitlines()[-1]), probe.stderr)
-
-    assert loaded("validate") == (0, [], "")
-    assert loaded("records") == (0, [], "")     # every artifact record type
-    code, cold, _ = loaded("run-all")
-    assert code == 0
-    assert "numpy" in cold and "scipy.sparse" in cold and "scipy.optimize" not in cold
-    assert loaded("run-all") == (0, [], "")     # every stage cached
-    assert loaded("report") == (0, [], "")
-    # artifacts of another config: refused before any stage is looked at
-    code, mismatch, err = loaded("run-all", "--strict", config=edited)
-    assert (code, mismatch) == (1, []) and "config hash mismatch" in err
-
-
 def test_cli_closed_stdout_exits_like_sigpipe(fix, tmp_path):
     # `cfc run-all | head -1` with the reader gone before the first line
     art = str(tmp_path / "a")
@@ -1618,30 +1576,6 @@ def test_cli_closed_stdout_exits_like_sigpipe(fix, tmp_path):
     assert proc.returncode == 141, err
     assert err == b""
     assert os.path.isfile(os.path.join(art, EVAL_FILE))
-
-
-def test_cli_run_all_report_and_caching(tmp_path):
-    paths = fixture_tools.write_fixture(str(tmp_path))
-    base = ["--config", paths["config"]]
-
-    first = _cli(["run-all", *base], cwd=str(tmp_path))
-    assert first.returncode == 0, first.stderr
-    for stage in STAGE_ORDER:
-        assert f"{stage}: done" in first.stdout
-    assert "method" in first.stdout and "CFC" in first.stdout
-
-    again = _cli(["run-all", "--strict", *base], cwd=str(tmp_path))
-    assert again.returncode == 0, again.stderr
-    for stage in STAGE_ORDER:
-        assert f"{stage}: cached" in again.stdout
-
-    one = _cli(["denoise", *base], cwd=str(tmp_path))
-    assert one.returncode == 0 and "denoise: cached" in one.stdout
-
-    report = _cli(["report", *base], cwd=str(tmp_path))
-    assert report.returncode == 0
-    assert "GCN_softmax_tau" in report.stdout
-    assert "OOD cluster accuracy" in report.stdout
 
 
 def _edit_line(src, dst, lineno, edit):
@@ -1797,7 +1731,7 @@ def test_cli_malformed_artifact_is_an_error_line(tmp_path, capsys):
     del doc["methods"]["CFC"]["id_accuracy"]
     for bad in ({}, [1], doc, out_of_range):
         jsonl.write_json(path, bad)
-        res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, "report",
+        res = subprocess.run([sys.executable, "-c", fixture_tools.IMPORT_PROBE, "report",
                               "--config", paths["config"]],
                              capture_output=True, text=True, env=_child_env())
         assert res.stdout.splitlines()[-1] == "(2, [])", res.stdout
@@ -1816,31 +1750,6 @@ def test_cli_diverging_model_prints_one_error_line(fix, tmp_path):
     assert res.returncode == 2
     assert res.stderr == ("error: train-prelim: softmax-head model: non-finite "
                           "loss at epoch 1\n")
-
-
-def test_an_edit_to_a_packaged_template_reruns_the_llm_stages(tmp_path):
-    # on a copy of the package: the templates that ship with it are hashed
-    # into both LLM stages, as those of coarse.template_dir are
-    site = tmp_path / "site"
-    shutil.copytree(os.path.join(SRC, "cfc"), site / "cfc",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    paths = fixture_tools.write_fixture(str(tmp_path / "run"))
-    env = dict(os.environ, PYTHONPATH=str(site))
-
-    def run_all_in_copy():
-        res = subprocess.run([sys.executable, "-m", "cfc.cli", "run-all",
-                              "--config", paths["config"]], capture_output=True,
-                             text=True, cwd=str(tmp_path), env=env)
-        assert res.returncode == 0, res.stderr
-        lines = res.stdout.splitlines()[:len(STAGE_ORDER)]
-        return [line.split(": ")[0] for line in lines if line.endswith(": done")]
-
-    assert run_all_in_copy() == list(STAGE_ORDER)
-    # a trailing newline changes the file but not the rendered prompts, so
-    # the LLM stages rerun to the same outputs and nothing downstream does
-    with open(site / "cfc" / "templates" / "easy_reject.txt", "a", encoding="utf-8") as fh:
-        fh.write("\n")
-    assert run_all_in_copy() == ["coarse", "classify-ood"]
 
 
 def _mock_rule(reply: str) -> dict:
@@ -1909,6 +1818,11 @@ def _edit_json(edit):
     return apply
 
 
+def _drop_last_row(path):
+    [mat] = load_matrices(path)
+    save_matrices(path, mat[:-1])
+
+
 def _write_text(text):
     def apply(path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -1953,6 +1867,8 @@ _BAD_FILES = {
     "feature-ids-off-by-one": ({}, "features.bin", _feature_lines(
         *({"id": i + 1, "vec": [1.0]} for i in range(_NODES))), "ingest", 1,
         f"{{path}}: feature ids are not exactly 0..{_NODES - 1}"),
+    "feature-matrix-row-short": ({}, "features.bin", _drop_last_row, "ingest", 1,
+                                 f"{{path}}: row count {_NODES - 1} != node count {_NODES}"),
     "features-without-columns": (
         {}, "features.bin", lambda path: save_matrices(path, np.zeros((_NODES, 0))),
         "ingest", 1, "{path}: matrix dimensions must be >= 1"),
@@ -1980,6 +1896,9 @@ _BAD_FILES = {
                                "train-fine", 2,
                                "train-fine: {dir}/" + SYNTH_BIN_FILE + ": a 100x64 matrix, "
                                "but {path} holds 99 row records and a center of width 64"),
+    "baseline-probs-row-short": ({}, "artifacts/" + BASELINE_PROBS_FILE, _drop_last_row,
+                                 "eval", 2, f"eval: {{path}}: row count {_NODES - 1} "
+                                 f"!= node count {_NODES}"),
     "eval-count-negative": ({}, "artifacts/" + EVAL_FILE, _edit_json(
         lambda d: d["methods"]["CFC"].update(n_id_test=-1)), "report", 2,
         "{path}: not an eval report: ValueError('negative test counts')"),
