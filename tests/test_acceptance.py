@@ -11,7 +11,6 @@ enumeration, and central finite differences.
 """
 
 import json
-import os
 import time
 
 import numpy as np

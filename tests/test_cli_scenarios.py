@@ -11,7 +11,8 @@ checks what a user gets, package data included:
     python -m pytest -q -o pythonpath= /path/to/tests/test_cli_scenarios.py
 
 The rows depend on each other (a row's edit applies to what the rows before
-it left), so they run in one test, in order.
+it left), so they run in one test, in order. tests/test_pipeline.py runs a
+few of them again on demos of their own through run_scenarios.
 """
 
 import ast
@@ -48,7 +49,7 @@ def _stages(*done):
                  for stage in STAGE_ORDER)
 
 
-def _config(block, **values):
+def configure(block, **values):
     def edit(d):
         path = os.path.join(d, "demo", "config.json")
         with open(path, encoding="utf-8") as fh:
@@ -106,14 +107,14 @@ SCENARIOS = (
     # a mock run's log comes back with the same records in the same order
     Row("deleted coarse log", _move_coarse_log, ("run-all",), _stages("coarse"),
         loads=("numpy",), check=_log_rewritten_alike),
-    Row("merge edit", _config("merge", sim_threshold=0.0), ("run-all",),
+    Row("merge edit", configure("merge", sim_threshold=0.0), ("run-all",),
         _stages("classify-ood", "eval"), loads=("numpy",)),
     # ingest and train-prelim read no LLM output; denoise keeps the same
     # survivors and classify-ood gives the same answers, so no stage that
     # reads only their outputs reruns
-    Row("screening edit", _config("coarse", confidence_threshold=0.8), ("run-all",),
+    Row("screening edit", configure("coarse", confidence_threshold=0.8), ("run-all",),
         _stages("coarse", "denoise", "classify-ood"), loads=("numpy", "scipy.sparse")),
-    Row("merge drops every category", _config("merge", min_count=100000),
+    Row("merge drops every category", configure("merge", min_count=100000),
         ("run-all",), code=2, err="error: classify-ood: ", loads=("numpy",)),
     # the failed run recorded no config, so these artifacts are the
     # screening edit's: refused before any stage is looked at
@@ -122,13 +123,19 @@ SCENARIOS = (
 )
 
 
-def test_cli_scenarios_on_the_demo(tmp_path):
+BY_NAME = {row.name: row for row in SCENARIOS}
+
+
+def run_scenarios(tmp_path, *rows):
+    """Run rows (each a Row or the name of one of SCENARIOS) in order on a
+    fresh demo whose commands import a copy of the cfc package."""
     d = str(tmp_path)
     shutil.copytree(os.path.dirname(cfc.__file__), os.path.join(d, "site", "cfc"),
                     ignore=shutil.ignore_patterns("__pycache__"))
     config = fixture_tools.write_fixture(os.path.join(d, "demo"))["config"]
     env = dict(os.environ, PYTHONPATH=os.path.join(d, "site"))
-    for row in SCENARIOS:
+    for row in rows:
+        row = BY_NAME[row] if isinstance(row, str) else row
         if row.edit is not None:
             row.edit(d)
         res = subprocess.run([sys.executable, "-c", fixture_tools.IMPORT_PROBE,
@@ -147,3 +154,7 @@ def test_cli_scenarios_on_the_demo(tmp_path):
         assert tuple(m for m in WATCHED if m in loaded) == row.loads, (row.name, loaded)
         if row.check is not None:
             row.check(d, out)
+
+
+def test_cli_scenarios_on_the_demo(tmp_path):
+    run_scenarios(tmp_path, *SCENARIOS)

@@ -65,6 +65,7 @@ from cfc.pipeline import (
     validate_config,
 )
 from cfc.records import Detection, OODAssignment, read_records
+from test_cli_scenarios import BY_NAME, configure, run_scenarios
 
 
 @pytest.fixture(scope="module")
@@ -1561,6 +1562,22 @@ def _child_env():
 def _cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "cfc.cli", *args],
                           capture_output=True, text=True, cwd=cwd, env=_child_env())
+
+
+# rows of the scenario table, each of these on a demo of its own
+def test_cli_run_all_report_and_caching(tmp_path):
+    run_scenarios(tmp_path, "cold run", "cached pass", "one cached stage", "report")
+
+
+def test_an_edit_to_a_packaged_template_reruns_the_llm_stages(tmp_path):
+    run_scenarios(tmp_path, "cold run", "packaged-template edit")
+
+
+def test_scipy_is_loaded_only_by_commands_that_use_it(tmp_path):
+    # numpy too: a command that executes no stage imports neither
+    drift = BY_NAME["strict config drift"]._replace(
+        edit=configure("merge", sim_threshold=0.0))
+    run_scenarios(tmp_path, "validate", "cold run", "cached pass", "report", drift)
 
 
 def test_cli_closed_stdout_exits_like_sigpipe(fix, tmp_path):
